@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cmapss_io import CHANNEL_NAMES, N_SENSORS, SensorTrajectory, sensor_column
-from .util import canonical_json, derive_rng, fmt_float, sha256_bytes
+from .cmapss_io import CHANNEL_NAMES, N_CHANNELS, N_SENSORS, SensorTrajectory, sensor_column
+from .util import canonical_json, derive_rng, float_row_format, sha256_bytes
 
 SPEARMAN_METHOD = "spearman-vs-cycle"
 NOISE_RESET = "noise-reset"
@@ -40,14 +40,12 @@ class DegenerateSpanError(AdaptationError):
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties replaced by the group's average rank."""
     order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # sorted positions start..end (inclusive) of each run of equal values
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], len(values)) - 1
     ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -340,12 +338,6 @@ class AdaptedDataset:
     config: AdaptationConfig
     drift_sensors: tuple[int, ...] = ()  # split-level selection, ranking order
 
-    def run_for(self, engine_id: int) -> AdaptedRun:
-        for run in self.runs:
-            if run.engine_id == engine_id:
-                return run
-        raise KeyError(f"no adapted run for engine {engine_id}")
-
 
 def adapt_dataset(
     trajs: list[SensorTrajectory],
@@ -407,21 +399,13 @@ def subset_runs(dataset: AdaptedDataset, engine_ids) -> AdaptedDataset:
 def _adapted_csv(dataset: AdaptedDataset) -> str:
     header = ["engine_id", "cycle", "segment_id", "reset_flag", "reset_kind"] + list(CHANNEL_NAMES)
     lines = [",".join(header)]
+    row = "%d,%d,%d,%s,%s," + float_row_format(N_CHANNELS)
     for run in dataset.runs:
-        seg_ids = run.segment_ids()
         reset_cycles = {ev.cycle: ev.kind for ev in run.reset_events}
-        for t in range(run.length):
-            cycle = t + 1
+        rows = zip(run.segment_ids().tolist(), run.channels.tolist())
+        for cycle, (seg_id, values) in enumerate(rows, start=1):
             kind = reset_cycles.get(cycle, "")
-            fields = [
-                str(run.engine_id),
-                str(cycle),
-                str(int(seg_ids[t])),
-                "1" if kind else "0",
-                kind,
-            ]
-            fields.extend(fmt_float(v) for v in run.channels[t])
-            lines.append(",".join(fields))
+            lines.append(row % (run.engine_id, cycle, seg_id, "1" if kind else "0", kind, *values))
     return "\n".join(lines) + "\n"
 
 
@@ -478,55 +462,86 @@ def write_adapted_dataset(dataset: AdaptedDataset, out_dir: str | Path) -> dict:
     return {"csv": str(csv_path), "metadata": str(meta_path), "digest": digest}
 
 
+def _check_key_columns(run: AdaptedRun, block: np.ndarray) -> None:
+    """The CSV's cycle, segment_id and reset_flag columns must say what the
+    metadata says; ``block`` holds the run's parsed rows."""
+    cycles = np.arange(1, run.length + 1)
+    expected = {
+        "cycle": cycles,
+        "segment_id": run.segment_ids(),
+        "reset_flag": np.isin(cycles, [ev.cycle for ev in run.reset_events]),
+    }
+    for col, (name, want) in enumerate(expected.items(), start=1):
+        bad = np.flatnonzero(block[:, col] != want)
+        if bad.size:
+            raise ValueError(
+                f"engine {run.engine_id}: {ADAPTED_CSV_NAME} column {name!r} disagrees "
+                f"with {ADAPTED_META_NAME} at row {int(bad[0]) + 1} of the run"
+            )
+
+
 def read_adapted_dataset(out_dir: str | Path) -> AdaptedDataset:
     out_dir = Path(out_dir)
     meta = json.loads((out_dir / ADAPTED_META_NAME).read_text(encoding="utf-8"))
     if meta.get("format") != "driftcal-adapted v1":
         raise ValueError(f"unsupported adapted-dataset format: {meta.get('format')!r}")
 
-    channel_rows: dict[int, list[np.ndarray]] = {}
-    with open(out_dir / ADAPTED_CSV_NAME, "r", encoding="utf-8") as f:
-        next(f)  # header
-        for line in f:
-            parts = line.rstrip("\n").split(",")
-            engine_id = int(parts[0])
-            channel_rows.setdefault(engine_id, []).append(
-                np.array([float(v) for v in parts[5:]], dtype=np.float64)
-            )
+    # every column but the reset_kind text (column 4): engine_id, cycle,
+    # segment_id, reset_flag, then the channels
+    table = np.loadtxt(
+        out_dir / ADAPTED_CSV_NAME,
+        delimiter=",",
+        skiprows=1,
+        usecols=[0, 1, 2, 3, *range(5, 5 + N_CHANNELS)],
+        ndmin=2,
+        encoding="utf-8",
+    )
+    engines = table[:, 0]
+    starts = np.flatnonzero(np.concatenate(([True], engines[1:] != engines[:-1])))
+    stops = np.append(starts[1:], len(engines))
+    blocks: dict[int, tuple[int, int]] = {}
+    for start, stop in zip(starts.tolist(), stops.tolist()):
+        engine_id = int(engines[start])
+        if engine_id in blocks:
+            raise ValueError(f"engine {engine_id}: {ADAPTED_CSV_NAME} rows are not contiguous")
+        blocks[engine_id] = (start, stop)
+    all_channels = np.ascontiguousarray(table[:, 4:])
 
     runs = []
     for entry in meta["runs"]:
         engine_id = entry["engine_id"]
-        channels = np.vstack(channel_rows[engine_id])
-        if channels.shape[0] != entry["length"]:
+        if engine_id not in blocks:
+            raise ValueError(f"engine {engine_id}: no rows in {ADAPTED_CSV_NAME}")
+        start, stop = blocks[engine_id]
+        if stop - start != entry["length"]:
             raise ValueError(
-                f"engine {engine_id}: CSV has {channels.shape[0]} cycles, "
+                f"engine {engine_id}: CSV has {stop - start} cycles, "
                 f"metadata says {entry['length']}"
             )
-        runs.append(
-            AdaptedRun(
-                engine_id=engine_id,
-                drift_sensors=tuple(entry["drift_sensors"]),
-                thresholds=tuple(
-                    ThresholdSpec(
-                        sensor_id=t["sensor_id"],
-                        baseline=t["baseline"],
-                        tail=t["tail"],
-                        fraction=t["fraction"],
-                        threshold=t["threshold"],
-                        direction=t["direction"],
-                    )
-                    for t in entry["thresholds"]
-                ),
-                segments=tuple(
-                    Segment(start=s[0], end=s[1], crossing=s[2]) for s in entry["segments"]
-                ),
-                channels=channels,
-                reset_events=tuple(
-                    ResetEvent(cycle=e[0], kind=e[1]) for e in entry["reset_events"]
-                ),
-            )
+        run = AdaptedRun(
+            engine_id=engine_id,
+            drift_sensors=tuple(entry["drift_sensors"]),
+            thresholds=tuple(
+                ThresholdSpec(
+                    sensor_id=t["sensor_id"],
+                    baseline=t["baseline"],
+                    tail=t["tail"],
+                    fraction=t["fraction"],
+                    threshold=t["threshold"],
+                    direction=t["direction"],
+                )
+                for t in entry["thresholds"]
+            ),
+            segments=tuple(
+                Segment(start=s[0], end=s[1], crossing=s[2]) for s in entry["segments"]
+            ),
+            channels=all_channels[start:stop],
+            reset_events=tuple(
+                ResetEvent(cycle=e[0], kind=e[1]) for e in entry["reset_events"]
+            ),
         )
+        _check_key_columns(run, table[start:stop])
+        runs.append(run)
     return AdaptedDataset(
         split_tag=meta["split_tag"],
         runs=runs,

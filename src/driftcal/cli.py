@@ -25,7 +25,13 @@ from .adaptation import (
     write_adapted_dataset,
 )
 from .cmapss_io import load_trajectories
-from .models import TrainConfig, load_model, save_model
+from .models import (
+    NonFiniteError,
+    TrainConfig,
+    TrainingDivergedError,
+    load_model,
+    save_model,
+)
 from .pipeline import (
     evaluate_forecaster,
     forecast_scorer,
@@ -539,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = build_config(args)
         Path(cfg.out).mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, TrainingDivergedError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

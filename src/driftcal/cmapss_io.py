@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import fmt_float
+from .util import float_row_format, fmt_float
 
 N_SETTINGS = 3
 N_SENSORS = 21
@@ -121,12 +121,12 @@ def load_trajectories(path: str | Path) -> list[SensorTrajectory]:
 
 def serialize_trajectories(trajs: list[SensorTrajectory]) -> str:
     """Back to 26-column text. Values round-trip bit-for-bit through parse."""
-    lines = []
-    for traj in trajs:
-        for t in range(traj.length):
-            fields = [str(traj.engine_id), str(t + 1)]
-            fields.extend(fmt_float(v) for v in traj.channels[t])
-            lines.append(" ".join(fields))
+    row = "%d %d " + float_row_format(N_CHANNELS, " ")
+    lines = [
+        row % (traj.engine_id, cycle, *values)
+        for traj in trajs
+        for cycle, values in enumerate(traj.channels.tolist(), start=1)
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -172,6 +172,6 @@ def stack_windows(windows) -> tuple[np.ndarray, np.ndarray]:
     """(B, w, d) features and (B,) float labels from LabeledWindows."""
     if not windows:
         raise ValueError("empty window set")
-    X = np.stack([win.features for win in windows]).astype(np.float64)
+    X = np.stack([win.features for win in windows]).astype(np.float64, copy=False)
     y = np.array([win.label for win in windows], dtype=np.float64)
     return X, y

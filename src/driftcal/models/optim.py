@@ -39,12 +39,14 @@ def lr_at(step: int, sched: LrSchedule) -> float:
 class AdamWState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]]  # two work buffers per parameter
 
 
 def init_adamw_state(params: dict[str, np.ndarray]) -> AdamWState:
     return AdamWState(
         m={k: np.zeros_like(p) for k, p in params.items()},
         v={k: np.zeros_like(p) for k, p in params.items()},
+        scratch={k: (np.empty_like(p), np.empty_like(p)) for k, p in params.items()},
     )
 
 
@@ -73,9 +75,18 @@ def adamw_step(
             p *= 1.0 - lr * weight_decay
         m = state.m[name]
         v = state.v[name]
+        a, b = state.scratch[name]
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=a)
         v *= beta2
-        v += (1.0 - beta2) * g**2
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        np.square(g, out=a)
+        v += np.multiply(a, 1.0 - beta2, out=a)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), without temporaries
+        np.divide(m, bc1, out=a)
+        a *= lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p -= a
     return params, state

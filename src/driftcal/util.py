@@ -9,9 +9,26 @@ from pathlib import Path
 import numpy as np
 
 
+FLOAT_FORMAT = "%.17g"
+
+
 def fmt_float(x: float) -> str:
-    """Format a float with 17 significant digits (exact float64 round trip)."""
+    """Format a float with 17 significant digits (exact float64 round trip).
+
+    The text equals ``FLOAT_FORMAT % x`` for every float64, including
+    signed zeros, infinities, nan and subnormals; ``float_row_format``
+    relies on that to format whole rows in one call.
+    """
     return format(float(x), ".17g")
+
+
+def float_row_format(n: int, sep: str = ",") -> str:
+    """%-format for ``n`` floats joined by ``sep``.
+
+    ``float_row_format(len(row), sep) % tuple(row)`` equals
+    ``sep.join(fmt_float(v) for v in row)``.
+    """
+    return sep.join([FLOAT_FORMAT] * n)
 
 
 def canonical_json(obj) -> str:

@@ -15,19 +15,24 @@ import numpy as np
 from driftcal.cmapss_io import sensor_column
 
 
+def oracle_average_ranks(values) -> np.ndarray:
+    """1-based average ranks, with tie groups found by np.unique.
+
+    np.unique puts every NaN in one group, so this differs from the
+    library's ranking on input holding more than one NaN.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # average 1-based rank of each distinct value
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    avg = (starts + ends + 1) / 2.0
+    return avg[inverse]
+
+
 def oracle_spearman(a, b) -> float:
-    """Rank-then-Pearson, with ranks built from tie groups via np.unique."""
-
-    def ranks(values):
-        values = np.asarray(values, dtype=np.float64)
-        uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-        # average 1-based rank of each distinct value
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        avg = (starts + ends + 1) / 2.0
-        return avg[inverse]
-
-    ra, rb = ranks(a), ranks(b)
+    """Rank-then-Pearson, with ranks from oracle_average_ranks."""
+    ra, rb = oracle_average_ranks(a), oracle_average_ranks(b)
     if np.all(ra == ra[0]) or np.all(rb == rb[0]):
         return 0.0
     return float(np.corrcoef(ra, rb)[0, 1])

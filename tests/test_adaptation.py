@@ -1,10 +1,23 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from driftcal.adaptation import (
+    ADAPTED_CSV_NAME,
+    NOISE_RESET,
+    STITCH_RESET,
     AdaptationConfig,
     AdaptationError,
+    AdaptedDataset,
+    AdaptedRun,
     DegenerateSpanError,
+    ResetEvent,
+    Segment,
+    _average_ranks,
     adapt_dataset,
     dataset_digest,
     make_threshold,
@@ -16,7 +29,7 @@ from driftcal.adaptation import (
 )
 from driftcal.cmapss_io import N_CHANNELS, SensorTrajectory, sensor_column
 
-from oracles import oracle_spearman
+from oracles import oracle_average_ranks, oracle_spearman
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +63,19 @@ def test_spearman_matches_oracle_on_random_series():
         a = rng.normal(size=n)
         b = rng.integers(0, 4, size=n).astype(float)  # ties likely
         assert spearman_rho(a, b) == pytest.approx(oracle_spearman(a, b), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(1, 40),
+        elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -np.inf, np.inf]),
+    )
+)
+def test_average_ranks_match_oracle_on_tie_heavy_input(values):
+    # NaN is left out: the oracle's np.unique puts all NaNs in one tie group
+    assert np.array_equal(_average_ranks(values), oracle_average_ranks(values))
 
 
 def test_spearman_symmetric_and_monotone_invariant():
@@ -360,3 +386,71 @@ def test_serialization_roundtrip(tmp_path, small_dataset):
 def test_adapt_empty_input_rejected():
     with pytest.raises(AdaptationError):
         adapt_dataset([], AdaptationConfig(), seed=0)
+
+
+@st.composite
+def _adapted_datasets(draw):
+    """Small datasets with random segmentations and arbitrary channel floats."""
+    runs = []
+    for engine_id in draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=3, unique=True)):
+        length = draw(st.integers(1, 8))
+        cuts = sorted(draw(st.sets(st.integers(2, length), max_size=3))) if length > 1 else []
+        bounds = [1] + cuts + [length + 1]
+        segments = tuple(Segment(a, b - 1, None) for a, b in zip(bounds, bounds[1:]))
+        kinds = draw(st.lists(st.sampled_from([NOISE_RESET, STITCH_RESET]),
+                              min_size=len(cuts), max_size=len(cuts)))
+        channels = draw(hnp.arrays(np.float64, (length, N_CHANNELS),
+                                   elements=st.floats(width=64)))
+        runs.append(AdaptedRun(
+            engine_id=engine_id,
+            drift_sensors=(2,),
+            thresholds=(),
+            segments=segments,
+            channels=channels,
+            reset_events=tuple(ResetEvent(c, k) for c, k in zip(cuts, kinds)),
+        ))
+    return AdaptedDataset(split_tag="synthetic", runs=runs, seed=0, config=AdaptationConfig())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_adapted_datasets())
+def test_write_read_returns_channels_bit_for_bit(dataset):
+    with tempfile.TemporaryDirectory() as out:
+        write_adapted_dataset(dataset, out)
+        loaded = read_adapted_dataset(out)
+    assert [r.engine_id for r in loaded.runs] == [r.engine_id for r in dataset.runs]
+    for a, b in zip(dataset.runs, loaded.runs):
+        assert a.segments == b.segments
+        assert a.reset_events == b.reset_events
+        # the text keeps no NaN sign or payload; every other value keeps its bits
+        nan = np.isnan(a.channels)
+        assert np.array_equal(nan, np.isnan(b.channels))
+        assert np.array_equal(a.channels[~nan].view(np.uint64), b.channels[~nan].view(np.uint64))
+
+
+def _tamper(path, engine_id, row_in_run, column, edit):
+    lines = path.read_text().split("\n")
+    rows = [i for i, line in enumerate(lines) if line.startswith(f"{engine_id},")]
+    fields = lines[rows[row_in_run]].split(",")
+    fields[column] = edit(fields[column])
+    lines[rows[row_in_run]] = ",".join(fields)
+    path.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("column,name", [(1, "cycle"), (2, "segment_id"), (3, "reset_flag")])
+def test_read_rejects_csv_disagreeing_with_metadata(tmp_path, small_dataset, column, name):
+    write_adapted_dataset(small_dataset, tmp_path)
+    run = small_dataset.runs[2]
+    _tamper(tmp_path / ADAPTED_CSV_NAME, run.engine_id, 5, column, lambda v: str(int(v) + 1))
+    with pytest.raises(ValueError, match=f"engine {run.engine_id}: .*'{name}'"):
+        read_adapted_dataset(tmp_path)
+
+
+def test_read_rejects_split_engine_rows(tmp_path, small_dataset):
+    write_adapted_dataset(small_dataset, tmp_path)
+    path = tmp_path / ADAPTED_CSV_NAME
+    header, *rows = path.read_text().splitlines()
+    engine_id = small_dataset.runs[0].engine_id
+    path.write_text("\n".join([header] + rows[1:] + rows[:1]) + "\n")
+    with pytest.raises(ValueError, match=f"engine {engine_id}: .*not contiguous"):
+        read_adapted_dataset(tmp_path)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from driftcal.cli import main
+from driftcal.models import NonFiniteError, TrainingDivergedError
 from driftcal.util import read_csv, sha256_file
 
 CONFIG = """\
@@ -169,6 +170,27 @@ def test_unknown_config_key_errors(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[run]\nsplit = synthetic\nbogus_key = 1\n", encoding="utf-8")
     assert main(["adapt", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [TrainingDivergedError("loss diverged at epoch 3, step 41"),
+     NonFiniteError("non-finite values in in_proj")],
+)
+def test_training_failure_prints_one_error_line(tmp_path, monkeypatch, capsys, exc):
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(CONFIG, encoding="utf-8")
+    args = ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(["adapt"] + args) == 0
+
+    def diverge(*_args, **_kwargs):
+        raise exc
+
+    monkeypatch.setattr("driftcal.cli.train_forecaster", diverge)
+    capsys.readouterr()
+    assert main(["train", "--model", "quantile"] + args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {exc}\n"
 
 
 def test_train_determinism_byte_identical_model(tmp_path):

@@ -1,0 +1,70 @@
+"""Byte-level pins on every canonical output of a fixed fleet.
+
+The hashes were taken before the data layers were vectorized; a refactor
+of the writers, the reader, the ranking or the optimizer must leave every
+one of them unchanged. The model pin covers float64 training arithmetic,
+so it holds only for one BLAS build (numpy's bundled OpenBLAS).
+"""
+
+import hashlib
+
+import pytest
+
+from driftcal.adaptation import (
+    ADAPTED_CSV_NAME,
+    ADAPTED_META_NAME,
+    AdaptationConfig,
+    adapt_dataset,
+    dataset_digest,
+    write_adapted_dataset,
+)
+from driftcal.cmapss_io import serialize_trajectories
+from driftcal.models import TrainConfig, save_model
+from driftcal.pipeline import label_and_window, train_forecaster
+from driftcal.synthetic import synthetic_trajectories
+
+SEED = 3
+
+PINS = {
+    "trajectories_txt": "87691a742f7f325a73cfc50d4f5607dcfba9d523ac28d48e5c2a80a5de1c0536",
+    "adapted_csv": "54da021117105a5abfd1226e6dc42081d0aa37777aff6cea61b0f1be93fbfca3",
+    "adapted_meta": "ac9f7e526856427b59aa44a1e04002948cec58f52c5d0d08dbf4b59d4d68986e",
+    "dataset_digest": "fe9fe6457479b45d0ea2f19d9c49e2ab0177b74e5522e8262466ab83d8622a32",
+    "quantile_model": "25e83e4de49ff930f118a652c2df212e6a62482b08c08a1461c179a4088f30e4",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    return synthetic_trajectories(n_engines=8, seed=SEED, length_range=(130, 360))
+
+
+@pytest.fixture(scope="module")
+def dataset(fleet):
+    return adapt_dataset(fleet, AdaptationConfig(), seed=SEED)
+
+
+def test_serialized_trajectories_hash(fleet):
+    assert _sha(serialize_trajectories(fleet).encode("utf-8")) == PINS["trajectories_txt"]
+
+
+def test_adapted_files_and_digest_hashes(dataset, tmp_path):
+    result = write_adapted_dataset(dataset, tmp_path)
+    assert _sha((tmp_path / ADAPTED_CSV_NAME).read_bytes()) == PINS["adapted_csv"]
+    assert _sha((tmp_path / ADAPTED_META_NAME).read_bytes()) == PINS["adapted_meta"]
+    assert result["digest"] == PINS["dataset_digest"]
+    assert dataset_digest(dataset) == PINS["dataset_digest"]
+
+
+def test_quantile_model_bytes_hash(dataset, tmp_path):
+    bundle = label_and_window(dataset, seed=SEED)
+    model, logs = train_forecaster(
+        "quantile", bundle, TrainConfig(max_epochs=2, patience=2, seed=SEED)
+    )
+    assert len(logs) == 2
+    save_model(model, tmp_path / "model.bin")
+    assert _sha((tmp_path / "model.bin").read_bytes()) == PINS["quantile_model"]
