@@ -76,14 +76,11 @@ def _as_lines(text) -> list[str]:
     return [str(line) for line in text]
 
 
-def parse_trajectories(text) -> list[SensorTrajectory]:
-    """Parse C-MAPSS text into trajectories, in first-appearance engine order.
-
-    Accepts a str, bytes, open file, or iterable of lines. Spaces and tabs
-    both separate columns; blank lines are ignored.
-    """
-    per_engine: dict[int, list[tuple[int, list[float]]]] = {}
-    for lineno, line in enumerate(_as_lines(text), start=1):
+def _scan_lines(lines: list[str]) -> np.ndarray:
+    """Line-by-line parse and schema check; the first bad line raises a
+    SchemaError that names it. Returns the (rows, 26) values."""
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split()
         if not parts:
             continue
@@ -98,19 +95,58 @@ def parse_trajectories(text) -> list[SensorTrajectory]:
             raise SchemaError(f"line {lineno}: engine_id must be a positive integer, got {parts[0]}")
         if cycle_f != int(cycle_f) or cycle_f < 1:
             raise SchemaError(f"line {lineno}: cycle must be a positive integer, got {parts[1]}")
-        per_engine.setdefault(int(engine_f), []).append((int(cycle_f), values[2:]))
+        rows.append(values)
+    return np.array(rows, dtype=np.float64).reshape(-1, N_COLUMNS)
+
+
+def _numeric_table(lines: list[str]) -> np.ndarray:
+    """(rows, 26) values of the non-blank lines, schema-checked.
+
+    One np.loadtxt call parses every line. Only when it fails, or an
+    engine_id or cycle is not a positive integer, does the line scan run, to
+    name the first bad line.
+    """
+    try:
+        table = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return _scan_lines(lines)
+    ids = table[:, :2]
+    if table.shape[1] != N_COLUMNS or not (
+        np.all(np.isfinite(ids)) and np.all(ids == np.trunc(ids)) and np.all(ids >= 1)
+    ):
+        return _scan_lines(lines)
+    return table
+
+
+def parse_trajectories(text) -> list[SensorTrajectory]:
+    """Parse C-MAPSS text into trajectories, in first-appearance engine order.
+
+    Accepts a str, bytes, open file, or iterable of lines. Spaces and tabs
+    both separate columns; blank lines are ignored.
+    """
+    lines = _as_lines(text)
+    if not any(line.strip() for line in lines):
+        return []
+    table = _numeric_table(lines)
+    _, first_row, inverse = np.unique(table[:, 0], return_index=True, return_inverse=True)
+    # rows by the engine's first row (first-appearance order), then by cycle;
+    # lexsort is stable, so repeated cycles keep their file order
+    order = np.lexsort((table[:, 1], first_row[inverse]))
+    engine_col, cycles = table[order, 0], table[order, 1]
+    channels = table[order, 2:]
+    starts = np.flatnonzero(np.concatenate(([True], engine_col[1:] != engine_col[:-1])))
+    stops = np.append(starts[1:], len(order))
 
     trajectories = []
-    for engine_id, rows in per_engine.items():
-        rows.sort(key=lambda r: r[0])
-        cycles = [c for c, _ in rows]
-        if cycles != list(range(1, len(cycles) + 1)):
+    for start, stop in zip(starts.tolist(), stops.tolist()):
+        engine_id = int(engine_col[start])
+        mismatch = np.flatnonzero(cycles[start:stop] != np.arange(1, stop - start + 1))
+        if mismatch.size:
             raise SchemaError(
-                f"engine {engine_id}: cycles are not contiguous 1..{len(cycles)} "
-                f"(first mismatch near cycle {next(c for i, c in enumerate(cycles) if c != i + 1)})"
+                f"engine {engine_id}: cycles are not contiguous 1..{stop - start} "
+                f"(first mismatch near cycle {int(cycles[start + mismatch[0]])})"
             )
-        channels = np.array([vals for _, vals in rows], dtype=np.float64)
-        trajectories.append(SensorTrajectory(engine_id=engine_id, channels=channels))
+        trajectories.append(SensorTrajectory(engine_id=engine_id, channels=channels[start:stop]))
     return trajectories
 
 

@@ -1,7 +1,6 @@
 """TTD forecasters: linear baseline, quantile regressor, attention model."""
 
 from .attention import (
-    attention_forward,
     attention_forward_batch,
     attention_loss_and_grads,
     init_attention_params,
@@ -41,7 +40,6 @@ __all__ = [
     "TrainConfig",
     "TrainingDivergedError",
     "adamw_step",
-    "attention_forward",
     "attention_forward_batch",
     "attention_loss_and_grads",
     "fit_linear",

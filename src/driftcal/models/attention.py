@@ -64,6 +64,11 @@ def n_encoder_layers(params: dict[str, np.ndarray]) -> int:
     return max(layers) + 1 if layers else 0
 
 
+# Windows per inference forward. Activations scale with the batch, so
+# scoring in fixed chunks keeps memory flat however many windows there are.
+INFERENCE_CHUNK = 128
+
+
 def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(..., din) @ (din, dout) via one 2-d GEMM (fast on single-core BLAS)."""
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
@@ -127,6 +132,11 @@ def mha_backward(dout: np.ndarray, params: dict[str, np.ndarray], cache):
     return dx, grads
 
 
+def _head(z: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
+    """Linear read-out of the pooled (B, d_model) features."""
+    return z @ params["head.w"][:, 0] + params["head.b"][0]
+
+
 def attention_forward_batch(
     X: np.ndarray,
     params: dict[str, np.ndarray],
@@ -160,7 +170,7 @@ def attention_forward_batch(
         )
         h = h1 + f
     z = h.mean(axis=1) if pool == "mean" else h[:, -1, :]
-    yhat = z @ params["head.w"][:, 0] + params["head.b"][0]
+    yhat = _head(z, params)
     if check:
         check_finite(yhat, "head")
     cache = {"X": X, "layer_caches": layer_caches, "z": z, "pool": pool, "w": w}
@@ -206,13 +216,6 @@ def attention_backward_batch(dyhat: np.ndarray, params: dict[str, np.ndarray], c
     grads["in_proj.w"] = _gram(X, dh)
     grads["in_proj.b"] = dh.sum(axis=(0, 1))
     return grads
-
-
-def attention_forward(window: np.ndarray, params: dict[str, np.ndarray], heads: int,
-                      pool: str = "mean") -> float:
-    """Raw TTD forecast (pre-clipping) for a single standardized window."""
-    yhat, _ = attention_forward_batch(window[None, :, :], params, heads, pool)
-    return float(yhat[0])
 
 
 def attention_loss_and_grads(X, y, params, heads, pool="mean", beta: float = 1.0):
@@ -279,7 +282,7 @@ def train_attention(
             adamw_step(params, grads, state, step + 1, lr, weight_decay=cfg.weight_decay)
             step += 1
             epoch_loss += loss * len(idx)
-        val_pred, _ = attention_forward_batch(Xva, params, cfg.heads, cfg.pool, check=False)
+        val_pred = _forward_chunks(Xva, params, cfg.heads, cfg.pool)
         val_mae = float(np.mean(np.abs(np.maximum(val_pred, 0.0) - yva)))
         logs.append(EpochLog(epoch=epoch, train_loss=epoch_loss / n, val_metric=val_mae, lr=lr))
         if val_mae < best_mae:
@@ -308,9 +311,26 @@ def train_attention(
     return model, logs
 
 
+def _forward_chunks(X: np.ndarray, params: dict[str, np.ndarray], heads: int,
+                    pool: str) -> np.ndarray:
+    """Raw forecasts for (B, w, d) windows, equal bit for bit to one
+    attention_forward_batch call over all of X.
+
+    The encoder runs INFERENCE_CHUNK windows at a time; each window's
+    pooled features depend on that window alone. The read-out runs once
+    over all of them, because numpy computes a one-row read-out (a last
+    chunk of one window) as a dot product, which rounds differently.
+    """
+    z = np.empty((len(X), params["in_proj.w"].shape[1]))
+    for start in range(0, len(X), INFERENCE_CHUNK):
+        stop = start + INFERENCE_CHUNK
+        # keep only z: the chunk's activation cache is freed before the next one
+        z[start:stop] = attention_forward_batch(
+            X[start:stop], params, heads, pool, check=False
+        )[1]["z"]
+    return _head(z, params)
+
+
 def attention_raw_batch(model: ForecastModel, X: np.ndarray) -> np.ndarray:
     """Raw predictions for standardized windows (B, w, d)."""
-    yhat, _ = attention_forward_batch(
-        X, model.params, model.meta["heads"], model.meta.get("pool", "mean"), check=False
-    )
-    return yhat
+    return _forward_chunks(X, model.params, model.meta["heads"], model.meta.get("pool", "mean"))

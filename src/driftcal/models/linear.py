@@ -6,21 +6,21 @@ from __future__ import annotations
 import numpy as np
 
 from ..labeling import Standardizer
-from .base import ForecastModel, stack_windows
+from .base import ForecastModel
 
 
 class SingularSystemError(np.linalg.LinAlgError):
     """Normal equations are singular; retry with ridge > 0."""
 
 
-def _solve_normal_equations(X: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    """Solve (A^T A + R) beta = A^T y for A = [X | 1] via Cholesky.
+def _solve_normal_equations(A: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
+    """Solve (A^T A + R) beta = A^T y for the design matrix A = [X | 1] via
+    Cholesky.
 
     The ridge penalty is applied to the feature coefficients only, never to
-    the intercept.
+    the intercept (A's last column).
     """
-    n, p = X.shape
-    A = np.hstack([X, np.ones((n, 1))])
+    p = A.shape[1] - 1
     G = A.T @ A
     if ridge > 0:
         G[np.arange(p), np.arange(p)] += ridge
@@ -43,10 +43,18 @@ def fit_linear(
     """Fit regularized least squares with intercept on flattened windows."""
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    X3, y = stack_windows(windows)
-    n, w, d = X3.shape
-    X = X3.reshape(n, w * d)
-    beta = _solve_normal_equations(X, y, ridge)
+    if not windows:
+        raise ValueError("empty window set")
+    w, d = windows[0].features.shape
+    # [X | 1] filled in place: one copy of the flattened windows, not two
+    A = np.empty((len(windows), w * d + 1))
+    for row, win in zip(A, windows):
+        if win.features.shape != (w, d):
+            raise ValueError(f"window shape {win.features.shape} != first window's {(w, d)}")
+        row[:-1] = win.features.reshape(-1)
+    A[:, -1] = 1.0
+    y = np.array([win.label for win in windows], dtype=np.float64)
+    beta = _solve_normal_equations(A, y, ridge)
     return ForecastModel(
         kind="linear",
         params={"coef": beta[:-1].copy(), "intercept": beta[-1:].copy()},

@@ -94,21 +94,76 @@ def layer_norm_backward(dy: np.ndarray, cache):
 
 # -- activations -------------------------------------------------------------
 
+# float64 elements per GELU block: a block and its scratch stay in L2 cache
+# while every elementwise step runs over it.
+_GELU_BLOCK = 32768
+
+
+def _gelu_blocks(x: np.ndarray, *extra: np.ndarray):
+    """Flat, C-ordered views of x and of each same-shape array in ``extra``,
+    one tuple per block of at most _GELU_BLOCK elements."""
+    flats = [np.ascontiguousarray(a, dtype=np.float64).reshape(-1) for a in (x, *extra)]
+    for start in range(0, flats[0].size, _GELU_BLOCK):
+        yield tuple(f[start : start + _GELU_BLOCK] for f in flats)
+
+
+def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = tanh(C0 * (x + C1 * (x * x * x))), in that operation order."""
+    np.multiply(x, x, out=out)
+    np.multiply(out, x, out=out)
+    np.multiply(_GELU_C1, out, out=out)
+    np.add(x, out, out=out)
+    np.multiply(_GELU_C0, out, out=out)
+    return np.tanh(out, out=out)
+
+
 def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tanh-approximation GELU; also returns tanh(u) for a cheap backward."""
-    t = np.tanh(_GELU_C0 * (x + _GELU_C1 * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    """Tanh-approximation GELU; also returns tanh(u) for a cheap backward.
 
-
-def gelu(x: np.ndarray) -> np.ndarray:
-    return gelu_forward(x)[0]
+    Works block by block into preallocated outputs; every element goes
+    through the same operations, in the same order, as the plain formula
+    0.5 * x * (1 + tanh(C0 * (x + C1 * x^3))).
+    """
+    g = np.empty(np.shape(x))
+    t = np.empty(np.shape(x))
+    scratch = np.empty(min(g.size, _GELU_BLOCK))
+    for xb, gb, tb in _gelu_blocks(x, g, t):
+        _gelu_tanh(xb, tb)
+        s = scratch[: xb.size]
+        np.multiply(0.5, xb, out=gb)
+        np.add(1.0, tb, out=s)
+        np.multiply(gb, s, out=gb)
+    return g, t
 
 
 def gelu_grad(x: np.ndarray, tanh_u: np.ndarray | None = None) -> np.ndarray:
-    if tanh_u is None:
-        tanh_u = np.tanh(_GELU_C0 * (x + _GELU_C1 * (x * x * x)))
-    du = _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * (x * x))
-    return 0.5 * (1.0 + tanh_u) + 0.5 * x * (1.0 - tanh_u * tanh_u) * du
+    """d GELU / dx, block by block, in the operation order of the formula
+
+    0.5 * (1 + t) + 0.5 * x * (1 - t * t) * (C0 * (1 + 3 * C1 * x * x)).
+    """
+    out = np.empty(np.shape(x))
+    n = min(out.size, _GELU_BLOCK)
+    s1, s2 = np.empty(n), np.empty(n)
+    blocks = _gelu_blocks(x, out) if tanh_u is None else _gelu_blocks(x, out, tanh_u)
+    for xb, ob, *given in blocks:
+        s1b, s2b = s1[: xb.size], s2[: xb.size]
+        tb = given[0] if given else _gelu_tanh(xb, s2b)
+        # ob = 0.5 * x * (1 - t * t)
+        np.multiply(tb, tb, out=s1b)
+        np.subtract(1.0, s1b, out=s1b)
+        np.multiply(0.5, xb, out=ob)
+        np.multiply(ob, s1b, out=ob)
+        # s1 = C0 * (1 + 3 * C1 * (x * x)); ob *= s1
+        np.multiply(xb, xb, out=s1b)
+        np.multiply(3.0 * _GELU_C1, s1b, out=s1b)
+        np.add(1.0, s1b, out=s1b)
+        np.multiply(_GELU_C0, s1b, out=s1b)
+        np.multiply(ob, s1b, out=ob)
+        # ob = 0.5 * (1 + t) + ob
+        np.add(1.0, tb, out=s1b)
+        np.multiply(0.5, s1b, out=s1b)
+        np.add(s1b, ob, out=ob)
+    return out
 
 
 def tanh_grad(t: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .adaptation import AdaptedDataset, subset_runs
 from .labeling import (
@@ -131,7 +132,8 @@ def forecast_scorer(
         if run.length < w:
             continue
         ends = np.arange(w, run.length + 1)
-        X = np.stack([run.channels[e - w : e] for e in ends])
+        # window i is channels[i : i + w], a view; it ends at cycle w + i
+        X = sliding_window_view(run.channels, (w, run.channels.shape[1]))[:, 0]
         if use_quantile:
             values = predict_quantiles_batch(model, X)[:, 0]
         else:

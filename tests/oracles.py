@@ -13,6 +13,10 @@ import math
 import numpy as np
 
 from driftcal.cmapss_io import sensor_column
+from driftcal.models.attention import attention_forward_batch
+
+GELU_C0 = math.sqrt(2.0 / math.pi)
+GELU_C1 = 0.044715
 
 
 def oracle_average_ranks(values) -> np.ndarray:
@@ -86,6 +90,24 @@ def oracle_segment_replay(dataset, scorer, margin, start_cycle=1):
                     n_cal += 1
                     break
     return n_cal, n_vio
+
+
+def gelu(x):
+    """Tanh-approximation GELU as one whole-array expression."""
+    return 0.5 * x * (1.0 + np.tanh(GELU_C0 * (x + GELU_C1 * (x * x * x))))
+
+
+def gelu_grad_reference(x):
+    """d GELU / dx as one whole-array expression."""
+    t = np.tanh(GELU_C0 * (x + GELU_C1 * (x * x * x)))
+    du = GELU_C0 * (1.0 + 3.0 * GELU_C1 * (x * x))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
+def attention_forward(window, params, heads, pool="mean") -> float:
+    """Raw forecast for one standardized (w, d) window, as a batch of one."""
+    yhat, _ = attention_forward_batch(window[None, :, :], params, heads, pool)
+    return float(yhat[0])
 
 
 def central_difference_gradients(loss_fn, flat_params: np.ndarray, step: float = 1e-5):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from driftcal.models import (
     NonFiniteError,
     TrainConfig,
     TrainingDivergedError,
-    attention_forward,
     attention_forward_batch,
     attention_loss_and_grads,
     init_attention_params,
@@ -15,10 +16,10 @@ from driftcal.models import (
     save_model,
     train_attention,
 )
-from driftcal.models.attention import mha_forward
-from driftcal.models.base import flatten_params, unflatten_params
+from driftcal.models.attention import INFERENCE_CHUNK, attention_raw_batch, mha_forward
+from driftcal.models.base import ForecastModel, flatten_params, unflatten_params
 
-from oracles import central_difference_gradients, max_relative_error
+from oracles import attention_forward, central_difference_gradients, max_relative_error
 
 TINY = dict(d_model=8, heads=2, layers=1)
 
@@ -161,3 +162,39 @@ def test_heads_must_divide_d_model():
         TrainConfig(d_model=10, heads=4)
     with pytest.raises(ValueError):
         init_attention_params(np.random.default_rng(0), 3, 10, 4, 1)
+
+
+def _tiny_model(d=3, w=6, pool="mean"):
+    return ForecastModel(kind="attention", params=_tiny_params(d=d), window=w, n_channels=d,
+                         meta={"heads": TINY["heads"], "pool": pool})
+
+
+@pytest.mark.parametrize("pool", ["mean", "last"])
+@pytest.mark.parametrize(
+    "n", [0, 1, INFERENCE_CHUNK - 1, INFERENCE_CHUNK, INFERENCE_CHUNK + 1, 3 * INFERENCE_CHUNK + 5]
+)
+def test_chunked_inference_equals_one_forward(n, pool):
+    model = _tiny_model(pool=pool)
+    X = np.random.default_rng(n).normal(size=(n, 6, 3))
+    whole, _ = attention_forward_batch(X, model.params, TINY["heads"], pool, check=False)
+    chunked = attention_raw_batch(model, X)
+    assert chunked.shape == (n,)
+    assert np.array_equal(chunked, whole)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inference_memory_does_not_grow_with_window_count():
+    n = 512
+    model = _tiny_model(w=40)
+    X = np.random.default_rng(0).normal(size=(4 * n, 40, 3))
+    small = _traced_peak(lambda: attention_raw_batch(model, X[:n]))
+    large = _traced_peak(lambda: attention_raw_batch(model, X))
+    assert large < 1.5 * small

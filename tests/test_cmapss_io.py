@@ -64,6 +64,25 @@ def test_first_appearance_order_preserved():
     assert [t.engine_id for t in trajs] == [5, 2]
 
 
+def test_interleaved_rows_out_of_cycle_order_are_sorted_per_engine():
+    text = "\n".join([_row(5, 3, 3.0), _row(2, 2, 20.0), _row(5, 1, 1.0), _row(2, 1, 10.0),
+                      _row(5, 2, 2.0)])
+    trajs = parse_trajectories(text)
+    assert [t.engine_id for t in trajs] == [5, 2]
+    assert trajs[0].channels[:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert trajs[1].channels[:, 0].tolist() == [10.0, 20.0]
+
+
+def test_whitespace_only_input_has_no_trajectories():
+    assert parse_trajectories(" \n\t\n") == []
+
+
+def test_bad_engine_id_reports_line_number():
+    text = "\n".join([_row(1, 1), _row(1, 2), "\n", _row(1, 3).replace("1", "1.5", 1)])
+    with pytest.raises(SchemaError, match="line 5: engine_id must be a positive integer, got 1.5"):
+        parse_trajectories(text)
+
+
 def test_roundtrip_bit_for_bit():
     rng = np.random.default_rng(0)
     lines = []

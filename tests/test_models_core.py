@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftcal.models import LrSchedule, adamw_step, init_adamw_state, lr_at
 from driftcal.models.nn import (
-    gelu,
+    _GELU_BLOCK,
+    gelu_forward,
     gelu_grad,
     layer_norm,
     pinball_loss,
@@ -16,6 +19,8 @@ from driftcal.models.nn import (
     smooth_l1,
     softmax,
 )
+
+from oracles import GELU_C0, GELU_C1, gelu, gelu_grad_reference
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +218,26 @@ def test_layer_norm_pre_affine_stats():
     _, (xhat, _, _) = layer_norm(x, np.ones(16), np.zeros(16))
     assert np.abs(xhat.mean(axis=-1)).max() <= 1e-7
     assert np.abs(xhat.var(axis=-1) - 1.0).max() <= 1e-5
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(0, 3 * _GELU_BLOCK + 7),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 4.0, 30.0]),
+    transpose=st.booleans(),
+)
+def test_blocked_gelu_equals_reference_formula_bit_for_bit(size, seed, scale, transpose):
+    x = np.random.default_rng(seed).normal(scale=scale, size=(size, 1))
+    if transpose:  # a strided view, not a C-contiguous array
+        x = np.repeat(x, 2, axis=1).T[:, ::2]
+    g, t = gelu_forward(x)
+    assert g.shape == t.shape == x.shape
+    assert np.array_equal(g, gelu(x))
+    assert np.array_equal(t, np.tanh(GELU_C0 * (x + GELU_C1 * (x * x * x))))
+    expected = gelu_grad_reference(x)
+    assert np.array_equal(gelu_grad(x), expected)
+    assert np.array_equal(gelu_grad(x, t), expected)
 
 
 def test_gelu_grad_matches_finite_difference():

@@ -1,13 +1,18 @@
 """Byte-level pins on every canonical output of a fixed fleet.
 
-The hashes were taken before the data layers were vectorized; a refactor
-of the writers, the reader, the ranking or the optimizer must leave every
-one of them unchanged. The model pin covers float64 training arithmetic,
-so it holds only for one BLAS build (numpy's bundled OpenBLAS).
+Each hash was taken before the code it covers was rewritten: the data-layer
+and quantile hashes before the writers, the reader, the ranking and the
+optimizer were vectorized; the linear and attention model hashes and the
+attention forecast hash before attention inference ran in chunks, the
+linear design matrix was filled in place and GELU worked in blocks. A
+refactor must leave every one of them unchanged. The model pins cover
+float64 arithmetic, so they hold only for one BLAS build (numpy's bundled
+OpenBLAS).
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from driftcal.adaptation import (
@@ -19,7 +24,7 @@ from driftcal.adaptation import (
     write_adapted_dataset,
 )
 from driftcal.cmapss_io import serialize_trajectories
-from driftcal.models import TrainConfig, save_model
+from driftcal.models import TrainConfig, predict_ttd_batch, save_model
 from driftcal.pipeline import label_and_window, train_forecaster
 from driftcal.synthetic import synthetic_trajectories
 
@@ -31,6 +36,9 @@ PINS = {
     "adapted_meta": "ac9f7e526856427b59aa44a1e04002948cec58f52c5d0d08dbf4b59d4d68986e",
     "dataset_digest": "fe9fe6457479b45d0ea2f19d9c49e2ab0177b74e5522e8262466ab83d8622a32",
     "quantile_model": "25e83e4de49ff930f118a652c2df212e6a62482b08c08a1461c179a4088f30e4",
+    "linear_model": "ff9cf51b4295c03c78d1f1fbd7244b255c4dedec04a5f3a85cf7c95f536c01a3",
+    "attention_model": "d028964fb08c3890d8b397f1cfe123b2cd7329a370f38eda08a7c4940dcd3c97",
+    "attention_predictions": "b080cd6ab86a05fe7c8c5ff76555dab9fad2333b66b7dab69a23667ecba86339",
 }
 
 
@@ -48,6 +56,16 @@ def dataset(fleet):
     return adapt_dataset(fleet, AdaptationConfig(), seed=SEED)
 
 
+@pytest.fixture(scope="module")
+def bundle(dataset):
+    return label_and_window(dataset, seed=SEED)
+
+
+def _model_sha(model, tmp_path) -> str:
+    save_model(model, tmp_path / "model.bin")
+    return _sha((tmp_path / "model.bin").read_bytes())
+
+
 def test_serialized_trajectories_hash(fleet):
     assert _sha(serialize_trajectories(fleet).encode("utf-8")) == PINS["trajectories_txt"]
 
@@ -60,11 +78,26 @@ def test_adapted_files_and_digest_hashes(dataset, tmp_path):
     assert dataset_digest(dataset) == PINS["dataset_digest"]
 
 
-def test_quantile_model_bytes_hash(dataset, tmp_path):
-    bundle = label_and_window(dataset, seed=SEED)
+def test_quantile_model_bytes_hash(bundle, tmp_path):
     model, logs = train_forecaster(
         "quantile", bundle, TrainConfig(max_epochs=2, patience=2, seed=SEED)
     )
     assert len(logs) == 2
-    save_model(model, tmp_path / "model.bin")
-    assert _sha((tmp_path / "model.bin").read_bytes()) == PINS["quantile_model"]
+    assert _model_sha(model, tmp_path) == PINS["quantile_model"]
+
+
+def test_linear_model_bytes_hash(bundle, tmp_path):
+    model, _ = train_forecaster("linear", bundle, TrainConfig(seed=SEED))
+    assert _model_sha(model, tmp_path) == PINS["linear_model"]
+
+
+def test_attention_model_and_prediction_bytes_hash(bundle, tmp_path):
+    model, logs = train_forecaster(
+        "attention", bundle, TrainConfig(max_epochs=1, patience=1, seed=SEED)
+    )
+    assert len(logs) == 1
+    assert _model_sha(model, tmp_path) == PINS["attention_model"]
+    X_val = np.stack([win.features for win in bundle.val_raw])
+    assert len(X_val) > 128  # crosses inference chunk boundaries
+    yhat = predict_ttd_batch(model, X_val)
+    assert _sha(yhat.tobytes()) == PINS["attention_predictions"]
