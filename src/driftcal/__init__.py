@@ -33,7 +33,6 @@ from .cmapss_io import (
     load_trajectories,
     parse_trajectories,
     serialize_trajectories,
-    summarize_dataset,
 )
 from .labeling import (
     LabeledWindow,

@@ -9,7 +9,7 @@ repeated drift segments that emulate recalibration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -313,22 +313,6 @@ class AdaptationConfig:
     stitch_high: float = 1.05
     noise_reset_prob: float = 0.5
 
-    def to_dict(self) -> dict:
-        return {
-            "top_k": self.top_k,
-            "max_resets": self.max_resets,
-            "fraction_low": self.fraction_low,
-            "fraction_high": self.fraction_high,
-            "noise_sigma_frac": self.noise_sigma_frac,
-            "stitch_low": self.stitch_low,
-            "stitch_high": self.stitch_high,
-            "noise_reset_prob": self.noise_reset_prob,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdaptationConfig":
-        return cls(**d)
-
 
 @dataclass
 class AdaptedDataset:
@@ -414,7 +398,7 @@ def _metadata_dict(dataset: AdaptedDataset) -> dict:
         "format": "driftcal-adapted v1",
         "split_tag": dataset.split_tag,
         "seed": dataset.seed,
-        "config": dataset.config.to_dict(),
+        "config": asdict(dataset.config),
         "drift_sensors": list(dataset.drift_sensors),
         "runs": [
             {
@@ -546,6 +530,6 @@ def read_adapted_dataset(out_dir: str | Path) -> AdaptedDataset:
         split_tag=meta["split_tag"],
         runs=runs,
         seed=meta["seed"],
-        config=AdaptationConfig.from_dict(meta["config"]),
+        config=AdaptationConfig(**meta["config"]),
         drift_sensors=tuple(meta["drift_sensors"]),
     )

@@ -119,33 +119,10 @@ class RunConfig:
         return sha256_bytes(canonical_json(snapshot).encode("utf-8"))
 
     def adaptation_config(self) -> AdaptationConfig:
-        return AdaptationConfig(
-            top_k=self.top_k,
-            max_resets=self.max_resets,
-            fraction_low=self.fraction_low,
-            fraction_high=self.fraction_high,
-            noise_sigma_frac=self.noise_sigma_frac,
-            stitch_low=self.stitch_low,
-            stitch_high=self.stitch_high,
-            noise_reset_prob=self.noise_reset_prob,
-        )
+        return AdaptationConfig(**{f.name: getattr(self, f.name) for f in fields(AdaptationConfig)})
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            max_epochs=self.max_epochs,
-            batch_size=self.batch_size,
-            base_lr=self.base_lr,
-            warmup_steps=self.warmup_steps,
-            patience=self.patience,
-            seed=self.seed,
-            weight_decay=self.weight_decay,
-            smooth_l1_beta=self.smooth_l1_beta,
-            d_model=self.d_model,
-            heads=self.heads,
-            layers=self.layers,
-            pool=self.pool,
-            hidden_width=self.hidden_width,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -183,27 +160,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             if key not in by_name:
                 raise ValueError(f"unknown config key {key!r}")
             setattr(cfg, key, _coerce(raw, type(getattr(cfg, key))))
-    overrides = {
-        "data_dir": args.data_dir,
-        "split": args.split,
-        "seed": args.seed,
-        "window": args.window,
-        "stride": args.stride,
-        "model": args.model,
-        "margin": args.margin,
-        "period": args.period,
-        "capacity_k": args.capacity_k,
-        "cost_cal": args.cost_cal,
-        "cost_vio": args.cost_vio,
-        "out": args.out,
-    }
-    for name, value in overrides.items():
+    for name in by_name:  # flags whose dest is a config field override the file
+        value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
-    if getattr(args, "oracle_scorer", False):
-        cfg.oracle_scorer = True
-    if getattr(args, "svg", False):
-        cfg.svg = True
     if cfg.split not in SPLIT_TAGS:
         raise ValueError(f"split must be one of {SPLIT_TAGS}, got {cfg.split!r}")
     if cfg.model not in MODEL_KINDS:
@@ -524,8 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--capacity-k", dest="capacity_k", type=int, default=None)
         p.add_argument("--cost-cal", dest="cost_cal", type=float, default=None)
         p.add_argument("--cost-vio", dest="cost_vio", type=float, default=None)
-        p.add_argument("--oracle-scorer", dest="oracle_scorer", action="store_true")
-        p.add_argument("--svg", action="store_true")
+        p.add_argument("--oracle-scorer", dest="oracle_scorer", action="store_true",
+                       default=None)
+        p.add_argument("--svg", action="store_true", default=None)
         p.add_argument("--out", default=None)
     return parser
 

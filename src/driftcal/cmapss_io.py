@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import float_row_format, fmt_float
+from .util import float_row_format
 
 N_SETTINGS = 3
 N_SENSORS = 21
@@ -24,7 +24,6 @@ CHANNEL_NAMES: tuple[str, ...] = tuple(
     [f"op_setting_{i}" for i in range(1, N_SETTINGS + 1)]
     + [f"sensor_{i}" for i in range(1, N_SENSORS + 1)]
 )
-COLUMN_NAMES: tuple[str, ...] = ("engine_id", "cycle") + CHANNEL_NAMES
 
 
 class SchemaError(ValueError):
@@ -164,39 +163,3 @@ def serialize_trajectories(trajs: list[SensorTrajectory]) -> str:
         for cycle, values in enumerate(traj.channels.tolist(), start=1)
     ]
     return "\n".join(lines) + "\n"
-
-
-def trajectories_to_csv(trajs: list[SensorTrajectory]) -> str:
-    """Normalized CSV dump with a header naming all 26 columns."""
-    lines = [",".join(COLUMN_NAMES)]
-    for traj in trajs:
-        for t in range(traj.length):
-            fields = [str(traj.engine_id), str(t + 1)]
-            fields.extend(fmt_float(v) for v in traj.channels[t])
-            lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class DatasetSummary:
-    n_engines: int
-    min_length: int
-    max_length: int
-    mean_length: float
-    channel_min: np.ndarray  # (24,)
-    channel_max: np.ndarray  # (24,)
-
-
-def summarize_dataset(trajs: list[SensorTrajectory]) -> DatasetSummary:
-    if not trajs:
-        raise ValueError("cannot summarize an empty trajectory list")
-    lengths = [t.length for t in trajs]
-    stacked = np.vstack([t.channels for t in trajs])
-    return DatasetSummary(
-        n_engines=len(trajs),
-        min_length=min(lengths),
-        max_length=max(lengths),
-        mean_length=float(np.mean(lengths)),
-        channel_min=stacked.min(axis=0),
-        channel_max=stacked.max(axis=0),
-    )

@@ -5,12 +5,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .adaptation import AdaptedRun
-from .util import fmt_float, write_csv
 
 STD_FLOOR = 1e-8
 
@@ -157,19 +155,3 @@ def apply_standardizer(std: Standardizer, windows) -> list[LabeledWindow]:
         )
         for win in windows
     ]
-
-
-def windows_to_csv(windows, path: str | Path) -> None:
-    """Debug dump: provenance triple, label, then w*d feature cells."""
-    if not windows:
-        raise ValueError("no windows to dump")
-    w, d = windows[0].features.shape
-    header = ["engine_id", "segment_id", "end_cycle", "label"] + [
-        f"f{i}" for i in range(w * d)
-    ]
-    rows = (
-        [str(win.engine_id), str(win.segment_id), str(win.end_cycle), str(win.label)]
-        + [fmt_float(v) for v in win.features.ravel()]
-        for win in windows
-    )
-    write_csv(path, header, rows)

@@ -20,12 +20,7 @@ from .linear import SingularSystemError, fit_linear
 from .nn import NonFiniteError, pinball_loss, sinusoidal_pe, smooth_l1
 from .optim import AdamWState, LrSchedule, adamw_step, init_adamw_state, lr_at
 from .predict import predict_quantiles, predict_quantiles_batch, predict_ttd, predict_ttd_batch
-from .quantile import (
-    DEFAULT_QUANTILES,
-    QuantileForecast,
-    fit_quantile,
-    fit_quantile_constants,
-)
+from .quantile import DEFAULT_QUANTILES, QuantileForecast, fit_quantile
 
 __all__ = [
     "AdamWState",
@@ -44,7 +39,6 @@ __all__ = [
     "attention_loss_and_grads",
     "fit_linear",
     "fit_quantile",
-    "fit_quantile_constants",
     "init_adamw_state",
     "init_attention_params",
     "load_model",

@@ -14,9 +14,8 @@ import math
 import numpy as np
 
 from ..labeling import Standardizer
-from .base import EpochLog, ForecastModel, TrainConfig, TrainingDivergedError, stack_windows
+from .base import EpochLog, ForecastModel, TrainConfig, stack_train_val
 from .nn import (
-    NonFiniteError,
     check_finite,
     gelu_forward,
     gelu_grad,
@@ -29,7 +28,7 @@ from .nn import (
     softmax_backward,
     xavier_uniform,
 )
-from .optim import LrSchedule, adamw_step, init_adamw_state, lr_at
+from .optim import fit_minibatch
 
 
 def init_attention_params(
@@ -238,61 +237,27 @@ def train_attention(
     Deterministic for a fixed cfg.seed: init, shuffling, and the batch
     reduction order are all derived from it.
     """
-    if not train_windows or not val_windows:
-        raise ValueError("need non-empty train and validation window sets")
-    Xtr, ytr = stack_windows(train_windows)
-    Xva, yva = stack_windows(val_windows)
+    Xtr, ytr, Xva, yva = stack_train_val(train_windows, val_windows)
     _, w, d = Xtr.shape
-    if Xva.shape[1:] != (w, d):
-        raise ValueError(f"validation window shape {Xva.shape[1:]} != train {(w, d)}")
 
-    init_rng = np.random.default_rng([cfg.seed, 1])
-    shuffle_rng = np.random.default_rng([cfg.seed, 2])
-    params = init_attention_params(init_rng, d, cfg.d_model, cfg.heads, cfg.layers)
-    state = init_adamw_state(params)
-
-    n = len(ytr)
-    n_batches = max(1, math.ceil(n / cfg.batch_size))
-    total_steps = cfg.max_epochs * n_batches
-    warmup = min(cfg.warmup_steps, total_steps - 1)  # tiny runs: keep schedule valid
-    sched = LrSchedule(base_lr=cfg.base_lr, warmup_steps=warmup, total_steps=total_steps)
-
-    logs: list[EpochLog] = []
-    best_mae = math.inf
-    best_params = {k: v.copy() for k, v in params.items()}
-    bad_epochs = 0
-    step = 0
-    lr = 0.0
-    for epoch in range(1, cfg.max_epochs + 1):
-        perm = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        for b in range(n_batches):
-            idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            try:
-                loss, grads = attention_loss_and_grads(
-                    Xtr[idx], ytr[idx], params, cfg.heads, cfg.pool, cfg.smooth_l1_beta
-                )
-            except NonFiniteError as exc:
-                raise TrainingDivergedError(
-                    f"diverged at epoch {epoch}, step {step}: {exc}"
-                ) from None
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(f"loss diverged at epoch {epoch}, step {step}")
-            lr = lr_at(step, sched)
-            adamw_step(params, grads, state, step + 1, lr, weight_decay=cfg.weight_decay)
-            step += 1
-            epoch_loss += loss * len(idx)
+    def val_mae(params):
         val_pred = _forward_chunks(Xva, params, cfg.heads, cfg.pool)
-        val_mae = float(np.mean(np.abs(np.maximum(val_pred, 0.0) - yva)))
-        logs.append(EpochLog(epoch=epoch, train_loss=epoch_loss / n, val_metric=val_mae, lr=lr))
-        if val_mae < best_mae:
-            best_mae = val_mae
-            best_params = {k: v.copy() for k, v in params.items()}
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
+        return float(np.mean(np.abs(np.maximum(val_pred, 0.0) - yva)))
+
+    params = init_attention_params(
+        np.random.default_rng([cfg.seed, 1]), d, cfg.d_model, cfg.heads, cfg.layers
+    )
+    best_params, logs = fit_minibatch(
+        lambda Xb, yb, p: attention_loss_and_grads(
+            Xb, yb, p, cfg.heads, cfg.pool, cfg.smooth_l1_beta
+        ),
+        val_mae,
+        params,
+        Xtr,
+        ytr,
+        cfg,
+        np.random.default_rng([cfg.seed, 2]),
+    )
 
     model = ForecastModel(
         kind="attention",

@@ -40,10 +40,11 @@ class TrainConfig:
     hidden_width: int = 64
 
     def __post_init__(self):
+        for name in ("max_epochs", "batch_size", "patience", "d_model", "heads", "hidden_width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
         if self.d_model % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide d_model ({self.d_model})")
         if self.pool not in ("mean", "last"):
@@ -54,7 +55,7 @@ class TrainConfig:
 class EpochLog:
     epoch: int
     train_loss: float
-    val_metric: float  # MAE for attention, mean pinball for quantile
+    val_metric: float  # MAE for attention; for quantile, the sum over levels of the mean pinball
     lr: float
 
 
@@ -175,3 +176,15 @@ def stack_windows(windows) -> tuple[np.ndarray, np.ndarray]:
     X = np.stack([win.features for win in windows]).astype(np.float64, copy=False)
     y = np.array([win.label for win in windows], dtype=np.float64)
     return X, y
+
+
+def stack_train_val(train_windows, val_windows):
+    """Stacked (X, y) train and validation sets, both non-empty and of one
+    window shape."""
+    if not train_windows or not val_windows:
+        raise ValueError("need non-empty train and validation window sets")
+    Xtr, ytr = stack_windows(train_windows)
+    Xva, yva = stack_windows(val_windows)
+    if Xva.shape[1:] != Xtr.shape[1:]:
+        raise ValueError(f"validation window shape {Xva.shape[1:]} != train {Xtr.shape[1:]}")
+    return Xtr, ytr, Xva, yva

@@ -1,4 +1,6 @@
-"""AdamW with decoupled weight decay and the warmup+cosine schedule."""
+"""AdamW with decoupled weight decay, the warmup+cosine schedule
+(Loshchilov & Hutter, 2019) and the mini-batch loop that trains the
+quantile and attention forecasters with them."""
 
 from __future__ import annotations
 
@@ -6,6 +8,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .base import EpochLog, TrainConfig, TrainingDivergedError
+from .nn import NonFiniteError
 
 
 @dataclass(frozen=True)
@@ -90,3 +95,56 @@ def adamw_step(
         a /= b
         p -= a
     return params, state
+
+
+def fit_minibatch(loss_and_grads, val_metric, params, X, y, cfg: TrainConfig, shuffle_rng):
+    """Mini-batch AdamW with early stopping; returns (best params, logs).
+
+    ``loss_and_grads(Xb, yb, params)`` gives a batch's mean loss and the
+    parameter gradients; ``val_metric(params)`` scores the parameters after
+    each epoch, lower being better. ``params`` are updated in place. The
+    batches of each epoch are a fresh permutation drawn from ``shuffle_rng``.
+    Training stops after ``cfg.patience`` epochs without a better metric,
+    and the parameters of the best epoch are returned.
+    """
+    state = init_adamw_state(params)
+    n = len(y)
+    n_batches = max(1, math.ceil(n / cfg.batch_size))
+    total_steps = cfg.max_epochs * n_batches
+    warmup = min(cfg.warmup_steps, total_steps - 1)  # tiny runs: keep schedule valid
+    sched = LrSchedule(base_lr=cfg.base_lr, warmup_steps=warmup, total_steps=total_steps)
+
+    logs: list[EpochLog] = []
+    best_metric = math.inf
+    best_params = {k: v.copy() for k, v in params.items()}
+    bad_epochs = 0
+    step = 0
+    lr = 0.0
+    for epoch in range(1, cfg.max_epochs + 1):
+        perm = shuffle_rng.permutation(n)
+        epoch_loss = 0.0
+        for b in range(n_batches):
+            idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            try:
+                loss, grads = loss_and_grads(X[idx], y[idx], params)
+            except NonFiniteError as exc:
+                raise TrainingDivergedError(
+                    f"diverged at epoch {epoch}, step {step}: {exc}"
+                ) from None
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(f"loss diverged at epoch {epoch}, step {step}")
+            lr = lr_at(step, sched)
+            adamw_step(params, grads, state, step + 1, lr, weight_decay=cfg.weight_decay)
+            step += 1
+            epoch_loss += loss * len(idx)
+        metric = val_metric(params)
+        logs.append(EpochLog(epoch=epoch, train_loss=epoch_loss / n, val_metric=metric, lr=lr))
+        if metric < best_metric:
+            best_metric = metric
+            best_params = {k: v.copy() for k, v in params.items()}
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= cfg.patience:
+                break
+    return best_params, logs

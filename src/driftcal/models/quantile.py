@@ -7,22 +7,14 @@ Quantile crossing is rectified by sorting the head outputs per input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..labeling import Standardizer
-from .base import EpochLog, ForecastModel, TrainConfig, TrainingDivergedError, stack_windows
-from .nn import (
-    NonFiniteError,
-    check_finite,
-    pinball_grad,
-    pinball_loss,
-    tanh_grad,
-    xavier_uniform,
-)
-from .optim import LrSchedule, adamw_step, init_adamw_state, lr_at
+from .base import EpochLog, ForecastModel, TrainConfig, stack_train_val
+from .nn import check_finite, pinball_grad, pinball_loss, tanh_grad, xavier_uniform
+from .optim import fit_minibatch
 
 DEFAULT_QUANTILES = (0.1, 0.5, 0.9)
 
@@ -93,64 +85,31 @@ def fit_quantile(
 ) -> tuple[ForecastModel, list[EpochLog]]:
     """Mini-batch AdamW on summed pinball losses; early stopping on the
     validation pinball loss with cfg.patience."""
-    if not train_windows or not val_windows:
-        raise ValueError("need non-empty train and validation window sets")
     quantiles = tuple(sorted(quantiles))
-    Xtr3, ytr = stack_windows(train_windows)
-    Xva3, yva = stack_windows(val_windows)
+    Xtr3, ytr, Xva3, yva = stack_train_val(train_windows, val_windows)
     _, w, d = Xtr3.shape
     Xtr = Xtr3.reshape(len(ytr), -1)
     Xva = Xva3.reshape(len(yva), -1)
 
-    init_rng = np.random.default_rng([cfg.seed, 3])
-    shuffle_rng = np.random.default_rng([cfg.seed, 4])
-    params = init_quantile_params(init_rng, w * d, cfg.hidden_width, len(quantiles))
-    state = init_adamw_state(params)
-
-    n = len(ytr)
-    n_batches = max(1, math.ceil(n / cfg.batch_size))
-    total_steps = cfg.max_epochs * n_batches
-    warmup = min(cfg.warmup_steps, total_steps - 1)
-    sched = LrSchedule(base_lr=cfg.base_lr, warmup_steps=warmup, total_steps=total_steps)
-
-    logs: list[EpochLog] = []
-    best_loss = math.inf
-    best_params = {k: v.copy() for k, v in params.items()}
-    bad_epochs = 0
-    step = 0
-    lr = 0.0
-    for epoch in range(1, cfg.max_epochs + 1):
-        perm = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        for b in range(n_batches):
-            idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            try:
-                loss, grads = quantile_loss_and_grads(Xtr[idx], ytr[idx], params, quantiles)
-            except NonFiniteError as exc:
-                raise TrainingDivergedError(
-                    f"diverged at epoch {epoch}, step {step}: {exc}"
-                ) from None
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(f"loss diverged at epoch {epoch}, step {step}")
-            lr = lr_at(step, sched)
-            adamw_step(params, grads, state, step + 1, lr, weight_decay=cfg.weight_decay)
-            step += 1
-            epoch_loss += loss * len(idx)
+    def val_pinball(params):
         val_out, _ = quantile_forward_batch(Xva, params, check=False)
-        val_loss = sum(
+        return sum(
             float(np.mean(pinball_loss(yva, val_out[:, j], q)))
             for j, q in enumerate(quantiles)
         )
-        logs.append(EpochLog(epoch=epoch, train_loss=epoch_loss / n, val_metric=val_loss, lr=lr))
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_params = {k: v.copy() for k, v in params.items()}
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
 
+    params = init_quantile_params(
+        np.random.default_rng([cfg.seed, 3]), w * d, cfg.hidden_width, len(quantiles)
+    )
+    best_params, logs = fit_minibatch(
+        lambda Xb, yb, p: quantile_loss_and_grads(Xb, yb, p, quantiles),
+        val_pinball,
+        params,
+        Xtr,
+        ytr,
+        cfg,
+        np.random.default_rng([cfg.seed, 4]),
+    )
     model = ForecastModel(
         kind="quantile",
         params=best_params,
@@ -160,33 +119,6 @@ def fit_quantile(
         meta={"quantiles": list(quantiles), "hidden_width": cfg.hidden_width},
     )
     return model, logs
-
-
-def fit_quantile_constants(
-    labels,
-    quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-    steps: int = 2000,
-    base_lr: float = 0.5,
-    warmup_steps: int = 20,
-) -> np.ndarray:
-    """Intercept-only pinball training: one learned constant per level.
-
-    The minimizer of mean pinball loss at level q over a fixed label set is
-    the empirical q-quantile, so this doubles as the optimality check.
-    """
-    y = np.asarray(labels, dtype=np.float64)
-    quantiles = tuple(sorted(quantiles))
-    params = {"c": np.full(len(quantiles), float(np.mean(y)))}
-    state = init_adamw_state(params)
-    sched = LrSchedule(base_lr=base_lr, warmup_steps=warmup_steps, total_steps=steps)
-    for step in range(steps):
-        grads = {
-            "c": np.array(
-                [float(np.mean(pinball_grad(y, params["c"][j], q))) for j, q in enumerate(quantiles)]
-            )
-        }
-        adamw_step(params, grads, state, step + 1, lr_at(step, sched), weight_decay=0.0)
-    return params["c"].copy()
 
 
 def quantile_raw_batch(model: ForecastModel, X: np.ndarray) -> np.ndarray:

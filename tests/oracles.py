@@ -4,16 +4,23 @@ These deliberately avoid the library's code paths: ranks are computed by
 sorting with explicit tie groups, Pearson via np.corrcoef, TTD labels by
 re-scanning adapted channels against thresholds, and policy outcomes by a
 straightforward per-segment replay.
+
+Helpers that only tests use live here too: a trajectory summary and an
+intercept-only pinball fit, which does run the library's training loop.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from driftcal.cmapss_io import sensor_column
+from driftcal.cmapss_io import SensorTrajectory, sensor_column
+from driftcal.models import TrainConfig
 from driftcal.models.attention import attention_forward_batch
+from driftcal.models.nn import pinball_grad, pinball_loss
+from driftcal.models.optim import fit_minibatch
 
 GELU_C0 = math.sqrt(2.0 / math.pi)
 GELU_C1 = 0.044715
@@ -137,3 +144,61 @@ def oracle_regression_metrics(y, yhat):
     ss_tot = sum((a - ybar) ** 2 for a in y)
     r2 = None if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return mae, rmse, r2
+
+
+@dataclass(frozen=True)
+class DatasetSummary:
+    n_engines: int
+    min_length: int
+    max_length: int
+    mean_length: float
+    channel_min: np.ndarray  # (24,)
+    channel_max: np.ndarray  # (24,)
+
+
+def summarize_dataset(trajs: list[SensorTrajectory]) -> DatasetSummary:
+    if not trajs:
+        raise ValueError("cannot summarize an empty trajectory list")
+    lengths = [t.length for t in trajs]
+    stacked = np.vstack([t.channels for t in trajs])
+    return DatasetSummary(
+        n_engines=len(trajs),
+        min_length=min(lengths),
+        max_length=max(lengths),
+        mean_length=float(np.mean(lengths)),
+        channel_min=stacked.min(axis=0),
+        channel_max=stacked.max(axis=0),
+    )
+
+
+def fit_quantile_constants(
+    labels,
+    quantiles: tuple[float, ...] = (0.1, 0.5, 0.9),
+    steps: int = 2000,
+    base_lr: float = 0.5,
+    warmup_steps: int = 20,
+) -> np.ndarray:
+    """Intercept-only pinball training: one learned constant per level.
+
+    Runs the forecasters' training loop with one full batch per step, no
+    weight decay and no early stop. The minimizer of mean pinball loss at
+    level q over a fixed label set is the empirical q-quantile, so this
+    doubles as the optimality check.
+    """
+    y = np.asarray(labels, dtype=np.float64)
+    quantiles = tuple(sorted(quantiles))
+
+    def summed_pinball(yb, c):
+        return sum(float(np.mean(pinball_loss(yb, c[j], q))) for j, q in enumerate(quantiles))
+
+    def loss_and_grads(_Xb, yb, params):
+        c = params["c"]
+        grad = [float(np.mean(pinball_grad(yb, c[j], q))) for j, q in enumerate(quantiles)]
+        return summed_pinball(yb, c), {"c": np.array(grad)}
+
+    cfg = TrainConfig(max_epochs=steps, batch_size=len(y), base_lr=base_lr,
+                      warmup_steps=warmup_steps, patience=steps, weight_decay=0.0)
+    params = {"c": np.full(len(quantiles), float(np.mean(y)))}
+    best, _ = fit_minibatch(loss_and_grads, lambda p: summed_pinball(y, p["c"]), params,
+                            np.zeros((len(y), 0)), y, cfg, np.random.default_rng(0))
+    return best["c"]

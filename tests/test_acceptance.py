@@ -22,7 +22,6 @@ from driftcal.labeling import split_engines
 from driftcal.models import (
     TrainConfig,
     attention_loss_and_grads,
-    fit_quantile_constants,
     init_attention_params,
     save_model,
     train_attention,
@@ -42,6 +41,7 @@ from driftcal.synthetic import synthetic_trajectories
 from conftest import fd001_train_path
 from oracles import (
     central_difference_gradients,
+    fit_quantile_constants,
     max_relative_error,
     oracle_segment_replay,
     oracle_spearman,

@@ -1,11 +1,13 @@
 """End-to-end CLI runs on a small synthetic split."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from driftcal.cli import main
-from driftcal.models import NonFiniteError, TrainingDivergedError
+from driftcal.adaptation import AdaptationConfig
+from driftcal.cli import RunConfig, build_config, build_parser, main
+from driftcal.models import NonFiniteError, TrainConfig, TrainingDivergedError
 from driftcal.util import read_csv, sha256_file
 
 CONFIG = """\
@@ -250,3 +252,63 @@ def test_attention_cli_path(tmp_path):
                  "--out", str(out)]) == 0
     _, rows = read_csv(out / "policy_table.csv")
     assert {r[0] for r in rows} == {"reactive", "predictive"}
+
+
+@pytest.mark.parametrize("component", [TrainConfig, AdaptationConfig])
+def test_component_configs_are_run_config_fields(component):
+    run_defaults = {f.name: f.default for f in fields(RunConfig)}
+    for f in fields(component):
+        assert f.name in run_defaults, f.name
+        assert run_defaults[f.name] == f.default, f.name
+
+
+# (flag arguments, config key, value in the file, value the flag sets)
+FLAG_OVERRIDES = [
+    (["--data-dir", "flag_data"], "data_dir", "file_data", "flag_data"),
+    (["--split", "FD003"], "split", "FD002", "FD003"),
+    (["--seed", "21"], "seed", "5", 21),
+    (["--window", "17"], "window", "25", 17),
+    (["--stride", "3"], "stride", "2", 3),
+    (["--model", "quantile"], "model", "linear", "quantile"),
+    (["--margin", "9"], "margin", "2", 9),
+    (["--period", "40"], "period", "30", 40),
+    (["--capacity-k", "4"], "capacity_k", "2", 4),
+    (["--cost-cal", "2.5"], "cost_cal", "1.5", 2.5),
+    (["--cost-vio", "7.5"], "cost_vio", "6.5", 7.5),
+    (["--oracle-scorer"], "oracle_scorer", "false", True),
+    (["--svg"], "svg", "false", True),
+    (["--out", "flag_out"], "out", "file_out", "flag_out"),
+]
+
+
+def test_override_table_covers_every_config_flag():
+    dests = set(vars(build_parser().parse_args(["train"])))
+    config_dests = dests & {f.name for f in fields(RunConfig)}
+    assert {key for _, key, _, _ in FLAG_OVERRIDES} == config_dests
+
+
+@pytest.mark.parametrize(("flag", "key", "file_value", "expected"), FLAG_OVERRIDES,
+                         ids=[row[1] for row in FLAG_OVERRIDES])
+def test_flag_overrides_config_file(tmp_path, flag, key, file_value, expected):
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[run]\n{key} = {file_value}\n", encoding="utf-8")
+    from_file = build_config(build_parser().parse_args(["train", "--config", str(ini)]))
+    assert getattr(from_file, key) != expected
+    cfg = build_config(build_parser().parse_args(["train", "--config", str(ini), *flag]))
+    assert getattr(cfg, key) == expected
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("batch_size", 0), ("batch_size", -5), ("max_epochs", 0), ("heads", 0), ("d_model", 0),
+     ("hidden_width", 0)],
+)
+def test_invalid_train_settings_print_one_error_line(workspace, tmp_path, capsys, field, value):
+    _, out, _ = workspace
+    kept = [line for line in CONFIG.splitlines() if not line.startswith(f"{field} =")]
+    bad = tmp_path / "bad.ini"
+    bad.write_text("\n".join(kept) + f"\n{field} = {value}\n", encoding="utf-8")  # in [train]
+    capsys.readouterr()
+    assert main(["train", "--model", "quantile", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {field} must be >= 1, got {value}\n"

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from driftcal.cmapss_io import (
-    COLUMN_NAMES,
     SchemaError,
     load_trajectories,
     parse_trajectories,
     serialize_trajectories,
-    summarize_dataset,
-    trajectories_to_csv,
 )
 
 from conftest import fd001_train_path, requires_fd001
+from oracles import summarize_dataset
 
 
 def _row(engine, cycle, fill=0.5):
@@ -95,13 +93,6 @@ def test_roundtrip_bit_for_bit():
     for a, b in zip(trajs, again):
         assert a.engine_id == b.engine_id
         assert np.array_equal(a.channels, b.channels)  # exact, not approximate
-
-
-def test_csv_dump_has_header():
-    trajs = parse_trajectories(_row(1, 1) + "\n" + _row(1, 2))
-    csv = trajectories_to_csv(trajs)
-    assert csv.splitlines()[0] == ",".join(COLUMN_NAMES)
-    assert len(csv.splitlines()) == 3
 
 
 def test_summary_single_run():

@@ -65,23 +65,3 @@ def test_roundtrip_preserves_standardizer(tmp_path):
     assert loaded.window == 2 and loaded.n_channels == 3
     window = np.array([[1.0, 2.0, 3.0], [1.5, 3.5, 5.5]])
     assert predict_ttd(loaded, window) == predict_ttd(model, window)
-
-
-def test_windows_csv_dump(tmp_path):
-    from driftcal.labeling import LabeledWindow, windows_to_csv
-    from driftcal.util import read_csv
-
-    rng = np.random.default_rng(1)
-    windows = [
-        LabeledWindow(features=rng.normal(size=(3, 2)), label=i, engine_id=4,
-                      segment_id=0, end_cycle=i + 3)
-        for i in range(5)
-    ]
-    path = tmp_path / "windows.csv"
-    windows_to_csv(windows, path)
-    header, rows = read_csv(path)
-    assert header[:4] == ["engine_id", "segment_id", "end_cycle", "label"]
-    assert len(header) == 4 + 6
-    assert len(rows) == 5
-    # feature cells round-trip exactly
-    assert float(rows[0][4]) == windows[0].features[0, 0]

@@ -4,13 +4,17 @@ Each hash was taken before the code it covers was rewritten: the data-layer
 and quantile hashes before the writers, the reader, the ranking and the
 optimizer were vectorized; the linear and attention model hashes and the
 attention forecast hash before attention inference ran in chunks, the
-linear design matrix was filled in place and GELU worked in blocks. A
+linear design matrix was filled in place and GELU worked in blocks; the
+early-stopping quantile model, the epoch-log hashes and the default run
+config digest before the quantile and attention forecasters shared one
+training loop and the run config built its parts from their fields. A
 refactor must leave every one of them unchanged. The model pins cover
 float64 arithmetic, so they hold only for one BLAS build (numpy's bundled
 OpenBLAS).
 """
 
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,8 +27,9 @@ from driftcal.adaptation import (
     dataset_digest,
     write_adapted_dataset,
 )
+from driftcal.cli import RunConfig
 from driftcal.cmapss_io import serialize_trajectories
-from driftcal.models import TrainConfig, predict_ttd_batch, save_model
+from driftcal.models import EpochLog, TrainConfig, predict_ttd_batch, save_model
 from driftcal.pipeline import label_and_window, train_forecaster
 from driftcal.synthetic import synthetic_trajectories
 
@@ -39,6 +44,11 @@ PINS = {
     "linear_model": "ff9cf51b4295c03c78d1f1fbd7244b255c4dedec04a5f3a85cf7c95f536c01a3",
     "attention_model": "d028964fb08c3890d8b397f1cfe123b2cd7329a370f38eda08a7c4940dcd3c97",
     "attention_predictions": "b080cd6ab86a05fe7c8c5ff76555dab9fad2333b66b7dab69a23667ecba86339",
+    "run_config_digest": "4c1bcbe352d3d7a8f6c6bf5d21f7f12f054361dcd09de7740a95bfb0bd98aa2e",
+    "quantile_early_stop_model": "76cd2ce6f7e91e2f70b1e9079c0acd6139eac0f02a191b6970f8a6104bdd7a12",
+    "quantile_logs": "34cccf0ec395c0794f11a71dffb72ae2198c14018021405c6cedfe82c577d358",
+    "quantile_early_stop_logs": "ea072af901b189c966f7d7fae42a189f86ef47e38769a9c7b9efcd92fd6622ee",
+    "attention_logs": "bb2e7ea87680e1d74aed35d1187815b600fcdb9b1d6d74c8a75e73df303b94d6",
 }
 
 
@@ -66,6 +76,18 @@ def _model_sha(model, tmp_path) -> str:
     return _sha((tmp_path / "model.bin").read_bytes())
 
 
+def _logs_sha(logs) -> str:
+    """Every field of every epoch log, as float64 bytes."""
+    names = [f.name for f in fields(EpochLog)]
+    table = np.array([[getattr(log, name) for name in names] for log in logs], dtype=np.float64)
+    return _sha(table.tobytes())
+
+
+def test_default_run_config_digest():
+    # every CSV preamble carries this digest
+    assert RunConfig().digest() == PINS["run_config_digest"]
+
+
 def test_serialized_trajectories_hash(fleet):
     assert _sha(serialize_trajectories(fleet).encode("utf-8")) == PINS["trajectories_txt"]
 
@@ -84,6 +106,18 @@ def test_quantile_model_bytes_hash(bundle, tmp_path):
     )
     assert len(logs) == 2
     assert _model_sha(model, tmp_path) == PINS["quantile_model"]
+    assert _logs_sha(logs) == PINS["quantile_logs"]
+
+
+def test_early_stopped_quantile_model_restores_best_epoch(bundle, tmp_path):
+    cfg = TrainConfig(max_epochs=12, patience=2, base_lr=1e-2, warmup_steps=0, seed=SEED)
+    model, logs = train_forecaster("quantile", bundle, cfg)
+    val = [log.val_metric for log in logs]
+    best_epoch = val.index(min(val)) + 1
+    assert len(logs) < cfg.max_epochs
+    assert best_epoch < len(logs)
+    assert _model_sha(model, tmp_path) == PINS["quantile_early_stop_model"]
+    assert _logs_sha(logs) == PINS["quantile_early_stop_logs"]
 
 
 def test_linear_model_bytes_hash(bundle, tmp_path):
@@ -97,6 +131,7 @@ def test_attention_model_and_prediction_bytes_hash(bundle, tmp_path):
     )
     assert len(logs) == 1
     assert _model_sha(model, tmp_path) == PINS["attention_model"]
+    assert _logs_sha(logs) == PINS["attention_logs"]
     X_val = np.stack([win.features for win in bundle.val_raw])
     assert len(X_val) > 128  # crosses inference chunk boundaries
     yhat = predict_ttd_batch(model, X_val)

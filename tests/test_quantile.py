@@ -5,7 +5,6 @@ from driftcal.labeling import LabeledWindow
 from driftcal.models import (
     TrainConfig,
     fit_quantile,
-    fit_quantile_constants,
     predict_quantiles,
     predict_quantiles_batch,
     predict_ttd,
@@ -16,7 +15,7 @@ from driftcal.models.quantile import (
     quantile_loss_and_grads,
 )
 
-from oracles import central_difference_gradients, max_relative_error
+from oracles import central_difference_gradients, fit_quantile_constants, max_relative_error
 
 
 def test_constants_converge_to_empirical_quantiles():
@@ -119,3 +118,18 @@ def test_early_stopping_on_validation_pinball():
     cfg = _train_cfg(max_epochs=30, patience=4, base_lr=0.0, warmup_steps=0)
     _, logs = fit_quantile(windows, windows, cfg)
     assert len(logs) == 1 + 4
+
+
+@pytest.mark.parametrize("val_shape", [(3, 4), (2, 3)])
+def test_validation_windows_of_another_shape_are_rejected(val_shape):
+    rng = np.random.default_rng(11)
+
+    def windows(shape):
+        return [
+            LabeledWindow(features=rng.normal(size=shape), label=i, engine_id=1,
+                          segment_id=0, end_cycle=i + 1)
+            for i in range(6)
+        ]
+
+    with pytest.raises(ValueError, match="validation window shape"):
+        fit_quantile(windows((4, 3)), windows(val_shape), _train_cfg(max_epochs=1))
