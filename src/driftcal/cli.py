@@ -25,6 +25,7 @@ from .adaptation import (
     write_adapted_dataset,
 )
 from .cmapss_io import load_trajectories
+from .labeling import split_engines
 from .models import (
     NonFiniteError,
     TrainConfig,
@@ -189,16 +190,14 @@ def _load_raw_trajectories(cfg: RunConfig):
 
 
 def _load_bundle(cfg: RunConfig):
-    dataset = read_adapted_dataset(cfg.out)
-    bundle = label_and_window(
-        dataset,
+    return label_and_window(
+        read_adapted_dataset(cfg.out),
         w=cfg.window,
         stride=cfg.stride,
         train_fraction=cfg.train_fraction,
         seed=cfg.seed,
         allow_cross_reset=cfg.allow_cross_reset,
     )
-    return dataset, bundle
 
 
 def _model_path(cfg: RunConfig, kind: str) -> Path:
@@ -233,8 +232,9 @@ def cmd_adapt(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    _, bundle = _load_bundle(cfg)
-    model, logs = train_forecaster(cfg.model, bundle, cfg.train_config(), ridge=cfg.ridge)
+    train_cfg = cfg.train_config()  # rejects bad settings before any data is read
+    bundle = _load_bundle(cfg)
+    model, logs = train_forecaster(cfg.model, bundle, train_cfg, ridge=cfg.ridge)
     path = _model_path(cfg, cfg.model)
     save_model(model, path, extra_header={"seed": cfg.seed, "config_digest": cfg.digest()})
     metric_name = {"linear": "none", "quantile": "pinball", "attention": "mae"}[cfg.model]
@@ -283,7 +283,7 @@ def _scatter_svg(y: np.ndarray, yhat: np.ndarray, path: Path, title: str) -> Non
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    _, bundle = _load_bundle(cfg)
+    bundle = _load_bundle(cfg)
     rows = []
     found = []
     for kind in MODEL_KINDS:
@@ -321,9 +321,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    dataset, bundle = _load_bundle(cfg)
-    val = validation_subset(dataset, bundle.split)
-    train = training_subset(dataset, bundle.split)
+    dataset = read_adapted_dataset(cfg.out)
+    split = split_engines([run.engine_id for run in dataset.runs],
+                          fraction=cfg.train_fraction, seed=cfg.seed)
+    val = validation_subset(dataset, split)
+    train = training_subset(dataset, split)
     kinds = [k.strip() for k in cfg.policies.split(",") if k.strip()]
     costs = CostSpec(c_cal=cfg.cost_cal, c_vio=cfg.cost_vio)
     capacity = None

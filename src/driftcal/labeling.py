@@ -4,13 +4,16 @@ train-statistics-only standardization."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .adaptation import AdaptedRun
 
 STD_FLOOR = 1e-8
+WINDOW_CHUNK = 1024  # windows gathered at a time when reading a whole set (7.9 MB of 40 x 24)
 
 
 @dataclass(frozen=True)
@@ -30,58 +33,87 @@ def compute_ttd(run: AdaptedRun) -> TtdSeries:
     """
     values = np.zeros(run.length, dtype=np.int64)
     for seg in run.segments:
-        if seg.crossing is None:
-            for t in range(seg.start, seg.end + 1):
-                values[t - 1] = seg.end - t
-        else:
-            for t in range(seg.start, seg.end + 1):
-                values[t - 1] = max(seg.crossing - t, 0)
+        stop = seg.end if seg.crossing is None else seg.crossing
+        values[seg.start - 1 : seg.end] = np.maximum(stop - np.arange(seg.start, seg.end + 1), 0)
     return TtdSeries(engine_id=run.engine_id, values=values)
 
 
+# One window of a Windows set, as indexing and iteration give it
+Window = namedtuple("Window", "features label engine_id segment_id end_cycle")
+PER_WINDOW = ("start", "label", "engine_id", "segment_id", "end_cycle")
+
+
 @dataclass(frozen=True)
-class LabeledWindow:
-    features: np.ndarray  # (w, d) float64
-    label: int
-    engine_id: int
-    segment_id: int
-    end_cycle: int
+class Windows:
+    """Sliding windows over one channel matrix, in order.
+
+    Window i is rows ``start[i] .. start[i] + w - 1`` of ``channels``; it
+    ends at cycle ``end_cycle[i]`` of engine ``engine_id[i]``, in segment
+    ``segment_id[i]``, and is labelled with the TTD at that cycle. No
+    window is copied until ``take`` gathers a batch.
+    """
+
+    channels: np.ndarray  # (rows, d) float64
+    w: int
+    start: np.ndarray  # (n,) int64, as are the arrays below
+    label: np.ndarray
+    engine_id: np.ndarray
+    segment_id: np.ndarray
+    end_cycle: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(w, d) of every window."""
+        return self.w, self.channels.shape[1]
+
+    def take(self, idx) -> np.ndarray:
+        """Contiguous (k, w, d) copy of the windows an index array or slice selects."""
+        return sliding_window_view(self.channels, self.shape)[:, 0][self.start[idx]]
+
+    def subset(self, keep) -> Windows:
+        """The windows a mask or index array selects, over the same channels."""
+        return replace(self, **{name: getattr(self, name)[keep] for name in PER_WINDOW})
+
+    def __getitem__(self, i: int) -> Window:
+        """Window i, its features a read-only view of the channel matrix."""
+        features = self.channels[self.start[i] : self.start[i] + self.w]
+        features.flags.writeable = False
+        return Window(features, *(int(getattr(self, name)[i]) for name in PER_WINDOW[1:]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
-def iter_windows(
-    run: AdaptedRun,
-    ttd: TtdSeries,
-    w: int = 40,
-    stride: int = 1,
-    allow_cross_reset: bool = True,
-):
-    """Yield windows ending at cycles w, w+stride, ... up to the run length.
+def window_runs(runs, w: int = 40, stride: int = 1, allow_cross_reset: bool = True) -> Windows:
+    """Windows ending at cycles w, w+stride, ... up to each run's length,
+    run after run, over the runs' channels stacked in order.
 
     With allow_cross_reset=False, windows reaching back into an earlier
-    segment are dropped.
+    segment are dropped. The first kept window with a non-finite cell
+    raises ValueError.
     """
     if w < 1 or stride < 1:
         raise ValueError(f"w and stride must be >= 1, got w={w} stride={stride}")
-    seg_ids = run.segment_ids()
-    for end in range(w, run.length + 1, stride):
-        start = end - w + 1
-        segment_id = int(seg_ids[end - 1])
-        if not allow_cross_reset and seg_ids[start - 1] != segment_id:
-            continue
-        features = run.channels[start - 1 : end]
-        if not np.all(np.isfinite(features)):
-            raise ValueError(f"engine {run.engine_id}: non-finite features at cycle {end}")
-        yield LabeledWindow(
-            features=features.copy(),
-            label=int(ttd.values[end - 1]),
-            engine_id=run.engine_id,
-            segment_id=segment_id,
-            end_cycle=end,
-        )
-
-
-def make_windows(run, ttd, w: int = 40, stride: int = 1, allow_cross_reset: bool = True):
-    return list(iter_windows(run, ttd, w=w, stride=stride, allow_cross_reset=allow_cross_reset))
+    columns, offset = [], 0
+    for run in runs:
+        ends = np.arange(w, run.length + 1, stride)
+        seg_ids = run.segment_ids()
+        if not allow_cross_reset:
+            ends = ends[seg_ids[ends - w] == seg_ids[ends - 1]]
+        # n_bad[t]: non-finite rows among the first t cycles
+        n_bad = np.concatenate(([0], np.cumsum(~np.isfinite(run.channels).all(axis=1))))
+        bad = n_bad[ends] > n_bad[ends - w]
+        if bad.any():
+            cycle = ends[bad.argmax()]
+            raise ValueError(f"engine {run.engine_id}: non-finite features at cycle {cycle}")
+        columns.append((offset + ends - w, compute_ttd(run).values[ends - 1],
+                        np.full(len(ends), run.engine_id), seg_ids[ends - 1], ends))
+        offset += run.length
+    per_window = (np.concatenate(column).astype(np.int64, copy=False) for column in zip(*columns))
+    return Windows(np.concatenate([run.channels for run in runs]), w, *per_window)
 
 
 @dataclass(frozen=True)
@@ -122,36 +154,39 @@ class Standardizer:
     mean: np.ndarray  # (d,)
     std: np.ndarray  # (d,), floored at STD_FLOOR
 
-    @property
-    def n_channels(self) -> int:
-        return self.mean.shape[0]
-
     def transform(self, features: np.ndarray) -> np.ndarray:
         return (features - self.mean) / self.std
 
 
-def fit_standardizer(train_windows) -> Standardizer:
-    """Statistics over all window cells per channel."""
-    if not train_windows:
+def _carry_sum(total: np.ndarray | None, cells: np.ndarray) -> np.ndarray:
+    """total plus the column sums of cells, added row by row after it."""
+    return np.add.reduce(cells if total is None else np.concatenate([total[None], cells]), axis=0)
+
+
+def fit_standardizer(train: Windows) -> Standardizer:
+    """Statistics over all window cells per channel: numpy's mean and std
+    over the (n * w, d) stack of the windows, computed chunk by chunk.
+
+    numpy sums the rows of a stack of more than one column in order, so
+    sums that carry their running total into the next chunk equal the
+    whole-stack sums bit for bit.
+    """
+    if not train:
         raise ValueError("cannot fit a standardizer on an empty window set")
-    stacked = np.concatenate([win.features for win in train_windows], axis=0)
-    mean = stacked.mean(axis=0)
-    std = np.maximum(stacked.std(axis=0), STD_FLOOR)
+    chunks = [slice(lo, lo + WINDOW_CHUNK) for lo in range(0, len(train), WINDOW_CHUNK)]
+    n_cells, d = len(train) * train.w, train.shape[1]
+    first = train.channels[train.start[0]]
+    total, squares, varies = None, None, np.zeros(d, dtype=bool)
+    for rows in chunks:
+        cells = train.take(rows).reshape(-1, d)
+        total = _carry_sum(total, cells)
+        varies |= (cells != first).any(axis=0)
+    mean = total / n_cells
+    for rows in chunks:
+        cells = train.take(rows).reshape(-1, d)
+        cells -= mean
+        squares = _carry_sum(squares, np.square(cells, out=cells))
+    std = np.maximum(np.sqrt(squares / n_cells), STD_FLOOR)
     # exactly-constant channels transform to exactly zero, not mean-roundoff/1e-8
-    constant = stacked.min(axis=0) == stacked.max(axis=0)
-    mean[constant] = stacked[0, constant]
+    mean[~varies] = first[~varies]
     return Standardizer(mean=mean, std=std)
-
-
-def apply_standardizer(std: Standardizer, windows) -> list[LabeledWindow]:
-    """Transformed copies; the input windows and stats are untouched."""
-    return [
-        LabeledWindow(
-            features=std.transform(win.features),
-            label=win.label,
-            engine_id=win.engine_id,
-            segment_id=win.segment_id,
-            end_cycle=win.end_cycle,
-        )
-        for win in windows
-    ]

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from ..labeling import Standardizer
-from .base import EpochLog, ForecastModel, TrainConfig, stack_train_val
+from ..labeling import Standardizer, Windows
+from .base import EpochLog, ForecastModel, TrainConfig, validation_set
 from .nn import (
     check_finite,
     gelu_forward,
@@ -227,8 +227,8 @@ def attention_loss_and_grads(X, y, params, heads, pool="mean", beta: float = 1.0
 
 
 def train_attention(
-    train_windows,
-    val_windows,
+    train_windows: Windows,
+    val_windows: Windows,
     cfg: TrainConfig,
     standardizer: Standardizer | None = None,
 ) -> tuple[ForecastModel, list[EpochLog]]:
@@ -237,8 +237,8 @@ def train_attention(
     Deterministic for a fixed cfg.seed: init, shuffling, and the batch
     reduction order are all derived from it.
     """
-    Xtr, ytr, Xva, yva = stack_train_val(train_windows, val_windows)
-    _, w, d = Xtr.shape
+    Xva, yva = validation_set(train_windows, val_windows)
+    w, d = train_windows.shape
 
     def val_mae(params):
         val_pred = _forward_chunks(Xva, params, cfg.heads, cfg.pool)
@@ -253,8 +253,8 @@ def train_attention(
         ),
         val_mae,
         params,
-        Xtr,
-        ytr,
+        train_windows.take,
+        train_windows.label.astype(np.float64),
         cfg,
         np.random.default_rng([cfg.seed, 2]),
     )

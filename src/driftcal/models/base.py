@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..labeling import Standardizer
+from ..labeling import Standardizer, Windows
 
 MODEL_MAGIC = "driftcal-model v1"
 
@@ -45,6 +46,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not self.smooth_l1_beta > 0:
+            raise ValueError(f"smooth_l1_beta must be > 0, got {self.smooth_l1_beta}")
         if self.d_model % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide d_model ({self.d_model})")
         if self.pool not in ("mean", "last"):
@@ -74,10 +81,6 @@ class ForecastModel:
     standardizer: Standardizer | None = None
     meta: dict = field(default_factory=dict)
 
-    @property
-    def n_features(self) -> int:
-        return self.window * self.n_channels
-
     def check_window(self, window: np.ndarray) -> None:
         if window.shape != (self.window, self.n_channels):
             raise ShapeMismatchError(
@@ -90,21 +93,6 @@ class ForecastModel:
         if self.standardizer is None:
             return windows
         return self.standardizer.transform(windows)
-
-
-def flatten_params(params: dict[str, np.ndarray]) -> np.ndarray:
-    """Concatenate all parameters (sorted by name) into one flat vector."""
-    return np.concatenate([params[name].ravel() for name in sorted(params)])
-
-
-def unflatten_params(flat: np.ndarray, template: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    out = {}
-    offset = 0
-    for name in sorted(template):
-        size = template[name].size
-        out[name] = flat[offset : offset + size].reshape(template[name].shape).copy()
-        offset += size
-    return out
 
 
 def save_model(model: ForecastModel, path: str | Path, extra_header: dict | None = None) -> None:
@@ -169,22 +157,11 @@ def load_model(path: str | Path) -> ForecastModel:
     )
 
 
-def stack_windows(windows) -> tuple[np.ndarray, np.ndarray]:
-    """(B, w, d) features and (B,) float labels from LabeledWindows."""
-    if not windows:
-        raise ValueError("empty window set")
-    X = np.stack([win.features for win in windows]).astype(np.float64, copy=False)
-    y = np.array([win.label for win in windows], dtype=np.float64)
-    return X, y
-
-
-def stack_train_val(train_windows, val_windows):
-    """Stacked (X, y) train and validation sets, both non-empty and of one
-    window shape."""
-    if not train_windows or not val_windows:
+def validation_set(train: Windows, val: Windows) -> tuple[np.ndarray, np.ndarray]:
+    """The validation windows (n, w, d), gathered once, and their float
+    labels; both window sets must be non-empty and of one window shape."""
+    if not train or not val:
         raise ValueError("need non-empty train and validation window sets")
-    Xtr, ytr = stack_windows(train_windows)
-    Xva, yva = stack_windows(val_windows)
-    if Xva.shape[1:] != Xtr.shape[1:]:
-        raise ValueError(f"validation window shape {Xva.shape[1:]} != train {Xtr.shape[1:]}")
-    return Xtr, ytr, Xva, yva
+    if val.shape != train.shape:
+        raise ValueError(f"validation window shape {val.shape} != train {train.shape}")
+    return val.take(slice(None)), val.label.astype(np.float64)

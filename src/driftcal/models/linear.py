@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..labeling import Standardizer
+from ..labeling import WINDOW_CHUNK, Standardizer, Windows
 from .base import ForecastModel
 
 
@@ -36,7 +36,7 @@ def _solve_normal_equations(A: np.ndarray, y: np.ndarray, ridge: float) -> np.nd
 
 
 def fit_linear(
-    windows,
+    windows: Windows,
     ridge: float = 1e-6,
     standardizer: Standardizer | None = None,
 ) -> ForecastModel:
@@ -45,15 +45,14 @@ def fit_linear(
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     if not windows:
         raise ValueError("empty window set")
-    w, d = windows[0].features.shape
-    # [X | 1] filled in place: one copy of the flattened windows, not two
+    w, d = windows.shape
+    # [X | 1] filled chunk by chunk: the only full copy of the flattened windows
     A = np.empty((len(windows), w * d + 1))
-    for row, win in zip(A, windows):
-        if win.features.shape != (w, d):
-            raise ValueError(f"window shape {win.features.shape} != first window's {(w, d)}")
-        row[:-1] = win.features.reshape(-1)
+    for first in range(0, len(windows), WINDOW_CHUNK):
+        rows = slice(first, first + WINDOW_CHUNK)
+        A[rows, :-1] = windows.take(rows).reshape(-1, w * d)
     A[:, -1] = 1.0
-    y = np.array([win.label for win in windows], dtype=np.float64)
+    y = windows.label.astype(np.float64)
     beta = _solve_normal_equations(A, y, ridge)
     return ForecastModel(
         kind="linear",

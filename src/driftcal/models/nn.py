@@ -33,15 +33,6 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 
 # -- positional encoding -----------------------------------------------------
 
-def sinusoidal_pe(pos: int, dim_index: int, d_model: int) -> float:
-    """Standard sinusoidal positional code for one (position, dimension)."""
-    if not 0 <= dim_index < d_model:
-        raise ValueError(f"dim_index must be in 0..{d_model - 1}, got {dim_index}")
-    k = dim_index // 2
-    angle = pos / (10000.0 ** (2.0 * k / d_model))
-    return math.sin(angle) if dim_index % 2 == 0 else math.cos(angle)
-
-
 def positional_encoding(length: int, d_model: int) -> np.ndarray:
     """(length, d_model) table of sinusoidal codes for positions 0..length-1."""
     pe = np.empty((length, d_model), dtype=np.float64)

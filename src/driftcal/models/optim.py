@@ -97,9 +97,11 @@ def adamw_step(
     return params, state
 
 
-def fit_minibatch(loss_and_grads, val_metric, params, X, y, cfg: TrainConfig, shuffle_rng):
+def fit_minibatch(loss_and_grads, val_metric, params, take, y, cfg: TrainConfig, shuffle_rng):
     """Mini-batch AdamW with early stopping; returns (best params, logs).
 
+    ``take(idx)`` gathers the inputs of the training examples ``idx``, so
+    a batch is the only copy of them, and ``y`` holds all their targets.
     ``loss_and_grads(Xb, yb, params)`` gives a batch's mean loss and the
     parameter gradients; ``val_metric(params)`` scores the parameters after
     each epoch, lower being better. ``params`` are updated in place. The
@@ -126,7 +128,7 @@ def fit_minibatch(loss_and_grads, val_metric, params, X, y, cfg: TrainConfig, sh
         for b in range(n_batches):
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             try:
-                loss, grads = loss_and_grads(X[idx], y[idx], params)
+                loss, grads = loss_and_grads(take(idx), y[idx], params)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"diverged at epoch {epoch}, step {step}: {exc}"

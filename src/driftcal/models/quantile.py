@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..labeling import Standardizer
-from .base import EpochLog, ForecastModel, TrainConfig, stack_train_val
+from ..labeling import Standardizer, Windows
+from .base import EpochLog, ForecastModel, TrainConfig, validation_set
 from .nn import check_finite, pinball_grad, pinball_loss, tanh_grad, xavier_uniform
 from .optim import fit_minibatch
 
@@ -77,8 +77,8 @@ def quantile_loss_and_grads(Xf, y, params, quantiles):
 
 
 def fit_quantile(
-    train_windows,
-    val_windows,
+    train_windows: Windows,
+    val_windows: Windows,
     cfg: TrainConfig,
     quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
     standardizer: Standardizer | None = None,
@@ -86,9 +86,9 @@ def fit_quantile(
     """Mini-batch AdamW on summed pinball losses; early stopping on the
     validation pinball loss with cfg.patience."""
     quantiles = tuple(sorted(quantiles))
-    Xtr3, ytr, Xva3, yva = stack_train_val(train_windows, val_windows)
-    _, w, d = Xtr3.shape
-    Xtr = Xtr3.reshape(len(ytr), -1)
+    Xva3, yva = validation_set(train_windows, val_windows)
+    w, d = train_windows.shape
+    # one GEMM over all validation windows: row blocks could round differently
     Xva = Xva3.reshape(len(yva), -1)
 
     def val_pinball(params):
@@ -105,8 +105,8 @@ def fit_quantile(
         lambda Xb, yb, p: quantile_loss_and_grads(Xb, yb, p, quantiles),
         val_pinball,
         params,
-        Xtr,
-        ytr,
+        lambda idx: train_windows.take(idx).reshape(len(idx), -1),
+        train_windows.label.astype(np.float64),
         cfg,
         np.random.default_rng([cfg.seed, 4]),
     )

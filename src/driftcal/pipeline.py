@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .adaptation import AdaptedDataset, subset_runs
 from .labeling import (
-    LabeledWindow,
     SplitAssignment,
     Standardizer,
-    apply_standardizer,
-    compute_ttd,
+    Windows,
     fit_standardizer,
-    make_windows,
     split_engines,
+    window_runs,
 )
 from .metrics import RegressionReport, regression_metrics
 from .models import (
@@ -37,13 +35,14 @@ class WindowBundle:
     """Windows for one adapted dataset, split at the engine level.
 
     ``*_raw`` windows carry original channel units; ``*_std`` are
-    standardized with train statistics only.
+    standardized with train statistics only. All four read the dataset's
+    one raw channel matrix or its one standardized copy.
     """
 
-    train_raw: list[LabeledWindow]
-    val_raw: list[LabeledWindow]
-    train_std: list[LabeledWindow]
-    val_std: list[LabeledWindow]
+    train_raw: Windows
+    val_raw: Windows
+    train_std: Windows
+    val_std: Windows
     standardizer: Standardizer
     split: SplitAssignment
     w: int
@@ -61,27 +60,21 @@ def label_and_window(
     split = split_engines(
         [run.engine_id for run in dataset.runs], fraction=train_fraction, seed=seed
     )
-    train_raw: list[LabeledWindow] = []
-    val_raw: list[LabeledWindow] = []
-    for run in dataset.runs:
-        windows = make_windows(
-            run, compute_ttd(run), w=w, stride=stride, allow_cross_reset=allow_cross_reset
-        )
-        if run.engine_id in split.train_engines:
-            train_raw.extend(windows)
-        else:
-            val_raw.extend(windows)
+    windows = window_runs(dataset.runs, w=w, stride=stride, allow_cross_reset=allow_cross_reset)
+    in_train = np.isin(windows.engine_id, split.train_engines)
+    train_raw, val_raw = windows.subset(in_train), windows.subset(~in_train)
     if not train_raw or not val_raw:
         raise ValueError(
             f"split produced {len(train_raw)} train / {len(val_raw)} val windows; "
             f"runs may be shorter than w={w}"
         )
     standardizer = fit_standardizer(train_raw)
+    channels_std = standardizer.transform(windows.channels)
     return WindowBundle(
         train_raw=train_raw,
         val_raw=val_raw,
-        train_std=apply_standardizer(standardizer, train_raw),
-        val_std=apply_standardizer(standardizer, val_raw),
+        train_std=replace(train_raw, channels=channels_std),
+        val_std=replace(val_raw, channels=channels_std),
         standardizer=standardizer,
         split=split,
         w=w,
@@ -108,11 +101,11 @@ def train_forecaster(
 
 
 def evaluate_forecaster(
-    model: ForecastModel, windows_raw: list[LabeledWindow]
+    model: ForecastModel, windows_raw: Windows
 ) -> tuple[RegressionReport, np.ndarray, np.ndarray]:
     """Validation metrics plus (true, predicted) pairs for scatter output."""
-    X = np.stack([win.features for win in windows_raw])
-    y = np.array([win.label for win in windows_raw], dtype=np.float64)
+    X = windows_raw.take(slice(None))
+    y = windows_raw.label.astype(np.float64)
     yhat = predict_ttd_batch(model, X)
     return regression_metrics(y, yhat), y, yhat
 

@@ -5,18 +5,22 @@ sorting with explicit tie groups, Pearson via np.corrcoef, TTD labels by
 re-scanning adapted channels against thresholds, and policy outcomes by a
 straightforward per-segment replay.
 
-Helpers that only tests use live here too: a trajectory summary and an
-intercept-only pinball fit, which does run the library's training loop.
+Helpers that only tests use live here too: a trajectory summary, an
+intercept-only pinball fit, which does run the library's training loop,
+parameter flattening for the finite-difference checks, and a window set
+built from given window arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from driftcal.cmapss_io import SensorTrajectory, sensor_column
+from driftcal.labeling import Windows
 from driftcal.models import TrainConfig
 from driftcal.models.attention import attention_forward_batch
 from driftcal.models.nn import pinball_grad, pinball_loss
@@ -79,6 +83,44 @@ def oracle_ttd_labels(run) -> np.ndarray:
     return values
 
 
+class OracleWindow(NamedTuple):
+    features: np.ndarray  # (w, d) copy
+    label: int
+    engine_id: int
+    segment_id: int
+    end_cycle: int
+
+
+def oracle_windows(run, ttd_values, w=40, stride=1, allow_cross_reset=True) -> list[OracleWindow]:
+    """Windows ending at cycles w, w+stride, ... up to the run length, one
+    copied window at a time; with allow_cross_reset=False, windows reaching
+    back into an earlier segment are dropped. The first kept window with a
+    non-finite cell raises ValueError."""
+    seg_ids = run.segment_ids()
+    out = []
+    for end in range(w, run.length + 1, stride):
+        start = end - w + 1
+        segment_id = int(seg_ids[end - 1])
+        if not allow_cross_reset and seg_ids[start - 1] != segment_id:
+            continue
+        features = run.channels[start - 1 : end]
+        if not np.all(np.isfinite(features)):
+            raise ValueError(f"engine {run.engine_id}: non-finite features at cycle {end}")
+        out.append(OracleWindow(features.copy(), int(ttd_values[end - 1]), run.engine_id,
+                                segment_id, end))
+    return out
+
+
+def windows_of(features, labels) -> Windows:
+    """A window set holding the given (n, w, d) windows, each its own rows."""
+    features = np.asarray(features, dtype=np.float64)
+    n, w, d = features.shape
+    ids = np.arange(n, dtype=np.int64)
+    return Windows(channels=features.reshape(n * w, d), w=w, start=ids * w,
+                   label=np.asarray(labels).astype(np.int64), engine_id=np.ones(n, np.int64),
+                   segment_id=np.zeros(n, np.int64), end_cycle=ids * w + w)
+
+
 def oracle_segment_replay(dataset, scorer, margin, start_cycle=1):
     """Per-segment replay, independent of the simulator's global loop.
 
@@ -115,6 +157,30 @@ def attention_forward(window, params, heads, pool="mean") -> float:
     """Raw forecast for one standardized (w, d) window, as a batch of one."""
     yhat, _ = attention_forward_batch(window[None, :, :], params, heads, pool)
     return float(yhat[0])
+
+
+def flatten_params(params: dict[str, np.ndarray]) -> np.ndarray:
+    """Concatenate all parameters (sorted by name) into one flat vector."""
+    return np.concatenate([params[name].ravel() for name in sorted(params)])
+
+
+def unflatten_params(flat: np.ndarray, template: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    out = {}
+    offset = 0
+    for name in sorted(template):
+        size = template[name].size
+        out[name] = flat[offset : offset + size].reshape(template[name].shape).copy()
+        offset += size
+    return out
+
+
+def sinusoidal_pe(pos: int, dim_index: int, d_model: int) -> float:
+    """Standard sinusoidal positional code for one (position, dimension)."""
+    if not 0 <= dim_index < d_model:
+        raise ValueError(f"dim_index must be in 0..{d_model - 1}, got {dim_index}")
+    k = dim_index // 2
+    angle = pos / (10000.0 ** (2.0 * k / d_model))
+    return math.sin(angle) if dim_index % 2 == 0 else math.cos(angle)
 
 
 def central_difference_gradients(loss_fn, flat_params: np.ndarray, step: float = 1e-5):
@@ -200,5 +266,5 @@ def fit_quantile_constants(
                       warmup_steps=warmup_steps, patience=steps, weight_decay=0.0)
     params = {"c": np.full(len(quantiles), float(np.mean(y)))}
     best, _ = fit_minibatch(loss_and_grads, lambda p: summed_pinball(y, p["c"]), params,
-                            np.zeros((len(y), 0)), y, cfg, np.random.default_rng(0))
+                            lambda idx: None, y, cfg, np.random.default_rng(0))
     return best["c"]

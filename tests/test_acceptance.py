@@ -26,7 +26,6 @@ from driftcal.models import (
     save_model,
     train_attention,
 )
-from driftcal.models.base import flatten_params, unflatten_params
 from driftcal.models.quantile import init_quantile_params, quantile_loss_and_grads
 from driftcal.pipeline import (
     evaluate_forecaster,
@@ -42,10 +41,12 @@ from conftest import fd001_train_path
 from oracles import (
     central_difference_gradients,
     fit_quantile_constants,
+    flatten_params,
     max_relative_error,
     oracle_segment_replay,
     oracle_spearman,
     oracle_ttd_labels,
+    unflatten_params,
 )
 
 

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from driftcal.labeling import LabeledWindow
 from driftcal.models import (
     NonFiniteError,
     TrainConfig,
@@ -17,9 +16,16 @@ from driftcal.models import (
     train_attention,
 )
 from driftcal.models.attention import INFERENCE_CHUNK, attention_raw_batch, mha_forward
-from driftcal.models.base import ForecastModel, flatten_params, unflatten_params
+from driftcal.models.base import ForecastModel
 
-from oracles import attention_forward, central_difference_gradients, max_relative_error
+from oracles import (
+    attention_forward,
+    central_difference_gradients,
+    flatten_params,
+    max_relative_error,
+    unflatten_params,
+    windows_of,
+)
 
 TINY = dict(d_model=8, heads=2, layers=1)
 
@@ -91,15 +97,14 @@ def test_non_finite_input_names_layer():
 def _affine_readout_windows(n=50, w=6, d=3, seed=0):
     """Labels are an exact affine readout of the last cycle of channel 1."""
     rng = np.random.default_rng(seed)
-    windows = []
-    for i in range(n):
+    features, labels = [], []
+    for _ in range(n):
         feats = rng.normal(size=(w, d))
         label = int(rng.integers(0, 41))
         feats[-1, 1] = (label - 20.0) / 10.0
-        windows.append(
-            LabeledWindow(features=feats, label=label, engine_id=1, segment_id=0, end_cycle=w + i)
-        )
-    return windows
+        features.append(feats)
+        labels.append(label)
+    return windows_of(np.stack(features), labels)
 
 
 def _tiny_cfg(**kw):
@@ -119,9 +124,11 @@ def test_overfit_affine_readout_task():
 
 def test_patience_stops_after_k_plus_patience():
     windows = _affine_readout_windows(n=24)
-    # lr 0 after warmup=0: loss can never improve, so epoch 1 is the best
-    cfg = _tiny_cfg(max_epochs=30, patience=6, base_lr=0.0, warmup_steps=0)
+    # updates of ~1e-300 change no parameter the loss reads, so the metric
+    # never improves and epoch 1 is the best
+    cfg = _tiny_cfg(max_epochs=30, patience=6, base_lr=1e-300, warmup_steps=0)
     model, logs = train_attention(windows, windows, cfg)
+    assert len({log.val_metric for log in logs}) == 1
     assert len(logs) == 1 + 6
 
 

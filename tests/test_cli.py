@@ -1,6 +1,7 @@
 """End-to-end CLI runs on a small synthetic split."""
 
 import json
+import shutil
 from dataclasses import fields
 
 import pytest
@@ -312,3 +313,42 @@ def test_invalid_train_settings_print_one_error_line(workspace, tmp_path, capsys
     assert main(["train", "--model", "quantile", "--config", str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {field} must be >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("base_lr", "-1"), ("base_lr", "0"), ("base_lr", "nan"), ("base_lr", "inf"),
+     ("weight_decay", "-0.01"), ("weight_decay", "nan"), ("weight_decay", "inf"),
+     ("smooth_l1_beta", "0"), ("smooth_l1_beta", "-1")],
+)
+def test_invalid_optimizer_settings_print_one_error_line(workspace, tmp_path, capsys, field,
+                                                         value):
+    _, out, _ = workspace
+    kept = [line for line in CONFIG.splitlines() if not line.startswith(f"{field} =")]
+    bad = tmp_path / "bad.ini"
+    bad.write_text("\n".join(kept) + f"\n{field} = {value}\n", encoding="utf-8")  # in [train]
+    capsys.readouterr()
+    assert main(["train", "--model", "quantile", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_simulate_reads_the_split_without_windowing(workspace, tmp_path, monkeypatch):
+    root, out, _ = workspace
+
+    def simulate_into(name):
+        copy = tmp_path / name
+        shutil.copytree(out, copy)
+        (copy / "policy_table.csv").unlink()
+        assert main(["simulate", "--model", "linear", "--config", str(root / "run.ini"),
+                     "--out", str(copy)]) == 0
+        return (copy / "policy_table.csv").read_bytes()
+
+    def no_windowing(*_args, **_kwargs):
+        raise AssertionError("simulate windowed the dataset")
+
+    expected = simulate_into("plain")
+    monkeypatch.setattr("driftcal.cli.label_and_window", no_windowing)
+    monkeypatch.setattr("driftcal.pipeline.label_and_window", no_windowing)
+    assert simulate_into("patched") == expected

@@ -26,18 +26,20 @@ def test_predict_clips_raw_output(raw, expected):
 
 def test_perfect_pseudo_model_scores_mae_zero():
     # evaluation of an exact predictor: MAE 0, R^2 = 1
-    from driftcal.labeling import LabeledWindow
     from driftcal.pipeline import evaluate_forecaster
     from driftcal.models import fit_linear
 
+    from oracles import windows_of
+
     rng = np.random.default_rng(0)
-    windows = []
-    for i in range(30):
+    features, labels = [], []
+    for _ in range(30):
         label = int(rng.integers(0, 50))
         feats = rng.normal(size=(2, 3))
         feats[0, 0] = float(label)
-        windows.append(LabeledWindow(features=feats, label=label, engine_id=1,
-                                     segment_id=0, end_cycle=i + 2))
+        features.append(feats)
+        labels.append(label)
+    windows = windows_of(np.stack(features), labels)
     oracle_model = fit_linear(windows, ridge=1e-12)
     report, y, yhat = evaluate_forecaster(oracle_model, windows)
     assert report.mae == pytest.approx(0.0, abs=1e-7)

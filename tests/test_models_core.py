@@ -15,12 +15,11 @@ from driftcal.models.nn import (
     layer_norm,
     pinball_loss,
     positional_encoding,
-    sinusoidal_pe,
     smooth_l1,
     softmax,
 )
 
-from oracles import GELU_C0, GELU_C1, gelu, gelu_grad_reference
+from oracles import GELU_C0, GELU_C1, gelu, gelu_grad_reference, sinusoidal_pe
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from driftcal.labeling import LabeledWindow
 from driftcal.models import ShapeMismatchError, SingularSystemError, fit_linear, predict_ttd
 from driftcal.models.linear import linear_raw_batch
 
+from oracles import windows_of
+
 
 def _windows_from(X3, y):
-    return [
-        LabeledWindow(features=X3[i], label=int(round(y[i])), engine_id=1, segment_id=0,
-                      end_cycle=i + 10)
-        for i in range(len(y))
-    ]
+    return windows_of(X3, np.round(y))
 
 
 def _random_problem(n=50, w=4, d=3, seed=0):

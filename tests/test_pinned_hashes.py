@@ -7,10 +7,12 @@ attention forecast hash before attention inference ran in chunks, the
 linear design matrix was filled in place and GELU worked in blocks; the
 early-stopping quantile model, the epoch-log hashes and the default run
 config digest before the quantile and attention forecasters shared one
-training loop and the run config built its parts from their fields. A
-refactor must leave every one of them unchanged. The model pins cover
-float64 arithmetic, so they hold only for one BLAS build (numpy's bundled
-OpenBLAS).
+training loop and the run config built its parts from their fields; all of
+them before windows became views into one channel matrix. A refactor must
+leave every one of them unchanged. The model pins cover float64
+arithmetic, so they hold only for one BLAS build (numpy's bundled OpenBLAS)
+at one BLAS thread count: at numpy's default thread count every pin holds,
+while with OPENBLAS_NUM_THREADS=1 the linear and attention model pins fail.
 """
 
 import hashlib

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from driftcal.labeling import LabeledWindow
 from driftcal.models import (
     TrainConfig,
     fit_quantile,
@@ -9,13 +8,19 @@ from driftcal.models import (
     predict_quantiles_batch,
     predict_ttd,
 )
-from driftcal.models.base import flatten_params, unflatten_params
 from driftcal.models.quantile import (
     init_quantile_params,
     quantile_loss_and_grads,
 )
 
-from oracles import central_difference_gradients, fit_quantile_constants, max_relative_error
+from oracles import (
+    central_difference_gradients,
+    fit_quantile_constants,
+    flatten_params,
+    max_relative_error,
+    unflatten_params,
+    windows_of,
+)
 
 
 def test_constants_converge_to_empirical_quantiles():
@@ -51,13 +56,7 @@ def test_quantile_gradients_match_finite_differences():
 
 
 def _scalar_windows(xs, labels):
-    return [
-        LabeledWindow(
-            features=np.array([[x]], dtype=float), label=int(label), engine_id=1,
-            segment_id=0, end_cycle=i + 1,
-        )
-        for i, (x, label) in enumerate(zip(xs, labels))
-    ]
+    return windows_of(np.asarray(xs, dtype=float).reshape(-1, 1, 1), labels)
 
 
 def _train_cfg(**kw):
@@ -115,8 +114,10 @@ def test_early_stopping_on_validation_pinball():
     xs = rng.uniform(-1, 1, size=80)
     labels = np.round(10 + 4 * xs)
     windows = _scalar_windows(xs, labels)
-    cfg = _train_cfg(max_epochs=30, patience=4, base_lr=0.0, warmup_steps=0)
+    # updates of ~1e-300 change no parameter the loss reads: no epoch improves
+    cfg = _train_cfg(max_epochs=30, patience=4, base_lr=1e-300, warmup_steps=0)
     _, logs = fit_quantile(windows, windows, cfg)
+    assert len({log.val_metric for log in logs}) == 1
     assert len(logs) == 1 + 4
 
 
@@ -125,11 +126,7 @@ def test_validation_windows_of_another_shape_are_rejected(val_shape):
     rng = np.random.default_rng(11)
 
     def windows(shape):
-        return [
-            LabeledWindow(features=rng.normal(size=shape), label=i, engine_id=1,
-                          segment_id=0, end_cycle=i + 1)
-            for i in range(6)
-        ]
+        return windows_of(rng.normal(size=(6, *shape)), range(6))
 
     with pytest.raises(ValueError, match="validation window shape"):
         fit_quantile(windows((4, 3)), windows(val_shape), _train_cfg(max_epochs=1))
