@@ -405,17 +405,7 @@ def _metadata_dict(dataset: AdaptedDataset) -> dict:
                 "engine_id": run.engine_id,
                 "length": run.length,
                 "drift_sensors": list(run.drift_sensors),
-                "thresholds": [
-                    {
-                        "sensor_id": spec.sensor_id,
-                        "baseline": spec.baseline,
-                        "tail": spec.tail,
-                        "fraction": spec.fraction,
-                        "threshold": spec.threshold,
-                        "direction": spec.direction,
-                    }
-                    for spec in run.thresholds
-                ],
+                "thresholds": [asdict(spec) for spec in run.thresholds],
                 "segments": [
                     [seg.start, seg.end, seg.crossing] for seg in run.segments
                 ],
@@ -505,17 +495,7 @@ def read_adapted_dataset(out_dir: str | Path) -> AdaptedDataset:
         run = AdaptedRun(
             engine_id=engine_id,
             drift_sensors=tuple(entry["drift_sensors"]),
-            thresholds=tuple(
-                ThresholdSpec(
-                    sensor_id=t["sensor_id"],
-                    baseline=t["baseline"],
-                    tail=t["tail"],
-                    fraction=t["fraction"],
-                    threshold=t["threshold"],
-                    direction=t["direction"],
-                )
-                for t in entry["thresholds"]
-            ),
+            thresholds=tuple(ThresholdSpec(**t) for t in entry["thresholds"]),
             segments=tuple(
                 Segment(start=s[0], end=s[1], crossing=s[2]) for s in entry["segments"]
             ),

@@ -42,6 +42,7 @@ from .pipeline import (
     validation_subset,
 )
 from .scheduler import (
+    POLICY_KINDS,
     CapacitySpec,
     CostSpec,
     PolicySpec,
@@ -169,6 +170,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"split must be one of {SPLIT_TAGS}, got {cfg.split!r}")
     if cfg.model not in MODEL_KINDS:
         raise ValueError(f"model must be one of {MODEL_KINDS}, got {cfg.model!r}")
+    for name in ("capacity_k", "period", "margin"):  # checked before any data is read
+        if getattr(cfg, name) < 0:
+            raise ValueError(f"{name} must be >= 0, got {getattr(cfg, name)}")
     return cfg
 
 
@@ -431,7 +435,7 @@ def cmd_report(cfg: RunConfig) -> int:
     if note_file("policy_table.csv"):
         header, rows = read_csv(out / "policy_table.csv")
         sections["simulate"] = [dict(zip(header, row)) for row in rows]
-        for kind in ("reactive", "fixed", "predictive", "quantile"):
+        for kind in POLICY_KINDS:
             note_file(f"events_{kind}.csv")
     else:
         warnings.append("no policy table found (run simulate)")

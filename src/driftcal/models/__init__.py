@@ -1,22 +1,19 @@
-"""TTD forecasters: linear baseline, quantile regressor, attention model."""
+"""TTD forecasters: linear baseline, quantile regressor, attention model.
 
-from .attention import (
-    attention_forward_batch,
-    attention_loss_and_grads,
-    init_attention_params,
-    train_attention,
-)
+The package re-exports the names the CLI, the pipeline and the README's
+library example use; everything else is imported from its module.
+"""
+
+from .attention import train_attention
 from .base import (
     EpochLog,
     ForecastModel,
-    ShapeMismatchError,
     TrainConfig,
     TrainingDivergedError,
     load_model,
     save_model,
 )
-from .linear import SingularSystemError, fit_linear
-from .nn import NonFiniteError, pinball_loss, smooth_l1
-from .optim import AdamWState, LrSchedule, adamw_step, init_adamw_state, lr_at
-from .predict import predict_quantiles, predict_quantiles_batch, predict_ttd, predict_ttd_batch
-from .quantile import DEFAULT_QUANTILES, QuantileForecast, fit_quantile
+from .linear import fit_linear
+from .nn import NonFiniteError
+from .predict import predict_quantiles_batch, predict_ttd_batch
+from .quantile import fit_quantile

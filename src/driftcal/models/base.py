@@ -81,13 +81,6 @@ class ForecastModel:
     standardizer: Standardizer | None = None
     meta: dict = field(default_factory=dict)
 
-    def check_window(self, window: np.ndarray) -> None:
-        if window.shape != (self.window, self.n_channels):
-            raise ShapeMismatchError(
-                f"expected window of shape ({self.window}, {self.n_channels}), "
-                f"got {window.shape}"
-            )
-
     def standardize(self, windows: np.ndarray) -> np.ndarray:
         """Apply the stored training statistics (identity when absent)."""
         if self.standardizer is None:

@@ -11,7 +11,7 @@ import numpy as np
 from .attention import attention_raw_batch
 from .base import ForecastModel, ShapeMismatchError
 from .linear import linear_raw_batch
-from .quantile import QuantileForecast, quantile_raw_batch
+from .quantile import quantile_raw_batch
 
 
 def _raw_point_batch(model: ForecastModel, X_std: np.ndarray) -> np.ndarray:
@@ -27,36 +27,23 @@ def _raw_point_batch(model: ForecastModel, X_std: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
-def predict_ttd_batch(model: ForecastModel, windows: np.ndarray) -> np.ndarray:
-    """Clipped point forecasts for raw windows of shape (B, w, d)."""
+def _standardized(model: ForecastModel, windows: np.ndarray) -> np.ndarray:
     if windows.ndim != 3 or windows.shape[1:] != (model.window, model.n_channels):
         raise ShapeMismatchError(
             f"expected (B, {model.window}, {model.n_channels}) windows, got {windows.shape}"
         )
-    raw = _raw_point_batch(model, model.standardize(windows))
+    return model.standardize(windows)
+
+
+def predict_ttd_batch(model: ForecastModel, windows: np.ndarray) -> np.ndarray:
+    """Clipped point forecasts for raw windows of shape (B, w, d)."""
+    raw = _raw_point_batch(model, _standardized(model, windows))
     return np.maximum(raw, 0.0)
-
-
-def predict_ttd(model: ForecastModel, window: np.ndarray) -> float:
-    """Non-negative TTD forecast for a single raw window (w, d)."""
-    window = np.asarray(window, dtype=np.float64)
-    model.check_window(window)
-    return float(predict_ttd_batch(model, window[None])[0])
 
 
 def predict_quantiles_batch(model: ForecastModel, windows: np.ndarray) -> np.ndarray:
     """Rectified, zero-clipped quantile forecasts (B, n_levels), ascending."""
     if model.kind != "quantile":
         raise ValueError(f"model kind {model.kind!r} has no quantile heads")
-    rectified = quantile_raw_batch(model, model.standardize(windows))
+    rectified = quantile_raw_batch(model, _standardized(model, windows))
     return np.maximum(rectified, 0.0)
-
-
-def predict_quantiles(model: ForecastModel, window: np.ndarray) -> QuantileForecast:
-    window = np.asarray(window, dtype=np.float64)
-    model.check_window(window)
-    levels = sorted(model.meta["quantiles"])
-    if levels != [0.1, 0.5, 0.9]:
-        raise ValueError(f"QuantileForecast expects levels (0.1, 0.5, 0.9), model has {levels}")
-    q = predict_quantiles_batch(model, window[None])[0]
-    return QuantileForecast(q10=float(q[0]), q50=float(q[1]), q90=float(q[2]))

@@ -7,8 +7,6 @@ Quantile crossing is rectified by sorting the head outputs per input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..labeling import Standardizer, Windows
@@ -17,15 +15,6 @@ from .nn import check_finite, pinball_grad, pinball_loss, tanh_grad, xavier_unif
 from .optim import fit_minibatch
 
 DEFAULT_QUANTILES = (0.1, 0.5, 0.9)
-
-
-@dataclass(frozen=True)
-class QuantileForecast:
-    """Rectified TTD quantiles in cycles: q10 <= q50 <= q90."""
-
-    q10: float
-    q50: float
-    q90: float
 
 
 def init_quantile_params(

@@ -1,20 +1,34 @@
 """Replay adapted runs under calibration policies and count outcomes.
 
-Segment-replay semantics: within each drift segment, the first cycle whose
-trigger fires schedules a preventive calibration and consumes the segment
-(the adapted data's next segment is the post-reset trajectory). If the
-ground-truth crossing is reached first, it scores one violation plus one
-corrective calibration. Both action kinds count toward n_cal.
+Every drift segment is an independent job. Its trigger cycles are the
+cycles before its ground-truth crossing (through its last cycle when it
+has none) at which the policy wants to calibrate: for the fixed policy
+every cycle from ``start + period - 1`` on, for the predictive and
+quantile policies every cycle from the scorer's ``start_cycle`` on whose
+score is <= the margin. The replay sweeps, in ascending order, the cycles
+at which some job triggers or crosses. At each one, every open job that
+crosses scores one violation plus one corrective calibration; then the
+open jobs that trigger there are granted, and each granted job closes with
+a preventive calibration (the adapted data's next segment is the
+post-reset trajectory). Both action kinds count toward n_cal.
+
+Capacity changes only which triggers are granted: without it, all of
+them; with capacity K, the most urgent K per planning window. A job not
+granted stays open and asks again at its next trigger cycle.
+
+The scorer must score every cycle from its ``start_cycle`` up to each
+segment's crossing, including cycles after the segment's trigger fires.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptation import AdaptedDataset, AdaptedRun
+from .adaptation import AdaptedDataset, Segment
 from .labeling import compute_ttd
 
 POLICY_KINDS = ("reactive", "fixed", "predictive", "quantile")
@@ -91,8 +105,9 @@ def total_cost(n_cal: int, n_vio: int, costs: CostSpec) -> float:
 
 
 def rank_by_urgency(candidates, k: int):
-    """Smallest scores first, ties broken by ascending instrument id;
-    returns the first min(k, n) candidates."""
+    """Candidates are (instrument id, score, ...) tuples. Smallest scores
+    first, ties broken by ascending instrument id; returns the first
+    min(k, n) candidates."""
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
     ordered = sorted(candidates, key=lambda c: (c[1], c[0]))
@@ -104,7 +119,10 @@ class CycleScorer:
     """Decision scores keyed by (engine_id, cycle).
 
     Scores exist from ``start_cycle`` onward (forecasters need a full
-    window); before that, policies simply cannot trigger.
+    window); before that, policies simply cannot trigger. ``simulate``
+    reads every cycle from ``start_cycle`` up to each segment's crossing
+    (through the segment's last cycle when it has none), also after the
+    segment's trigger fires; a missing score raises SimulationError.
     """
 
     scores: dict[tuple[int, int], float]
@@ -128,32 +146,23 @@ def oracle_scorer(dataset: AdaptedDataset) -> CycleScorer:
     for run in dataset.runs:
         ttd = compute_ttd(run).values
         for seg in run.segments:
-            for t in range(seg.start, seg.end + 1):
-                if seg.crossing is None or t > seg.crossing:
-                    scores[(run.engine_id, t)] = math.inf
-                else:
-                    scores[(run.engine_id, t)] = float(ttd[t - 1])
+            cycles = np.arange(seg.start, seg.end + 1)
+            last = 0 if seg.crossing is None else seg.crossing
+            values = np.where(cycles > last, math.inf, ttd[seg.start - 1 : seg.end])
+            scores.update(zip([(run.engine_id, t) for t in cycles.tolist()], values.tolist()))
     return CycleScorer(scores=scores, start_cycle=1)
 
 
-@dataclass
-class _RunState:
-    run: AdaptedRun
-    seg_idx: int = 0
-    cycle: int = 1
-    since_cal: int = 0
-    done: bool = False
-
-    def current_segment(self):
-        return self.run.segments[self.seg_idx]
-
-    def advance_segment(self):
-        self.seg_idx += 1
-        self.since_cal = 0
-        if self.seg_idx >= len(self.run.segments):
-            self.done = True
-        else:
-            self.cycle = self.run.segments[self.seg_idx].start
+def _trigger_cycles(engine_id: int, seg: Segment, scorer: CycleScorer | None, policy: PolicySpec):
+    """(cycle, score) at each of the segment's trigger cycles (module docstring)."""
+    last = seg.end if seg.crossing is None else seg.crossing - 1
+    if policy.kind == "fixed":  # ranks with score 0.0
+        return [(t, 0.0) for t in range(seg.start + policy.period - 1, last + 1)]
+    if policy.kind == "reactive":
+        return []
+    first = max(seg.start, scorer.start_cycle)
+    scored = [(t, scorer(engine_id, t)) for t in range(first, last + 1)]
+    return [(t, score) for t, score in scored if score <= policy.margin]
 
 
 def simulate(
@@ -163,92 +172,51 @@ def simulate(
     costs: CostSpec = CostSpec(),
     capacity: CapacitySpec | None = None,
 ) -> PolicyOutcome:
-    """Replay every run in the dataset under one policy.
-
-    Runs are stepped on a shared global cycle axis (all start at cycle 1),
-    which is what makes capacity-limited planning well defined; without a
-    CapacitySpec the runs are independent. Preventive calibrations are
-    capacity-limited, corrective ones (forced by a violation) are not.
-    """
+    """Replay every run in the dataset under one policy, as segment jobs
+    numbered in ``dataset.runs`` order; a run's segments do not overlap, so
+    at every cycle job order is run order. Only preventive calibrations are
+    capacity-limited."""
     if policy.kind in ("predictive", "quantile") and scorer is None:
         raise SimulationError(f"{policy.kind} policy requires a scorer")
-
-    states = [_RunState(run=run) for run in dataset.runs]
-    n_cal = 0
-    n_vio = 0
+    engines: list[int] = []  # engine id of each job
+    # cycle -> (jobs crossing there, (job, score) of each job triggering there)
+    agenda: defaultdict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
+    for run in dataset.runs:
+        for seg in run.segments:
+            job = len(engines)
+            engines.append(run.engine_id)
+            if seg.crossing is not None:
+                agenda[seg.crossing][0].append(job)
+            for t, score in _trigger_cycles(run.engine_id, seg, scorer, policy):
+                agenda[t][1].append((job, score))
+    closed: set[int] = set()
     events: list[SimEvent] = []
-    t = 1
-    window_id = -1
-    budget = 0
-    while any(not s.done for s in states):
-        if capacity is not None:
-            wid = (t - 1) // capacity.window_width
-            if wid != window_id:
-                window_id = wid
-                budget = capacity.k
+    window_id, budget = None, 0
+    for t in sorted(agenda):
+        crossing, triggering = agenda[t]
+        for job in crossing:
+            if job not in closed:
+                closed.add(job)
+                events += [SimEvent(engines[job], t, EVENT_VIOLATION),
+                           SimEvent(engines[job], t, EVENT_CORRECTIVE)]
+        due = [(job, score) for job, score in triggering if job not in closed]
+        if capacity is not None and due:
+            if (t - 1) // capacity.window_width != window_id:
+                window_id, budget = (t - 1) // capacity.window_width, capacity.k
+            k = min(budget, len(due))
+            ranked = [(engines[job], score, job) for job, score in due]
+            granted = {job for *_, job in rank_by_urgency(ranked, k)} if k else set()
+            budget -= k
+            due = [(job, score) for job, score in due if job in granted]
+        for job, score in due:
+            closed.add(job)
+            logged = None if policy.kind == "fixed" else score
+            events.append(SimEvent(engines[job], t, EVENT_PREVENTIVE, logged))
 
-        candidates: list[tuple[int, float, _RunState]] = []
-        for s in states:
-            if s.done or s.cycle != t:
-                continue
-            seg = s.current_segment()
-            if seg.crossing is not None and t == seg.crossing:
-                n_vio += 1
-                n_cal += 1
-                events.append(SimEvent(s.run.engine_id, t, EVENT_VIOLATION))
-                events.append(SimEvent(s.run.engine_id, t, EVENT_CORRECTIVE))
-                s.advance_segment()
-                continue
-            s.since_cal += 1
-            wants, score = False, None
-            if policy.kind == "fixed":
-                if s.since_cal >= policy.period:
-                    wants, score = True, 0.0
-            elif policy.kind in ("predictive", "quantile"):
-                if t >= scorer.start_cycle:
-                    value = scorer(s.run.engine_id, t)
-                    if value <= policy.margin:
-                        wants, score = True, value
-            if wants:
-                candidates.append((s.run.engine_id, score, s))
-            else:
-                s.cycle = t + 1
-                if s.cycle > seg.end:
-                    # only reachable in a crossing-free final segment
-                    s.advance_segment()
-
-        if candidates:
-            if capacity is None:
-                serviced = candidates
-            else:
-                picked = []
-                if budget > 0:
-                    picked = rank_by_urgency(
-                        [(eng, sc) for eng, sc, _ in candidates],
-                        min(budget, len(candidates)),
-                    )
-                chosen = {eng for eng, _ in picked}
-                budget -= len(picked)
-                serviced = [c for c in candidates if c[0] in chosen]
-                for eng, _, s in candidates:
-                    if eng not in chosen:  # deferred; stays eligible
-                        s.cycle = t + 1
-                        if s.cycle > s.current_segment().end:
-                            s.advance_segment()
-            for eng, score, s in serviced:
-                n_cal += 1
-                logged = None if policy.kind in ("reactive", "fixed") else score
-                events.append(SimEvent(eng, t, EVENT_PREVENTIVE, logged))
-                s.advance_segment()
-        t += 1
-
-    return PolicyOutcome(
-        policy=policy.kind,
-        n_cal=n_cal,
-        n_vio=n_vio,
-        cost=total_cost(n_cal, n_vio, costs),
-        events=events,
-    )
+    n_vio = sum(ev.event == EVENT_VIOLATION for ev in events)
+    n_cal = len(events) - n_vio
+    return PolicyOutcome(policy=policy.kind, n_cal=n_cal, n_vio=n_vio,
+                         cost=total_cost(n_cal, n_vio, costs), events=events)
 
 
 def median_segment_length(dataset: AdaptedDataset) -> int:

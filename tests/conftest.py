@@ -1,10 +1,7 @@
 import os
-import sys
 from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from driftcal.adaptation import AdaptationConfig, adapt_dataset
 from driftcal.synthetic import synthetic_trajectories

@@ -3,7 +3,7 @@
 These deliberately avoid the library's code paths: ranks are computed by
 sorting with explicit tie groups, Pearson via np.corrcoef, TTD labels by
 re-scanning adapted channels against thresholds, and policy outcomes by a
-straightforward per-segment replay.
+straightforward per-segment replay and by a global-clock replay.
 
 Helpers that only tests use live here too: a trajectory summary, an
 intercept-only pinball fit, which does run the library's training loop,
@@ -19,12 +19,27 @@ from typing import NamedTuple
 
 import numpy as np
 
+from driftcal.adaptation import AdaptedDataset, AdaptedRun
 from driftcal.cmapss_io import SensorTrajectory, sensor_column
 from driftcal.labeling import Windows
 from driftcal.models import TrainConfig
 from driftcal.models.attention import attention_forward_batch
 from driftcal.models.nn import pinball_grad, pinball_loss
 from driftcal.models.optim import fit_minibatch
+from driftcal.scheduler import (
+    EVENT_CORRECTIVE,
+    EVENT_PREVENTIVE,
+    EVENT_VIOLATION,
+    CapacitySpec,
+    CostSpec,
+    CycleScorer,
+    PolicyOutcome,
+    PolicySpec,
+    SimEvent,
+    SimulationError,
+    rank_by_urgency,
+    total_cost,
+)
 
 GELU_C0 = math.sqrt(2.0 / math.pi)
 GELU_C1 = 0.044715
@@ -139,6 +154,121 @@ def oracle_segment_replay(dataset, scorer, margin, start_cycle=1):
                     n_cal += 1
                     break
     return n_cal, n_vio
+
+
+@dataclass
+class _RunState:
+    run: AdaptedRun
+    seg_idx: int = 0
+    cycle: int = 1
+    since_cal: int = 0
+    done: bool = False
+
+    def current_segment(self):
+        return self.run.segments[self.seg_idx]
+
+    def advance_segment(self):
+        self.seg_idx += 1
+        self.since_cal = 0
+        if self.seg_idx >= len(self.run.segments):
+            self.done = True
+        else:
+            self.cycle = self.run.segments[self.seg_idx].start
+
+
+def oracle_simulate(
+    dataset: AdaptedDataset,
+    scorer: CycleScorer | None,
+    policy: PolicySpec,
+    costs: CostSpec = CostSpec(),
+    capacity: CapacitySpec | None = None,
+) -> PolicyOutcome:
+    """Replay every run in the dataset under one policy, on a global clock.
+
+    Runs are stepped on a shared cycle axis (all start at cycle 1), one
+    cycle at a time, each run carrying its segment, cycle and cycles since
+    calibration. This is the loop ``scheduler.simulate`` replaced with
+    segment jobs; it must give the same outcome, events included.
+    """
+    if policy.kind in ("predictive", "quantile") and scorer is None:
+        raise SimulationError(f"{policy.kind} policy requires a scorer")
+
+    states = [_RunState(run=run) for run in dataset.runs]
+    n_cal = 0
+    n_vio = 0
+    events: list[SimEvent] = []
+    t = 1
+    window_id = -1
+    budget = 0
+    while any(not s.done for s in states):
+        if capacity is not None:
+            wid = (t - 1) // capacity.window_width
+            if wid != window_id:
+                window_id = wid
+                budget = capacity.k
+
+        candidates: list[tuple[int, float, _RunState]] = []
+        for s in states:
+            if s.done or s.cycle != t:
+                continue
+            seg = s.current_segment()
+            if seg.crossing is not None and t == seg.crossing:
+                n_vio += 1
+                n_cal += 1
+                events.append(SimEvent(s.run.engine_id, t, EVENT_VIOLATION))
+                events.append(SimEvent(s.run.engine_id, t, EVENT_CORRECTIVE))
+                s.advance_segment()
+                continue
+            s.since_cal += 1
+            wants, score = False, None
+            if policy.kind == "fixed":
+                if s.since_cal >= policy.period:
+                    wants, score = True, 0.0
+            elif policy.kind in ("predictive", "quantile"):
+                if t >= scorer.start_cycle:
+                    value = scorer(s.run.engine_id, t)
+                    if value <= policy.margin:
+                        wants, score = True, value
+            if wants:
+                candidates.append((s.run.engine_id, score, s))
+            else:
+                s.cycle = t + 1
+                if s.cycle > seg.end:
+                    # only reachable in a crossing-free final segment
+                    s.advance_segment()
+
+        if candidates:
+            if capacity is None:
+                serviced = candidates
+            else:
+                picked = []
+                if budget > 0:
+                    picked = rank_by_urgency(
+                        [(eng, sc) for eng, sc, _ in candidates],
+                        min(budget, len(candidates)),
+                    )
+                chosen = {eng for eng, _ in picked}
+                budget -= len(picked)
+                serviced = [c for c in candidates if c[0] in chosen]
+                for eng, _, s in candidates:
+                    if eng not in chosen:  # deferred; stays eligible
+                        s.cycle = t + 1
+                        if s.cycle > s.current_segment().end:
+                            s.advance_segment()
+            for eng, score, s in serviced:
+                n_cal += 1
+                logged = None if policy.kind in ("reactive", "fixed") else score
+                events.append(SimEvent(eng, t, EVENT_PREVENTIVE, logged))
+                s.advance_segment()
+        t += 1
+
+    return PolicyOutcome(
+        policy=policy.kind,
+        n_cal=n_cal,
+        n_vio=n_vio,
+        cost=total_cost(n_cal, n_vio, costs),
+        events=events,
+    )
 
 
 def gelu(x):

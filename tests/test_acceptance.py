@@ -19,13 +19,8 @@ from driftcal.adaptation import (
 )
 from driftcal.cmapss_io import load_trajectories
 from driftcal.labeling import split_engines
-from driftcal.models import (
-    TrainConfig,
-    attention_loss_and_grads,
-    init_attention_params,
-    save_model,
-    train_attention,
-)
+from driftcal.models import TrainConfig, save_model, train_attention
+from driftcal.models.attention import attention_loss_and_grads, init_attention_params
 from driftcal.models.quantile import init_quantile_params, quantile_loss_and_grads
 from driftcal.pipeline import (
     evaluate_forecaster,

@@ -7,15 +7,19 @@ from driftcal.models import (
     NonFiniteError,
     TrainConfig,
     TrainingDivergedError,
-    attention_forward_batch,
-    attention_loss_and_grads,
-    init_attention_params,
     load_model,
-    predict_ttd,
+    predict_ttd_batch,
     save_model,
     train_attention,
 )
-from driftcal.models.attention import INFERENCE_CHUNK, attention_raw_batch, mha_forward
+from driftcal.models.attention import (
+    INFERENCE_CHUNK,
+    attention_forward_batch,
+    attention_loss_and_grads,
+    attention_raw_batch,
+    init_attention_params,
+    mha_forward,
+)
 from driftcal.models.base import ForecastModel
 
 from oracles import (
@@ -159,9 +163,9 @@ def test_model_roundtrip_and_prediction(tmp_path):
     model, _ = train_attention(windows, windows, _tiny_cfg(max_epochs=2))
     save_model(model, tmp_path / "m.bin")
     loaded = load_model(tmp_path / "m.bin")
-    window = windows[0].features
-    assert predict_ttd(loaded, window) == pytest.approx(predict_ttd(model, window))
-    assert predict_ttd(loaded, window) >= 0.0
+    window = windows[0].features[None]
+    assert predict_ttd_batch(loaded, window)[0] == pytest.approx(predict_ttd_batch(model, window)[0])
+    assert predict_ttd_batch(loaded, window)[0] >= 0.0
 
 
 def test_heads_must_divide_d_model():

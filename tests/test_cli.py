@@ -334,6 +334,19 @@ def test_invalid_optimizer_settings_print_one_error_line(workspace, tmp_path, ca
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    ("flag", "field", "value"),
+    [("--capacity-k", "capacity_k", -3), ("--period", "period", -4), ("--margin", "margin", -1)],
+)
+def test_negative_schedule_settings_print_one_error_line(workspace, capsys, flag, field, value):
+    root, out, _ = workspace
+    capsys.readouterr()
+    assert main(["simulate", "--model", "linear", flag, str(value),
+                 "--config", str(root / "run.ini"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {field} must be >= 0, got {value}\n"
+
+
 def test_simulate_reads_the_split_without_windowing(workspace, tmp_path, monkeypatch):
     root, out, _ = workspace
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftcal.labeling import Standardizer
-from driftcal.models import ForecastModel, load_model, predict_ttd, save_model
+from driftcal.models import ForecastModel, load_model, predict_ttd_batch, save_model
 
 
 def _constant_linear_model(intercept, w=2, d=3):
@@ -21,7 +21,7 @@ def _constant_linear_model(intercept, w=2, d=3):
 @pytest.mark.parametrize("raw,expected", [(-3.2, 0.0), (0.0, 0.0), (17.5, 17.5)])
 def test_predict_clips_raw_output(raw, expected):
     model = _constant_linear_model(raw)
-    assert predict_ttd(model, np.zeros((2, 3))) == expected
+    assert predict_ttd_batch(model, np.zeros((1, 2, 3)))[0] == expected
 
 
 def test_perfect_pseudo_model_scores_mae_zero():
@@ -65,5 +65,5 @@ def test_roundtrip_preserves_standardizer(tmp_path):
     assert np.array_equal(loaded.standardizer.std, model.standardizer.std)
     assert loaded.kind == "linear"
     assert loaded.window == 2 and loaded.n_channels == 3
-    window = np.array([[1.0, 2.0, 3.0], [1.5, 3.5, 5.5]])
-    assert predict_ttd(loaded, window) == predict_ttd(model, window)
+    window = np.array([[[1.0, 2.0, 3.0], [1.5, 3.5, 5.5]]])
+    assert predict_ttd_batch(loaded, window)[0] == predict_ttd_batch(model, window)[0]

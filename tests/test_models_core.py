@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftcal.models import LrSchedule, adamw_step, init_adamw_state, lr_at
+from driftcal.models.optim import LrSchedule, adamw_step, init_adamw_state, lr_at
 from driftcal.models.nn import (
     _GELU_BLOCK,
     gelu_forward,

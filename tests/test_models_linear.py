@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from driftcal.models import ShapeMismatchError, SingularSystemError, fit_linear, predict_ttd
-from driftcal.models.linear import linear_raw_batch
+from driftcal.models.base import ShapeMismatchError
+from driftcal.models.linear import SingularSystemError, fit_linear, linear_raw_batch
+from driftcal.models.predict import predict_ttd_batch
 
 from oracles import windows_of
 
@@ -86,6 +87,6 @@ def test_predict_clips_and_checks_shape():
     y = rng.normal(loc=-30, size=40)  # force negative raw outputs
     model = fit_linear(_windows_from(X3, y))
     window = X3[0]
-    assert predict_ttd(model, window) >= 0.0
+    assert predict_ttd_batch(model, window[None])[0] >= 0.0
     with pytest.raises(ShapeMismatchError):
-        predict_ttd(model, window[:2])
+        predict_ttd_batch(model, window[None, :2])

@@ -8,8 +8,9 @@ linear design matrix was filled in place and GELU worked in blocks; the
 early-stopping quantile model, the epoch-log hashes and the default run
 config digest before the quantile and attention forecasters shared one
 training loop and the run config built its parts from their fields; all of
-them before windows became views into one channel matrix. A refactor must
-leave every one of them unchanged. The model pins cover float64
+them before windows became views into one channel matrix; the policy event
+hashes before the replay stepped segment jobs instead of a global clock. A
+refactor must leave every one of them unchanged. The model pins cover float64
 arithmetic, so they hold only for one BLAS build (numpy's bundled OpenBLAS)
 at one BLAS thread count: at numpy's default thread count every pin holds,
 while with OPENBLAS_NUM_THREADS=1 the linear and attention model pins fail.
@@ -32,8 +33,22 @@ from driftcal.adaptation import (
 from driftcal.cli import RunConfig
 from driftcal.cmapss_io import serialize_trajectories
 from driftcal.models import EpochLog, TrainConfig, predict_ttd_batch, save_model
-from driftcal.pipeline import label_and_window, train_forecaster
+from driftcal.pipeline import (
+    forecast_scorer,
+    label_and_window,
+    train_forecaster,
+    training_subset,
+    validation_subset,
+)
+from driftcal.scheduler import (
+    POLICY_KINDS,
+    CapacitySpec,
+    PolicySpec,
+    median_segment_length,
+    simulate,
+)
 from driftcal.synthetic import synthetic_trajectories
+from driftcal.util import fmt_float
 
 SEED = 3
 
@@ -52,6 +67,19 @@ PINS = {
     "quantile_early_stop_logs": "ea072af901b189c966f7d7fae42a189f86ef47e38769a9c7b9efcd92fd6622ee",
     "attention_logs": "bb2e7ea87680e1d74aed35d1187815b600fcdb9b1d6d74c8a75e73df303b94d6",
 }
+
+# events of each policy on the validation runs, uncapped and with CAPACITY
+EVENT_PINS = {
+    "reactive": "a89e23e9e7cc1df69346a09a481735cb13535462720a8b03e3593397a970a8f3",
+    "fixed": "becc628f01d9e68fb75254a8a9c79524cd918476309e0acf6875e9c13b3c5c9b",
+    "predictive": "2bfc845675cda094ee2d4f353571af3ee4a76b00b2f5722808cd3b749050cf86",
+    "quantile": "98b2309bb4e320a82446f6affc9df1dfb5937af466df6eda3f0cdf9661e59c03",
+    "reactive:k1": "a89e23e9e7cc1df69346a09a481735cb13535462720a8b03e3593397a970a8f3",
+    "fixed:k1": "becc628f01d9e68fb75254a8a9c79524cd918476309e0acf6875e9c13b3c5c9b",
+    "predictive:k1": "090972f3f424d42ae2f0e01a97a488fe4a19ef85c199c498ee3e5ec2a4ab05c3",
+    "quantile:k1": "5ec59ca8d4a9d54e3d0ea12fe63c24c55a28fce71a1b097f6ca1520c0e5c67cb",
+}
+CAPACITY = CapacitySpec(k=1, window_width=5)
 
 
 def _sha(data: bytes) -> str:
@@ -83,6 +111,35 @@ def _logs_sha(logs) -> str:
     names = [f.name for f in fields(EpochLog)]
     table = np.array([[getattr(log, name) for name in names] for log in logs], dtype=np.float64)
     return _sha(table.tobytes())
+
+
+def _outcome_sha(outcome) -> str:
+    """The rows ``simulate`` writes to events_<policy>.csv, then the counts and cost."""
+    rows = [",".join([str(ev.engine_id), str(ev.cycle), ev.event,
+                      "" if ev.score is None else fmt_float(ev.score)])
+            for ev in outcome.events]
+    rows.append(f"{outcome.n_cal},{outcome.n_vio},{fmt_float(outcome.cost)}")
+    return _sha("\n".join(rows).encode("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def policy_hashes(dataset, bundle):
+    """Outcome hash per policy, uncapped and under CAPACITY (key suffix ":k1"),
+    with the linear point scorer and the 2-epoch quantile scorer at margin 5."""
+    val = validation_subset(dataset, bundle.split)
+    linear, _ = train_forecaster("linear", bundle, TrainConfig(seed=SEED))
+    quantile, _ = train_forecaster("quantile", bundle, TrainConfig(max_epochs=2, patience=2,
+                                                                   seed=SEED))
+    scorers = {"predictive": forecast_scorer(linear, val),
+               "quantile": forecast_scorer(quantile, val, use_quantile=True)}
+    period = median_segment_length(training_subset(dataset, bundle.split))
+    hashes = {}
+    for kind in POLICY_KINDS:
+        policy = PolicySpec(kind=kind, margin=5, period=period if kind == "fixed" else None)
+        for suffix, capacity in (("", None), (":k1", CAPACITY)):
+            hashes[kind + suffix] = _outcome_sha(
+                simulate(val, scorers.get(kind), policy, capacity=capacity))
+    return hashes
 
 
 def test_default_run_config_digest():
@@ -138,3 +195,15 @@ def test_attention_model_and_prediction_bytes_hash(bundle, tmp_path):
     assert len(X_val) > 128  # crosses inference chunk boundaries
     yhat = predict_ttd_batch(model, X_val)
     assert _sha(yhat.tobytes()) == PINS["attention_predictions"]
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_policy_event_hashes(policy_hashes, kind):
+    assert policy_hashes[kind] == EVENT_PINS[kind]
+    assert policy_hashes[f"{kind}:k1"] == EVENT_PINS[f"{kind}:k1"]
+
+
+def test_capacity_defers_forecast_triggers(policy_hashes):
+    # the capped pins cover deferred triggers, not a copy of the uncapped events
+    for kind in ("predictive", "quantile"):
+        assert policy_hashes[f"{kind}:k1"] != policy_hashes[kind]

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from driftcal.models import (
-    TrainConfig,
-    fit_quantile,
-    predict_quantiles,
-    predict_quantiles_batch,
-    predict_ttd,
-)
+from driftcal.models import TrainConfig, fit_quantile, predict_quantiles_batch, predict_ttd_batch
+from driftcal.models.base import ShapeMismatchError
 from driftcal.models.quantile import (
     init_quantile_params,
     quantile_loss_and_grads,
@@ -92,16 +87,19 @@ def test_rectified_quantiles_never_cross():
     assert np.all(q >= 0.0)
 
 
-def test_forecast_object_fields_ordered():
+def test_quantiles_ordered_with_median_as_point_forecast():
     rng = np.random.default_rng(9)
     xs = rng.uniform(-1, 1, size=60)
     labels = np.round(10 + 4 * xs + rng.normal(0, 2, size=60))
     windows = _scalar_windows(xs, labels)
     model, _ = fit_quantile(windows, windows, _train_cfg(max_epochs=5))
-    fc = predict_quantiles(model, windows[0].features)
-    assert fc.q10 <= fc.q50 <= fc.q90
+    window = windows[0].features[None]
+    q10, q50, q90 = predict_quantiles_batch(model, window)[0]
+    assert q10 <= q50 <= q90
     # the point forecast of a quantile model is its (clipped) median
-    assert predict_ttd(model, windows[0].features) == pytest.approx(max(fc.q50, 0.0))
+    assert predict_ttd_batch(model, window)[0] == pytest.approx(max(q50, 0.0))
+    with pytest.raises(ShapeMismatchError):
+        predict_quantiles_batch(model, np.zeros((1, 2, 1)))
 
 
 def test_quantile_level_validation():

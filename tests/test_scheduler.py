@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from driftcal.adaptation import AdaptedDataset, AdaptationConfig, AdaptedRun, Segment
 from driftcal.cmapss_io import N_CHANNELS
 from driftcal.scheduler import (
+    POLICY_KINDS,
     CapacitySpec,
     CostSpec,
     CycleScorer,
@@ -16,7 +21,7 @@ from driftcal.scheduler import (
     total_cost,
 )
 
-from oracles import oracle_segment_replay
+from oracles import oracle_segment_replay, oracle_simulate
 
 
 def _dataset(runs):
@@ -190,6 +195,16 @@ def test_scores_not_required_before_start_cycle(toy_dataset):
     assert outcome.n_vio == 1
 
 
+def test_missing_score_after_trigger_names_engine_and_cycle(toy_dataset):
+    # engine 2 triggers at cycle 1, yet the replay reads its scores up to
+    # the crossing at 45
+    scores = dict(oracle_scorer(toy_dataset).scores)
+    del scores[(2, 30)]
+    with pytest.raises(SimulationError, match=r"engine 2 at cycle 30"):
+        simulate(toy_dataset, CycleScorer(scores, start_cycle=1),
+                 PolicySpec(kind="predictive", margin=50))
+
+
 def test_predictive_requires_scorer(toy_dataset):
     with pytest.raises(SimulationError):
         simulate(toy_dataset, None, PolicySpec(kind="predictive", margin=5))
@@ -265,3 +280,47 @@ def test_median_segment_length(toy_dataset):
         seg.end - seg.start + 1 for run in toy_dataset.runs for seg in run.segments
     )
     assert median_segment_length(toy_dataset) == int(np.median(lengths))
+
+
+# ---------------------------------------------------------------------------
+# segment jobs against the global-clock replay
+# ---------------------------------------------------------------------------
+
+SCORES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.5, 5.0, 7.0, 9.0, math.inf])
+
+
+@st.composite
+def replay_cases(draw):
+    """Runs in shuffled engine order with crossing-free middle segments and
+    crossings on a segment's first cycle; a scorer with ties, inf scores
+    and a late start; any policy, with or without capacity."""
+    n_runs = draw(st.integers(1, 8))
+    start_cycle = draw(st.integers(1, 25))
+    runs, scores = [], {}
+    for engine_id in draw(st.permutations(range(1, n_runs + 1))):
+        segments, start = [], 1
+        for n in draw(st.lists(st.integers(1, 15), min_size=1, max_size=4)):
+            end = start + n - 1
+            segments.append(Segment(start, end, draw(st.none() | st.integers(start, end))))
+            start = end + 1
+        runs.append(_run(engine_id, segments, start - 1))
+        cycles = range(start_cycle, start)
+        values = draw(st.lists(SCORES, min_size=len(cycles), max_size=len(cycles)))
+        scores.update({(engine_id, t): v for t, v in zip(cycles, values)})
+    kind = draw(st.sampled_from(POLICY_KINDS))
+    policy = PolicySpec(kind=kind, margin=draw(st.integers(0, 7)),
+                        period=draw(st.integers(1, 39)) if kind == "fixed" else None)
+    capacity = draw(st.none() | st.builds(CapacitySpec, k=st.integers(1, 3),
+                                          window_width=st.integers(1, 14)))
+    return _dataset(runs), CycleScorer(scores, start_cycle=start_cycle), policy, capacity
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(replay_cases())
+def test_segment_jobs_equal_global_clock_replay(case):
+    dataset, scorer, policy, capacity = case
+    costs = CostSpec(c_cal=1.0, c_vio=5.0)
+    got = simulate(dataset, scorer, policy, costs, capacity)
+    want = oracle_simulate(dataset, scorer, policy, costs, capacity)
+    assert got.events == want.events
+    assert (got.n_cal, got.n_vio, got.cost) == (want.n_cal, want.n_vio, want.cost)
