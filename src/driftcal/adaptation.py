@@ -9,6 +9,7 @@ repeated drift segments that emulate recalibration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -17,7 +18,6 @@ import numpy as np
 from .cmapss_io import CHANNEL_NAMES, N_CHANNELS, N_SENSORS, SensorTrajectory, sensor_column
 from .util import canonical_json, derive_rng, float_row_format, sha256_bytes
 
-SPEARMAN_METHOD = "spearman-vs-cycle"
 NOISE_RESET = "noise-reset"
 STITCH_RESET = "stitch-reset"
 
@@ -74,7 +74,6 @@ class DriftSensorRanking:
     """All 21 sensors ordered by mean |rho| against the cycle index."""
 
     entries: tuple[tuple[int, float], ...]  # (sensor_id, score), score descending
-    method: str = SPEARMAN_METHOD
 
     def top(self, k: int) -> tuple[int, ...]:
         return tuple(sensor_id for sensor_id, _ in self.entries[:k])
@@ -119,11 +118,6 @@ class ThresholdSpec:
     fraction: float
     threshold: float
     direction: int  # +1 drifts upward, -1 downward
-
-    def crossed(self, value: float) -> bool:
-        if self.direction > 0:
-            return value >= self.threshold
-        return value <= self.threshold
 
 
 def make_threshold(
@@ -189,9 +183,6 @@ class AdaptedRun:
     @property
     def length(self) -> int:
         return self.channels.shape[0]
-
-    def sensor(self, sensor_id: int) -> np.ndarray:
-        return self.channels[:, sensor_column(sensor_id)]
 
     def segment_ids(self) -> np.ndarray:
         """0-based segment index for every cycle, shape (length,)."""
@@ -312,6 +303,20 @@ class AdaptationConfig:
     stitch_low: float = 0.95
     stitch_high: float = 1.05
     noise_reset_prob: float = 0.5
+
+    def __post_init__(self):
+        f_high, s_high = self.fraction_high, self.stitch_high
+        for name, ok, rule in (
+            ("max_resets", self.max_resets >= 0, ">= 0"),
+            ("fraction_high", 0 < f_high < 1, "in (0, 1)"),
+            ("fraction_low", 0 < self.fraction_low <= f_high, f"in (0, fraction_high = {f_high}]"),
+            ("stitch_high", 0 < s_high < math.inf, "finite and > 0"),
+            ("stitch_low", 0 < self.stitch_low <= s_high, f"in (0, stitch_high = {s_high}]"),
+            ("noise_sigma_frac", 0 <= self.noise_sigma_frac < math.inf, "finite and >= 0"),
+            ("noise_reset_prob", 0 <= self.noise_reset_prob <= 1, "in [0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass

@@ -20,12 +20,13 @@ import numpy as np
 from . import __version__
 from .adaptation import (
     AdaptationConfig,
+    AdaptedDataset,
     adapt_dataset,
     read_adapted_dataset,
     write_adapted_dataset,
 )
 from .cmapss_io import load_trajectories
-from .labeling import split_engines
+from .labeling import split_engines, window_runs
 from .models import (
     NonFiniteError,
     TrainConfig,
@@ -57,22 +58,15 @@ MODEL_KINDS = ("linear", "quantile", "attention")
 SPLIT_TAGS = ("FD001", "FD002", "FD003", "FD004", "synthetic")
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(TrainConfig, AdaptationConfig):
+    """Every setting of a run: the fields below plus those of the training
+    and adaptation configs it inherits (the [train] and [adapt] keys)."""
+
     # [run]
     data_dir: str = "data"
     split: str = "synthetic"
-    seed: int = 0
     out: str = "out"
-    # [adapt]
-    top_k: int = 3
-    max_resets: int = 3
-    fraction_low: float = 0.55
-    fraction_high: float = 0.80
-    noise_sigma_frac: float = 0.02
-    stitch_low: float = 0.95
-    stitch_high: float = 1.05
-    noise_reset_prob: float = 0.5
     # [window]
     window: int = 40
     stride: int = 1
@@ -80,18 +74,6 @@ class RunConfig:
     allow_cross_reset: bool = True
     # [train]
     model: str = "attention"
-    max_epochs: int = 40
-    batch_size: int = 64
-    base_lr: float = 3e-4
-    warmup_steps: int = 100
-    patience: int = 6
-    weight_decay: float = 0.01
-    smooth_l1_beta: float = 1.0
-    d_model: int = 64
-    heads: int = 4
-    layers: int = 2
-    pool: str = "mean"
-    hidden_width: int = 64
     ridge: float = 1e-6
     # [policy]
     policies: str = "reactive,fixed,predictive,quantile"
@@ -111,6 +93,19 @@ class RunConfig:
     # [output]
     svg: bool = False
 
+    def __post_init__(self):
+        """Both parents' checks, the costs' and the run's own, all before any data is read."""
+        TrainConfig.__post_init__(self)
+        AdaptationConfig.__post_init__(self)
+        CostSpec(c_cal=self.cost_cal, c_vio=self.cost_vio)
+        if self.split not in SPLIT_TAGS:
+            raise ValueError(f"split must be one of {SPLIT_TAGS}, got {self.split!r}")
+        if self.model not in MODEL_KINDS:
+            raise ValueError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
+        for name in ("capacity_k", "period", "margin"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -119,12 +114,6 @@ class RunConfig:
         (out, data_dir) are excluded so artifacts re-derive anywhere."""
         snapshot = {k: v for k, v in self.to_dict().items() if k not in ("out", "data_dir")}
         return sha256_bytes(canonical_json(snapshot).encode("utf-8"))
-
-    def adaptation_config(self) -> AdaptationConfig:
-        return AdaptationConfig(**{f.name: getattr(self, f.name) for f in fields(AdaptationConfig)})
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -155,25 +144,18 @@ def _coerce(value: str, target_type):
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    by_name = {f.name: f for f in fields(RunConfig)}
+    """The defaults, overridden by the INI file, overridden by the flags."""
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    values = {}
     if args.config:
         for key, raw in load_config_file(args.config).items():
-            if key not in by_name:
+            if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, _coerce(raw, type(getattr(cfg, key))))
-    for name in by_name:  # flags whose dest is a config field override the file
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if cfg.split not in SPLIT_TAGS:
-        raise ValueError(f"split must be one of {SPLIT_TAGS}, got {cfg.split!r}")
-    if cfg.model not in MODEL_KINDS:
-        raise ValueError(f"model must be one of {MODEL_KINDS}, got {cfg.model!r}")
-    for name in ("capacity_k", "period", "margin"):  # checked before any data is read
-        if getattr(cfg, name) < 0:
-            raise ValueError(f"{name} must be >= 0, got {getattr(cfg, name)}")
-    return cfg
+            values[key] = _coerce(raw, type(defaults[key]))
+    for name in defaults:  # flags whose dest is a config field override the file
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
+    return RunConfig(**values)
 
 
 def _preamble(cfg: RunConfig) -> list[str]:
@@ -193,15 +175,12 @@ def _load_raw_trajectories(cfg: RunConfig):
     return load_trajectories(path)
 
 
-def _load_bundle(cfg: RunConfig):
-    return label_and_window(
-        read_adapted_dataset(cfg.out),
-        w=cfg.window,
-        stride=cfg.stride,
-        train_fraction=cfg.train_fraction,
-        seed=cfg.seed,
-        allow_cross_reset=cfg.allow_cross_reset,
-    )
+def _split_runs(cfg: RunConfig) -> tuple[AdaptedDataset, AdaptedDataset]:
+    """The adapted dataset's training and validation runs under cfg's split."""
+    dataset = read_adapted_dataset(cfg.out)
+    split = split_engines([run.engine_id for run in dataset.runs],
+                          fraction=cfg.train_fraction, seed=cfg.seed)
+    return training_subset(dataset, split), validation_subset(dataset, split)
 
 
 def _model_path(cfg: RunConfig, kind: str) -> Path:
@@ -214,9 +193,10 @@ def _model_path(cfg: RunConfig, kind: str) -> Path:
 
 def cmd_adapt(cfg: RunConfig) -> int:
     trajs = _load_raw_trajectories(cfg)
-    dataset = adapt_dataset(
-        trajs, cfg.adaptation_config(), seed=cfg.seed, split_tag=cfg.split
-    )
+    # a plain AdaptationConfig: the dataset's metadata records exactly its fields
+    adaptation = AdaptationConfig(**{f.name: getattr(cfg, f.name)
+                                     for f in fields(AdaptationConfig)})
+    dataset = adapt_dataset(trajs, adaptation, seed=cfg.seed, split_tag=cfg.split)
     result = write_adapted_dataset(dataset, cfg.out)
     manifest = {
         "seed": cfg.seed,
@@ -236,9 +216,15 @@ def cmd_adapt(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    train_cfg = cfg.train_config()  # rejects bad settings before any data is read
-    bundle = _load_bundle(cfg)
-    model, logs = train_forecaster(cfg.model, bundle, train_cfg, ridge=cfg.ridge)
+    bundle = label_and_window(
+        read_adapted_dataset(cfg.out),
+        w=cfg.window,
+        stride=cfg.stride,
+        train_fraction=cfg.train_fraction,
+        seed=cfg.seed,
+        allow_cross_reset=cfg.allow_cross_reset,
+    )
+    model, logs = train_forecaster(cfg.model, bundle, cfg, ridge=cfg.ridge)
     path = _model_path(cfg, cfg.model)
     save_model(model, path, extra_header={"seed": cfg.seed, "config_digest": cfg.digest()})
     metric_name = {"linear": "none", "quantile": "pinball", "attention": "mae"}[cfg.model]
@@ -287,15 +273,16 @@ def _scatter_svg(y: np.ndarray, yhat: np.ndarray, path: Path, title: str) -> Non
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    bundle = _load_bundle(cfg)
+    _, val = _split_runs(cfg)
+    windows = window_runs(val.runs, w=cfg.window, stride=cfg.stride,
+                          allow_cross_reset=cfg.allow_cross_reset)
     rows = []
-    found = []
     for kind in MODEL_KINDS:
         path = _model_path(cfg, kind)
         if not path.exists():
             continue
         model = load_model(path)
-        report, y, yhat = evaluate_forecaster(model, bundle.val_raw)
+        report, y, yhat = evaluate_forecaster(model, windows)
         rows.append(
             [kind, fmt_float(report.mae), fmt_float(report.rmse),
              "nan" if report.r2 is None else fmt_float(report.r2), str(report.n)]
@@ -309,7 +296,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         if cfg.svg:
             _scatter_svg(y, yhat, Path(cfg.out) / f"scatter_{kind}.svg",
                          f"{kind} forecaster ({cfg.split})")
-        found.append(kind)
         print(f"{kind}: mae={report.mae:.3f} rmse={report.rmse:.3f} "
               f"r2={'nan' if report.r2 is None else f'{report.r2:.3f}'} n={report.n}")
     if not rows:
@@ -320,16 +306,12 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         rows,
         preamble=_preamble(cfg),
     )
-    print(f"evaluated {len(found)} model(s) on {len(bundle.val_raw)} validation windows")
+    print(f"evaluated {len(rows)} model(s) on {len(windows)} validation windows")
     return 0
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    dataset = read_adapted_dataset(cfg.out)
-    split = split_engines([run.engine_id for run in dataset.runs],
-                          fraction=cfg.train_fraction, seed=cfg.seed)
-    val = validation_subset(dataset, split)
-    train = training_subset(dataset, split)
+    train, val = _split_runs(cfg)
     kinds = [k.strip() for k in cfg.policies.split(",") if k.strip()]
     costs = CostSpec(c_cal=cfg.cost_cal, c_vio=cfg.cost_vio)
     capacity = None
@@ -337,27 +319,25 @@ def cmd_simulate(cfg: RunConfig) -> int:
         capacity = CapacitySpec(k=cfg.capacity_k, window_width=cfg.capacity_window)
     period = cfg.period if cfg.period > 0 else median_segment_length(train)
 
-    point_scorer = None
-    quantile_scorer = None
+    scorers = {}  # policy kind -> CycleScorer
     if "predictive" in kinds:
         if cfg.oracle_scorer:
-            point_scorer = oracle_scorer(val)
+            scorers["predictive"] = oracle_scorer(val)
         else:
-            point_scorer = forecast_scorer(load_model(_model_path(cfg, cfg.model)), val)
+            scorers["predictive"] = forecast_scorer(load_model(_model_path(cfg, cfg.model)), val)
     if "quantile" in kinds:
         qpath = _model_path(cfg, "quantile")
         if not qpath.exists():
             raise FileNotFoundError(
                 f"quantile policy requires a trained quantile model ({qpath} missing)"
             )
-        quantile_scorer = forecast_scorer(load_model(qpath), val, use_quantile=True)
+        scorers["quantile"] = forecast_scorer(load_model(qpath), val, use_quantile=True)
 
     rows = []
     for kind in kinds:
         policy = PolicySpec(kind=kind, margin=cfg.margin,
                             period=period if kind == "fixed" else None)
-        scorer = {"predictive": point_scorer, "quantile": quantile_scorer}.get(kind)
-        outcome = simulate(val, scorer, policy, costs, capacity)
+        outcome = simulate(val, scorers.get(kind), policy, costs, capacity)
         rows.append([kind, str(outcome.n_cal), str(outcome.n_vio), fmt_float(outcome.cost)])
         write_csv(
             Path(cfg.out) / f"events_{kind}.csv",

@@ -8,7 +8,7 @@ grouped per engine and each engine's cycles must run 1..L with no gaps.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,6 @@ class SensorTrajectory:
 
     engine_id: int
     channels: np.ndarray  # (length, 24) float64
-    channel_names: tuple[str, ...] = field(default=CHANNEL_NAMES, repr=False)
 
     def __post_init__(self):
         if self.channels.ndim != 2 or self.channels.shape[1] != N_CHANNELS:
@@ -53,9 +52,7 @@ class SensorTrajectory:
 
     def sensor(self, sensor_id: int) -> np.ndarray:
         """Series for sensor_1..sensor_21 by 1-based sensor id."""
-        if not 1 <= sensor_id <= N_SENSORS:
-            raise ValueError(f"sensor_id must be in 1..{N_SENSORS}, got {sensor_id}")
-        return self.channels[:, N_SETTINGS + sensor_id - 1]
+        return self.channels[:, sensor_column(sensor_id)]
 
 
 def sensor_column(sensor_id: int) -> int:

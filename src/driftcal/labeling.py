@@ -16,16 +16,9 @@ STD_FLOOR = 1e-8
 WINDOW_CHUNK = 1024  # windows gathered at a time when reading a whole set (7.9 MB of 40 x 24)
 
 
-@dataclass(frozen=True)
-class TtdSeries:
-    """Cycles until the next threshold crossing, one value per cycle."""
-
-    engine_id: int
-    values: np.ndarray  # (length,) int64, >= 0
-
-
-def compute_ttd(run: AdaptedRun) -> TtdSeries:
-    """Label every cycle of an adapted run.
+def compute_ttd(run: AdaptedRun) -> np.ndarray:
+    """Cycles until the next threshold crossing, for every cycle of an
+    adapted run: an int64 array of shape (length,), >= 0.
 
     Within a segment crossing at c: c - t before the crossing, 0 at and
     after it. A crossing-free final segment counts down to 0 at the run's
@@ -35,7 +28,7 @@ def compute_ttd(run: AdaptedRun) -> TtdSeries:
     for seg in run.segments:
         stop = seg.end if seg.crossing is None else seg.crossing
         values[seg.start - 1 : seg.end] = np.maximum(stop - np.arange(seg.start, seg.end + 1), 0)
-    return TtdSeries(engine_id=run.engine_id, values=values)
+    return values
 
 
 # One window of a Windows set, as indexing and iteration give it
@@ -109,7 +102,7 @@ def window_runs(runs, w: int = 40, stride: int = 1, allow_cross_reset: bool = Tr
         if bad.any():
             cycle = ends[bad.argmax()]
             raise ValueError(f"engine {run.engine_id}: non-finite features at cycle {cycle}")
-        columns.append((offset + ends - w, compute_ttd(run).values[ends - 1],
+        columns.append((offset + ends - w, compute_ttd(run)[ends - 1],
                         np.full(len(ends), run.engine_id), seg_ids[ends - 1], ends))
         offset += run.length
     per_window = (np.concatenate(column).astype(np.int64, copy=False) for column in zip(*columns))
@@ -120,8 +113,6 @@ def window_runs(runs, w: int = 40, stride: int = 1, allow_cross_reset: bool = Tr
 class SplitAssignment:
     train_engines: tuple[int, ...]
     val_engines: tuple[int, ...]
-    fraction: float
-    seed: int
 
 
 def split_engines(ids, fraction: float = 0.75, seed: int = 0) -> SplitAssignment:
@@ -142,8 +133,6 @@ def split_engines(ids, fraction: float = 0.75, seed: int = 0) -> SplitAssignment
     return SplitAssignment(
         train_engines=tuple(sorted(shuffled[:n_train])),
         val_engines=tuple(sorted(shuffled[n_train:])),
-        fraction=fraction,
-        seed=seed,
     )
 
 

@@ -22,7 +22,7 @@ class TrainingDivergedError(RuntimeError):
     """Loss became non-finite; the message carries epoch/step."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 40
     batch_size: int = 64

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .adaptation import AdaptedDataset, subset_runs
 from .labeling import (
@@ -45,8 +44,6 @@ class WindowBundle:
     val_std: Windows
     standardizer: Standardizer
     split: SplitAssignment
-    w: int
-    stride: int
 
 
 def label_and_window(
@@ -77,8 +74,6 @@ def label_and_window(
         val_std=replace(val_raw, channels=channels_std),
         standardizer=standardizer,
         split=split,
-        w=w,
-        stride=stride,
     )
 
 
@@ -117,23 +112,21 @@ def forecast_scorer(
 
     Scores exist at cycles >= w (a full window is needed). The point score
     is the clipped forecast; with use_quantile=True it is the rectified,
-    clipped lowest-level quantile.
+    clipped lowest-level quantile (q10 at the default levels). A window
+    with a non-finite cell raises ValueError, as ``window_runs`` does.
     """
-    w = model.window
     scores: dict[tuple[int, int], float] = {}
-    for run in dataset.runs:
-        if run.length < w:
+    for run in dataset.runs:  # one forecast batch per run
+        windows = window_runs([run], w=model.window)
+        if not windows:  # the run is shorter than w
             continue
-        ends = np.arange(w, run.length + 1)
-        # window i is channels[i : i + w], a view; it ends at cycle w + i
-        X = sliding_window_view(run.channels, (w, run.channels.shape[1]))[:, 0]
         if use_quantile:
-            values = predict_quantiles_batch(model, X)[:, 0]
+            values = predict_quantiles_batch(model, windows.take(slice(None)))[:, 0]
         else:
-            values = predict_ttd_batch(model, X)
-        for e, v in zip(ends, values):
-            scores[(run.engine_id, int(e))] = float(v)
-    return CycleScorer(scores=scores, start_cycle=w)
+            values = predict_ttd_batch(model, windows.take(slice(None)))
+        keys = zip(windows.engine_id.tolist(), windows.end_cycle.tolist())
+        scores.update(zip(keys, values.tolist()))
+    return CycleScorer(scores=scores, start_cycle=model.window)
 
 
 def validation_subset(dataset: AdaptedDataset, split: SplitAssignment) -> AdaptedDataset:

@@ -47,7 +47,6 @@ class PolicySpec:
     kind: str
     margin: int = 5  # predictive/quantile lead time m
     period: int | None = None  # fixed-policy interval P
-    quantile_level: float = 0.1
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -65,8 +64,9 @@ class CostSpec:
     c_vio: float = 5.0
 
     def __post_init__(self):
-        if self.c_cal < 0 or self.c_vio < 0:
-            raise ValueError("costs must be >= 0")
+        for name in ("c_cal", "c_vio"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def oracle_scorer(dataset: AdaptedDataset) -> CycleScorer:
     """
     scores: dict[tuple[int, int], float] = {}
     for run in dataset.runs:
-        ttd = compute_ttd(run).values
+        ttd = compute_ttd(run)
         for seg in run.segments:
             cycles = np.arange(seg.start, seg.end + 1)
             last = 0 if seg.crossing is None else seg.crossing

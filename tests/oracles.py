@@ -3,7 +3,8 @@
 These deliberately avoid the library's code paths: ranks are computed by
 sorting with explicit tie groups, Pearson via np.corrcoef, TTD labels by
 re-scanning adapted channels against thresholds, and policy outcomes by a
-straightforward per-segment replay and by a global-clock replay.
+straightforward per-segment replay and by a global-clock replay, and
+forecast scores by cutting each run's windows with sliding_window_view.
 
 Helpers that only tests use live here too: a trajectory summary, an
 intercept-only pinball fit, which does run the library's training loop,
@@ -18,11 +19,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from driftcal.adaptation import AdaptedDataset, AdaptedRun
 from driftcal.cmapss_io import SensorTrajectory, sensor_column
 from driftcal.labeling import Windows
-from driftcal.models import TrainConfig
+from driftcal.models import TrainConfig, predict_quantiles_batch, predict_ttd_batch
 from driftcal.models.attention import attention_forward_batch
 from driftcal.models.nn import pinball_grad, pinball_loss
 from driftcal.models.optim import fit_minibatch
@@ -68,6 +70,13 @@ def oracle_spearman(a, b) -> float:
     return float(np.corrcoef(ra, rb)[0, 1])
 
 
+def threshold_crossed(spec, value: float) -> bool:
+    """Whether a channel value lies at or beyond a ThresholdSpec, in its direction."""
+    if spec.direction > 0:
+        return value >= spec.threshold
+    return value <= spec.threshold
+
+
 def oracle_ttd_labels(run) -> np.ndarray:
     """Re-derive TTD per cycle by scanning channels against thresholds.
 
@@ -82,10 +91,7 @@ def oracle_ttd_labels(run) -> np.ndarray:
         for t in range(seg.start, seg.end + 1):
             row = run.channels[t - 1]
             for spec in run.thresholds:
-                v = row[sensor_column(spec.sensor_id)]
-                if (spec.direction > 0 and v >= spec.threshold) or (
-                    spec.direction < 0 and v <= spec.threshold
-                ):
+                if threshold_crossed(spec, row[sensor_column(spec.sensor_id)]):
                     crossing = t
                     break
             if crossing is not None:
@@ -134,6 +140,27 @@ def windows_of(features, labels) -> Windows:
     return Windows(channels=features.reshape(n * w, d), w=w, start=ids * w,
                    label=np.asarray(labels).astype(np.int64), engine_id=np.ones(n, np.int64),
                    segment_id=np.zeros(n, np.int64), end_cycle=ids * w + w)
+
+
+def oracle_forecast_scorer(model, dataset, use_quantile=False) -> CycleScorer:
+    """Per-cycle forecast scores from each run's windows, cut as views with
+    sliding_window_view and forecast in one batch per run; a run shorter
+    than w gets no scores."""
+    w = model.window
+    scores: dict[tuple[int, int], float] = {}
+    for run in dataset.runs:
+        if run.length < w:
+            continue
+        ends = np.arange(w, run.length + 1)
+        # window i is channels[i : i + w], a view; it ends at cycle w + i
+        X = sliding_window_view(run.channels, (w, run.channels.shape[1]))[:, 0]
+        if use_quantile:
+            values = predict_quantiles_batch(model, X)[:, 0]
+        else:
+            values = predict_ttd_batch(model, X)
+        for e, v in zip(ends, values):
+            scores[(run.engine_id, int(e))] = float(v)
+    return CycleScorer(scores=scores, start_cycle=w)
 
 
 def oracle_segment_replay(dataset, scorer, margin, start_cycle=1):

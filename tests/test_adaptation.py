@@ -29,7 +29,7 @@ from driftcal.adaptation import (
 )
 from driftcal.cmapss_io import N_CHANNELS, SensorTrajectory, sensor_column
 
-from oracles import oracle_average_ranks, oracle_spearman
+from oracles import oracle_average_ranks, oracle_spearman, threshold_crossed
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def test_crossing_soundness_and_pre_crossing_safety(default_dataset):
             for t in range(seg.start, seg.end + 1):
                 row = run.channels[t - 1]
                 if any(
-                    spec.crossed(row[sensor_column(sid)]) for sid, spec in by_id.items()
+                    threshold_crossed(spec, row[sensor_column(sid)]) for sid, spec in by_id.items()
                 ):
                     hits.append(t)
             if seg.crossing is None:

@@ -6,10 +6,12 @@ from dataclasses import fields
 
 import pytest
 
-from driftcal.adaptation import AdaptationConfig
+from driftcal.adaptation import AdaptationConfig, read_adapted_dataset
 from driftcal.cli import RunConfig, build_config, build_parser, main
-from driftcal.models import NonFiniteError, TrainConfig, TrainingDivergedError
-from driftcal.util import read_csv, sha256_file
+from driftcal.labeling import split_engines
+from driftcal.models import NonFiniteError, TrainConfig, TrainingDivergedError, load_model
+from driftcal.pipeline import evaluate_forecaster, label_and_window
+from driftcal.util import fmt_float, read_csv, sha256_file
 
 CONFIG = """\
 [run]
@@ -365,3 +367,82 @@ def test_simulate_reads_the_split_without_windowing(workspace, tmp_path, monkeyp
     monkeypatch.setattr("driftcal.cli.label_and_window", no_windowing)
     monkeypatch.setattr("driftcal.pipeline.label_and_window", no_windowing)
     assert simulate_into("patched") == expected
+
+
+# (test id, command and flags, config lines, the error line); each fails
+# before any data is read
+BAD_SETTINGS = [
+    ("cost_cal", ["simulate"], "cost_cal = -1", "c_cal must be finite and >= 0, got -1.0"),
+    ("cost_vio", ["simulate", "--cost-vio", "nan"], "",
+     "c_vio must be finite and >= 0, got nan"),
+    ("max_resets", ["adapt"], "max_resets = -2", "max_resets must be >= 0, got -2"),
+    ("fraction_high", ["adapt"], "fraction_low = 1.5\nfraction_high = 2.5",
+     "fraction_high must be in (0, 1), got 2.5"),
+    ("fraction_low", ["adapt"], "fraction_low = 0.9\nfraction_high = 0.2",
+     "fraction_low must be in (0, fraction_high = 0.2], got 0.9"),
+    ("stitch_high", ["adapt"], "stitch_high = inf", "stitch_high must be finite and > 0, got inf"),
+    ("stitch_low", ["adapt"], "stitch_low = 1.2",
+     "stitch_low must be in (0, stitch_high = 1.05], got 1.2"),
+    ("noise_sigma_frac", ["adapt"], "noise_sigma_frac = nan",
+     "noise_sigma_frac must be finite and >= 0, got nan"),
+    ("noise_reset_prob", ["adapt"], "noise_reset_prob = 7",
+     "noise_reset_prob must be in [0, 1], got 7.0"),
+    ("any_command", ["report"], "max_resets = -1", "max_resets must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize(("argv", "lines", "message"), [row[1:] for row in BAD_SETTINGS],
+                         ids=[row[0] for row in BAD_SETTINGS])
+def test_invalid_settings_print_one_error_line(tmp_path, capsys, argv, lines, message):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(CONFIG + f"\n[extra]\n{lines}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--config", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()  # failed before any data was read or written
+
+
+def test_evaluate_windows_only_the_validation_runs(workspace, tmp_path, monkeypatch):
+    root, out, _ = workspace
+    copy = tmp_path / "evaluated"
+    shutil.copytree(out, copy)
+    for name in ("metrics.csv", "scatter_linear.csv", "scatter_quantile.csv"):
+        (copy / name).unlink()
+
+    def no_windowing(*_args, **_kwargs):
+        raise AssertionError("evaluate windowed the whole dataset")
+
+    monkeypatch.setattr("driftcal.cli.label_and_window", no_windowing)
+    monkeypatch.setattr("driftcal.pipeline.label_and_window", no_windowing)
+    assert main(["evaluate", "--svg", "--config", str(root / "run.ini"), "--out", str(copy)]) == 0
+    monkeypatch.undo()
+
+    # the validation windows of the whole-dataset bundle, in one batch
+    bundle = label_and_window(read_adapted_dataset(out), w=30, seed=13)
+    for kind in ("linear", "quantile"):
+        _, y, yhat = evaluate_forecaster(load_model(out / f"model_{kind}.bin"), bundle.val_raw)
+        _, rows = read_csv(copy / f"scatter_{kind}.csv")
+        assert rows == [[fmt_float(a), fmt_float(b)] for a, b in zip(y, yhat)]
+    assert (copy / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+
+
+def test_simulate_rejects_a_non_finite_validation_cell(workspace, tmp_path, capsys):
+    root, out, _ = workspace
+    copy = tmp_path / "nan"
+    shutil.copytree(out, copy)
+    meta = json.loads((copy / "adapted_meta.json").read_text(encoding="utf-8"))
+    engines = [run["engine_id"] for run in meta["runs"]]
+    engine = split_engines(engines, fraction=0.75, seed=13).val_engines[0]
+    cycle = 50  # past the first window end (w = 30), so the first bad window ends here
+    lines = (copy / "adapted.csv").read_text(encoding="utf-8").splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith(f"{engine},{cycle},"))
+    cells = lines[row].split(",")
+    cells[5] = "nan"  # the first channel, op_setting_1
+    lines[row] = ",".join(cells)
+    (copy / "adapted.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["simulate", "--model", "linear", "--config", str(root / "run.ini"),
+                 "--out", str(copy)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: engine {engine}: non-finite features at cycle {cycle}\n")

@@ -45,7 +45,7 @@ def _run_with_segments(segments, length):
 
 def test_ttd_crossing_segment():
     run = _run_with_segments([Segment(1, 10, 7)], 10)
-    values = compute_ttd(run).values
+    values = compute_ttd(run)
     assert values[2] == 4  # t=3 -> 7-3
     assert values[6] == 0  # t=7, at the crossing
     assert values[9] == 0  # after the crossing, still overdue
@@ -53,14 +53,14 @@ def test_ttd_crossing_segment():
 
 def test_ttd_crossing_free_final_segment():
     run = _run_with_segments([Segment(1, 10, None)], 10)
-    values = compute_ttd(run).values
+    values = compute_ttd(run)
     assert values[3] == 6  # t=4 -> 10-4
     assert values[9] == 0
 
 
 def test_ttd_countdown_is_exactly_one_per_cycle():
     run = _run_with_segments([Segment(1, 30, 18), Segment(31, 50, 44), Segment(51, 60, None)], 60)
-    values = compute_ttd(run).values
+    values = compute_ttd(run)
     for seg in run.segments:
         stop = seg.crossing if seg.crossing is not None else seg.end
         for t in range(seg.start, stop):
@@ -94,7 +94,7 @@ def test_ttd_matches_oracle_on_random_segmentations(segmentation, direction, sen
                          threshold=1.0 * direction, direction=direction)
     run = AdaptedRun(engine_id=1, drift_sensors=(sensor_id,), thresholds=(spec,),
                      segments=segments, channels=channels, reset_events=())
-    assert np.array_equal(compute_ttd(run).values, oracle_ttd_labels(run))
+    assert np.array_equal(compute_ttd(run), oracle_ttd_labels(run))
 
 
 def test_ttd_matches_brute_force_oracle_on_adapted_runs():
@@ -102,7 +102,7 @@ def test_ttd_matches_brute_force_oracle_on_adapted_runs():
         trajs = synthetic_trajectories(n_engines=5, seed=100 + seed, length_range=(80, 130))
         dataset = adapt_dataset(trajs, AdaptationConfig(), seed=seed)
         for run in dataset.runs:
-            assert np.array_equal(compute_ttd(run).values, oracle_ttd_labels(run))
+            assert np.array_equal(compute_ttd(run), oracle_ttd_labels(run))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def test_window_labels_and_features_align():
     run, ttd = _labelled_run(50)
     windows = window_runs([run], w=10, stride=3)
     for win, features in zip(windows, windows.take(slice(None))):
-        assert win.label == ttd.values[win.end_cycle - 1]
+        assert win.label == ttd[win.end_cycle - 1]
         assert np.array_equal(win.features, run.channels[win.end_cycle - 10 : win.end_cycle])
         assert np.array_equal(features, win.features)
         with pytest.raises(ValueError):
@@ -195,7 +195,7 @@ def run_sets(draw):
 def test_windows_equal_the_per_window_oracle(runs, w, stride, allow_cross_reset):
     try:
         want = [win for run in runs for win in oracle_windows(
-            run, compute_ttd(run).values, w=w, stride=stride, allow_cross_reset=allow_cross_reset)]
+            run, compute_ttd(run), w=w, stride=stride, allow_cross_reset=allow_cross_reset)]
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
             window_runs(runs, w=w, stride=stride, allow_cross_reset=allow_cross_reset)

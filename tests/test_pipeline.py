@@ -1,0 +1,50 @@
+"""Forecast scorers against the per-run sliding-window reference."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from driftcal.adaptation import Segment
+from driftcal.models import TrainConfig
+from driftcal.pipeline import forecast_scorer, label_and_window, train_forecaster
+
+from oracles import oracle_forecast_scorer
+
+W = 30
+
+
+@pytest.fixture(scope="module")
+def models(small_dataset):
+    bundle = label_and_window(small_dataset, w=W, seed=4)
+    return {
+        "linear": train_forecaster("linear", bundle, TrainConfig(seed=4))[0],
+        "quantile": train_forecaster("quantile", bundle,
+                                     TrainConfig(max_epochs=2, patience=2, seed=4))[0],
+        "attention": train_forecaster("attention", bundle,
+                                      TrainConfig(max_epochs=1, patience=1, seed=4))[0],
+    }
+
+
+@pytest.fixture(scope="module")
+def fleet_with_short_run(small_dataset):
+    first = small_dataset.runs[0]
+    short = replace(first, engine_id=99, channels=first.channels[: W - 5],
+                    segments=(Segment(1, W - 5, None),), reset_events=())
+    return replace(small_dataset, runs=[*small_dataset.runs[:3], short, *small_dataset.runs[3:]])
+
+
+@pytest.mark.parametrize(("kind", "use_quantile"),
+                         [("linear", False), ("quantile", False), ("quantile", True),
+                          ("attention", False)],
+                         ids=["linear", "quantile_point", "quantile_q10", "attention"])
+def test_forecast_scorer_matches_sliding_window_oracle(models, fleet_with_short_run, kind,
+                                                       use_quantile):
+    model = models[kind]
+    got = forecast_scorer(model, fleet_with_short_run, use_quantile=use_quantile)
+    want = oracle_forecast_scorer(model, fleet_with_short_run, use_quantile=use_quantile)
+    assert got.start_cycle == want.start_cycle == W
+    assert list(got.scores) == list(want.scores)  # same keys, in the same order
+    assert not any(engine == 99 for engine, _ in got.scores)  # the short run has no window
+    assert (np.array(list(got.scores.values())).tobytes()
+            == np.array(list(want.scores.values())).tobytes())  # bit for bit
