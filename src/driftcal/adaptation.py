@@ -307,6 +307,7 @@ class AdaptationConfig:
     def __post_init__(self):
         f_high, s_high = self.fraction_high, self.stitch_high
         for name, ok, rule in (
+            ("top_k", 1 <= self.top_k <= N_SENSORS, f"in 1..{N_SENSORS}"),
             ("max_resets", self.max_resets >= 0, ">= 0"),
             ("fraction_high", 0 < f_high < 1, "in (0, 1)"),
             ("fraction_low", 0 < self.fraction_low <= f_high, f"in (0, fraction_high = {f_high}]"),

@@ -102,9 +102,27 @@ class RunConfig(TrainConfig, AdaptationConfig):
             raise ValueError(f"split must be one of {SPLIT_TAGS}, got {self.split!r}")
         if self.model not in MODEL_KINDS:
             raise ValueError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
-        for name in ("capacity_k", "period", "margin"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, ok, rule in (
+            ("window", self.window >= 1, ">= 1"),
+            ("stride", self.stride >= 1, ">= 1"),
+            ("train_fraction", 0 < self.train_fraction < 1, "in (0, 1)"),
+            ("capacity_k", self.capacity_k >= 0, ">= 0"),
+            ("capacity_window", self.capacity_window >= 1, ">= 1"),
+            ("period", self.period >= 0, ">= 0"),
+            ("margin", self.margin >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+        if not self.policy_kinds:
+            raise ValueError(f"policies must name at least one of {POLICY_KINDS}")
+        for kind in self.policy_kinds:
+            if kind not in POLICY_KINDS:
+                raise ValueError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
+
+    @property
+    def policy_kinds(self) -> list[str]:
+        """The comma-separated ``policies``, in order."""
+        return [k.strip() for k in self.policies.split(",") if k.strip()]
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -312,7 +330,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     train, val = _split_runs(cfg)
-    kinds = [k.strip() for k in cfg.policies.split(",") if k.strip()]
+    kinds = cfg.policy_kinds
     costs = CostSpec(c_cal=cfg.cost_cal, c_vio=cfg.cost_vio)
     capacity = None
     if cfg.capacity_k > 0:

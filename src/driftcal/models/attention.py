@@ -63,14 +63,47 @@ def n_encoder_layers(params: dict[str, np.ndarray]) -> int:
     return max(layers) + 1 if layers else 0
 
 
-# Windows per inference forward. Activations scale with the batch, so
-# scoring in fixed chunks keeps memory flat however many windows there are.
-INFERENCE_CHUNK = 128
+# Windows per inference forward outside training (a fit's validation
+# forwards run in chunks of its batch, through its workspace). It equals the
+# default batch, so inference holds no more activations than a training
+# step, and fixed chunks keep memory flat however many windows there are.
+INFERENCE_CHUNK = 64
 
 
-def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(..., din) @ (din, dout) via one 2-d GEMM (fast on single-core BLAS)."""
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
+class Workspace:
+    """Activation buffers that attention forwards and backwards reuse.
+
+    Each named buffer is allocated on first use, for ``capacity`` windows;
+    a batch of B <= capacity windows works in its leading B rows, which are
+    C-contiguous. A forward's cache reads the workspace, so a workspace
+    serves one batch at a time: its backward must run before the next
+    forward into the same workspace.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, B: int, *shape: int) -> np.ndarray:
+        """The leading (B, *shape) rows of buffer ``name``."""
+        if B > self.capacity:
+            raise ValueError(f"batch of {B} windows exceeds the workspace's {self.capacity}")
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[1:] != shape:
+            buf = self._buffers[name] = np.empty((self.capacity, *shape))
+        return buf[:B]
+
+    def layer_norm(self, name: str, B: int, w: int, dm: int):
+        """The (y, xhat, inv) buffers of one layer norm."""
+        return (self.get(name + ".y", B, w, dm), self.get(name + ".xhat", B, w, dm),
+                self.get(name + ".inv", B, w, 1))
+
+
+def _mm(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(..., din) @ (din, dout) into ``out`` via one 2-d GEMM (fast on
+    single-core BLAS); x and out are C-contiguous."""
+    np.matmul(x.reshape(-1, x.shape[-1]), w, out=out.reshape(-1, w.shape[1]))
+    return out
 
 
 def _gram(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -78,56 +111,81 @@ def _gram(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
-def mha_forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str, heads: int):
-    """Multi-head self-attention over (B, w, d_model) inputs."""
+def _merge_heads(xh: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(B, heads, w, dh) per-head values copied into (B, w, heads * dh) ``out``."""
+    B, heads, w, dh = xh.shape
+    out.reshape(B, w, heads, dh)[...] = xh.transpose(0, 2, 1, 3)
+    return out
+
+
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(B, heads, w, dh) view of (B, w, heads * dh) values."""
     B, w, dm = x.shape
+    return x.reshape(B, w, heads, dm // heads).transpose(0, 2, 1, 3)
+
+
+def mha_forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str, heads: int,
+                ws: Workspace | None = None):
+    """Multi-head self-attention over (B, w, d_model) inputs.
+
+    Q, K, V, the attention weights and the merged heads, which the backward
+    reads, live in buffers named after ``prefix``; the output in one buffer
+    every sublayer shares.
+    """
+    B, w, dm = x.shape
+    ws = Workspace(B) if ws is None else ws
     dh = dm // heads
     scale = 1.0 / math.sqrt(dh)
-    q = _mm(x, params[prefix + "wq"]) + params[prefix + "bq"]
-    k = _mm(x, params[prefix + "wk"]) + params[prefix + "bk"]
-    v = _mm(x, params[prefix + "wv"]) + params[prefix + "bv"]
-    qh = q.reshape(B, w, heads, dh).transpose(0, 2, 1, 3)
-    kh = k.reshape(B, w, heads, dh).transpose(0, 2, 1, 3)
-    vh = v.reshape(B, w, heads, dh).transpose(0, 2, 1, 3)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-    attn = softmax(scores, axis=-1)  # (B, heads, w, w), rows sum to 1
-    oh = attn @ vh
-    merged = oh.transpose(0, 2, 1, 3).reshape(B, w, dm)
-    out = _mm(merged, params[prefix + "wo"]) + params[prefix + "bo"]
+    qkv = []
+    for name in "qkv":
+        proj = _mm(x, params[prefix + "w" + name], ws.get(prefix + name, B, w, dm))
+        proj += params[prefix + "b" + name]
+        qkv.append(_split_heads(proj, heads))
+    qh, kh, vh = qkv
+    attn = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=ws.get(prefix + "attn", B, heads, w, w))
+    attn *= scale  # the scores, then in place their softmax: rows sum to 1
+    softmax(attn, axis=-1, out=attn)
+    oh = np.matmul(attn, vh, out=ws.get("oh", B, heads, w, dh))
+    merged = _merge_heads(oh, ws.get(prefix + "merged", B, w, dm))
+    out = _mm(merged, params[prefix + "wo"], ws.get("sublayer", B, w, dm))
+    out += params[prefix + "bo"]
     cache = {
         "x": x, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "merged": merged,
-        "prefix": prefix, "heads": heads, "scale": scale,
+        "prefix": prefix, "heads": heads, "scale": scale, "ws": ws,
     }
     return out, cache
 
 
 def mha_backward(dout: np.ndarray, params: dict[str, np.ndarray], cache):
-    x = cache["x"]
+    x, ws = cache["x"], cache["ws"]
     B, w, dm = x.shape
     heads, dh = cache["heads"], dm // cache["heads"]
     prefix = cache["prefix"]
     grads = {}
     grads[prefix + "wo"] = _gram(cache["merged"], dout)
     grads[prefix + "bo"] = dout.sum(axis=(0, 1))
-    dmerged = _mm(dout, params[prefix + "wo"].T)
-    doh = dmerged.reshape(B, w, heads, dh).transpose(0, 2, 1, 3)
-    dattn = doh @ cache["vh"].transpose(0, 1, 3, 2)
-    dvh = cache["attn"].transpose(0, 1, 3, 2) @ doh
-    dscores = softmax_backward(dattn, cache["attn"]) * cache["scale"]
-    dqh = dscores @ cache["kh"]
-    dkh = dscores.transpose(0, 1, 3, 2) @ cache["qh"]
-    dq = dqh.transpose(0, 2, 1, 3).reshape(B, w, dm)
-    dk = dkh.transpose(0, 2, 1, 3).reshape(B, w, dm)
-    dv = dvh.transpose(0, 2, 1, 3).reshape(B, w, dm)
+    dmerged = _mm(dout, params[prefix + "wo"].T, ws.get("d_merged", B, w, dm))
+    doh = _split_heads(dmerged, heads)
+    dattn = np.matmul(doh, cache["vh"].transpose(0, 1, 3, 2),
+                      out=ws.get("d_attn", B, heads, w, w))
+    dheads = ws.get("d_heads", B, heads, w, dh)
+    dv = _merge_heads(np.matmul(cache["attn"].transpose(0, 1, 3, 2), doh, out=dheads),
+                      ws.get("dv", B, w, dm))
+    dscores = softmax_backward(dattn, cache["attn"], out=ws.get("d_scores", B, heads, w, w))
+    dscores *= cache["scale"]
+    dq = _merge_heads(np.matmul(dscores, cache["kh"], out=dheads), ws.get("dq", B, w, dm))
+    dk = _merge_heads(np.matmul(dscores.transpose(0, 1, 3, 2), cache["qh"], out=dheads),
+                      ws.get("dk", B, w, dm))
     grads[prefix + "wq"] = _gram(x, dq)
     grads[prefix + "bq"] = dq.sum(axis=(0, 1))
     grads[prefix + "wk"] = _gram(x, dk)
     grads[prefix + "bk"] = dk.sum(axis=(0, 1))
     grads[prefix + "wv"] = _gram(x, dv)
     grads[prefix + "bv"] = dv.sum(axis=(0, 1))
-    dx = _mm(dq, params[prefix + "wq"].T)
-    dx += _mm(dk, params[prefix + "wk"].T)
-    dx += _mm(dv, params[prefix + "wv"].T)
+    dx = _mm(dq, params[prefix + "wq"].T, ws.get("d_x", B, w, dm))
+    part = ws.get("d_x_part", B, w, dm)
+    dx += _mm(dk, params[prefix + "wk"].T, part)
+    dx += _mm(dv, params[prefix + "wv"].T, part)
     return dx, grads
 
 
@@ -142,84 +200,105 @@ def attention_forward_batch(
     heads: int,
     pool: str = "mean",
     check: bool = True,
+    workspace: Workspace | None = None,
 ):
-    """Raw (unclipped) forecasts for a batch of windows (B, w, d)."""
+    """Raw (unclipped) forecasts for a batch of windows (B, w, d).
+
+    Activations go into ``workspace``, or a fresh one for this batch; the
+    returned cache reads them, and holds the workspace for the backward.
+    """
     B, w, _ = X.shape
+    ws = Workspace(B) if workspace is None else workspace
     d_model = params["in_proj.w"].shape[1]
-    h = _mm(X, params["in_proj.w"]) + params["in_proj.b"] + positional_encoding(w, d_model)
+    # h is the residual stream, updated in place: h += a is h + a, bit for bit
+    h = _mm(X, params["in_proj.w"], ws.get("h", B, w, d_model))
+    h += params["in_proj.b"]
+    h += positional_encoding(w, d_model)
     if check:
         check_finite(h, "in_proj")
     layer_caches = []
     for i in range(n_encoder_layers(params)):
         pfx = f"enc{i}."
-        n1, ln1c = layer_norm(h, params[pfx + "ln1.g"], params[pfx + "ln1.b"])
-        a, attnc = mha_forward(n1, params, pfx + "attn.", heads)
+        dff = params[pfx + "ffn.w1"].shape[1]
+        n1, ln1c = layer_norm(h, params[pfx + "ln1.g"], params[pfx + "ln1.b"],
+                              out=ws.layer_norm(pfx + "ln1", B, w, d_model))
+        a, attnc = mha_forward(n1, params, pfx + "attn.", heads, ws)
         if check:
             check_finite(a, f"enc{i}.attn")
-        h1 = h + a
-        n2, ln2c = layer_norm(h1, params[pfx + "ln2.g"], params[pfx + "ln2.b"])
-        u = _mm(n2, params[pfx + "ffn.w1"]) + params[pfx + "ffn.b1"]
-        g, tanh_u = gelu_forward(u)
-        f = _mm(g, params[pfx + "ffn.w2"]) + params[pfx + "ffn.b2"]
+        h += a
+        n2, ln2c = layer_norm(h, params[pfx + "ln2.g"], params[pfx + "ln2.b"],
+                              out=ws.layer_norm(pfx + "ln2", B, w, d_model))
+        u = _mm(n2, params[pfx + "ffn.w1"], ws.get(pfx + "u", B, w, dff))
+        u += params[pfx + "ffn.b1"]
+        g, tanh_u = gelu_forward(u, out=(ws.get(pfx + "g", B, w, dff),
+                                         ws.get(pfx + "tanh_u", B, w, dff)))
+        f = _mm(g, params[pfx + "ffn.w2"], ws.get("sublayer", B, w, d_model))
+        f += params[pfx + "ffn.b2"]
         if check:
             check_finite(f, f"enc{i}.ffn")
         layer_caches.append(
             {"ln1c": ln1c, "attnc": attnc, "ln2c": ln2c, "n2": n2, "u": u,
              "tanh_u": tanh_u, "g": g}
         )
-        h = h1 + f
+        h += f
     z = h.mean(axis=1) if pool == "mean" else h[:, -1, :]
     yhat = _head(z, params)
     if check:
         check_finite(yhat, "head")
-    cache = {"X": X, "layer_caches": layer_caches, "z": z, "pool": pool, "w": w}
+    cache = {"X": X, "layer_caches": layer_caches, "z": z, "pool": pool, "w": w, "ws": ws}
     return yhat, cache
 
 
 def attention_backward_batch(dyhat: np.ndarray, params: dict[str, np.ndarray], cache):
-    X = cache["X"]
+    X, ws = cache["X"], cache["ws"]
     B, w, _ = X.shape
     d_model = params["in_proj.w"].shape[1]
     grads: dict[str, np.ndarray] = {}
     grads["head.w"] = (cache["z"].T @ dyhat)[:, None]
     grads["head.b"] = np.array([dyhat.sum()])
     dz = dyhat[:, None] * params["head.w"][:, 0][None, :]
+    # dh, the gradient of the residual stream, is updated in place like h
+    dh = ws.get("d_h", B, w, d_model)
     if cache["pool"] == "mean":
-        dh = np.repeat(dz[:, None, :], w, axis=1) / w
+        np.divide(dz[:, None, :], w, out=dh)
     else:
-        dh = np.zeros((B, w, d_model))
+        dh.fill(0.0)
         dh[:, -1, :] = dz
+    ln_out, ln_scratch = ws.get("d_ln", B, w, d_model), ws.get("d_ln_scratch", B, w, d_model)
     for i in reversed(range(len(cache["layer_caches"]))):
         c = cache["layer_caches"][i]
         pfx = f"enc{i}."
+        dff = c["u"].shape[-1]
         # h_out = h1 + ffn(ln2(h1)); the residual passes dh straight through
         df = dh
         grads[pfx + "ffn.w2"] = _gram(c["g"], df)
         grads[pfx + "ffn.b2"] = df.sum(axis=(0, 1))
-        dg = _mm(df, params[pfx + "ffn.w2"].T)
-        du = dg * gelu_grad(c["u"], c["tanh_u"])
+        dg = _mm(df, params[pfx + "ffn.w2"].T, ws.get("d_g", B, w, dff))
+        du = gelu_grad(c["u"], c["tanh_u"], out=ws.get("d_u", B, w, dff))
+        du *= dg
         grads[pfx + "ffn.w1"] = _gram(c["n2"], du)
         grads[pfx + "ffn.b1"] = du.sum(axis=(0, 1))
-        dn2 = _mm(du, params[pfx + "ffn.w1"].T)
-        dh1_ln, dg2, db2 = layer_norm_backward(dn2, c["ln2c"])
+        dn2 = _mm(du, params[pfx + "ffn.w1"].T, ws.get("d_n2", B, w, d_model))
+        dh1_ln, dg2, db2 = layer_norm_backward(dn2, c["ln2c"], out=ln_out, scratch=ln_scratch)
         grads[pfx + "ln2.g"] = dg2
         grads[pfx + "ln2.b"] = db2
-        dh1 = dh + dh1_ln
+        dh += dh1_ln  # dh1
         # h1 = h + attn(ln1(h))
-        dn1, attn_grads = mha_backward(dh1, params, c["attnc"])
+        dn1, attn_grads = mha_backward(dh, params, c["attnc"])
         grads.update(attn_grads)
-        dh_ln, dg1, db1 = layer_norm_backward(dn1, c["ln1c"])
+        dh_ln, dg1, db1 = layer_norm_backward(dn1, c["ln1c"], out=ln_out, scratch=ln_scratch)
         grads[pfx + "ln1.g"] = dg1
         grads[pfx + "ln1.b"] = db1
-        dh = dh1 + dh_ln
+        dh += dh_ln
     grads["in_proj.w"] = _gram(X, dh)
     grads["in_proj.b"] = dh.sum(axis=(0, 1))
     return grads
 
 
-def attention_loss_and_grads(X, y, params, heads, pool="mean", beta: float = 1.0):
+def attention_loss_and_grads(X, y, params, heads, pool="mean", beta: float = 1.0,
+                             workspace: Workspace | None = None):
     """Mean SmoothL1 over the batch plus gradients for every parameter."""
-    yhat, cache = attention_forward_batch(X, params, heads, pool)
+    yhat, cache = attention_forward_batch(X, params, heads, pool, workspace=workspace)
     err = yhat - y
     loss = float(np.mean(smooth_l1(err, beta)))
     dyhat = smooth_l1_grad(err, beta) / len(y)
@@ -235,13 +314,15 @@ def train_attention(
     """SmoothL1 + AdamW + warmup/cosine, early stopping on validation MAE.
 
     Deterministic for a fixed cfg.seed: init, shuffling, and the batch
-    reduction order are all derived from it.
+    reduction order are all derived from it. The training steps and the
+    validation forwards share one workspace, sized for one batch.
     """
     Xva, yva = validation_set(train_windows, val_windows)
     w, d = train_windows.shape
+    ws = Workspace(min(cfg.batch_size, len(train_windows)))
 
     def val_mae(params):
-        val_pred = _forward_chunks(Xva, params, cfg.heads, cfg.pool)
+        val_pred = _forward_chunks(Xva, params, cfg.heads, cfg.pool, ws)
         return float(np.mean(np.abs(np.maximum(val_pred, 0.0) - yva)))
 
     params = init_attention_params(
@@ -249,7 +330,7 @@ def train_attention(
     )
     best_params, logs = fit_minibatch(
         lambda Xb, yb, p: attention_loss_and_grads(
-            Xb, yb, p, cfg.heads, cfg.pool, cfg.smooth_l1_beta
+            Xb, yb, p, cfg.heads, cfg.pool, cfg.smooth_l1_beta, ws
         ),
         val_mae,
         params,
@@ -277,25 +358,27 @@ def train_attention(
 
 
 def _forward_chunks(X: np.ndarray, params: dict[str, np.ndarray], heads: int,
-                    pool: str) -> np.ndarray:
+                    pool: str, ws: Workspace) -> np.ndarray:
     """Raw forecasts for (B, w, d) windows, equal bit for bit to one
     attention_forward_batch call over all of X.
 
-    The encoder runs INFERENCE_CHUNK windows at a time; each window's
-    pooled features depend on that window alone. The read-out runs once
-    over all of them, because numpy computes a one-row read-out (a last
+    The encoder runs as many windows at a time as the workspace holds; each
+    window's pooled features depend on that window alone. The read-out runs
+    once over all of them, because numpy computes a one-row read-out (a last
     chunk of one window) as a dot product, which rounds differently.
     """
     z = np.empty((len(X), params["in_proj.w"].shape[1]))
-    for start in range(0, len(X), INFERENCE_CHUNK):
-        stop = start + INFERENCE_CHUNK
-        # keep only z: the chunk's activation cache is freed before the next one
+    for start in range(0, len(X), ws.capacity):
+        stop = start + ws.capacity
         z[start:stop] = attention_forward_batch(
-            X[start:stop], params, heads, pool, check=False
+            X[start:stop], params, heads, pool, check=False, workspace=ws
         )[1]["z"]
     return _head(z, params)
 
 
 def attention_raw_batch(model: ForecastModel, X: np.ndarray) -> np.ndarray:
-    """Raw predictions for standardized windows (B, w, d)."""
-    return _forward_chunks(X, model.params, model.meta["heads"], model.meta.get("pool", "mean"))
+    """Raw predictions for standardized windows (B, w, d), INFERENCE_CHUNK
+    windows at a time through one workspace."""
+    ws = Workspace(max(1, min(len(X), INFERENCE_CHUNK)))
+    return _forward_chunks(X, model.params, model.meta["heads"],
+                           model.meta.get("pool", "mean"), ws)

@@ -45,7 +45,7 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
+            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if not (math.isfinite(self.base_lr) and self.base_lr > 0):
             raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):

@@ -6,6 +6,7 @@ be checked against central finite differences. All math is float64.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -33,53 +34,107 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 
 # -- positional encoding -----------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
 def positional_encoding(length: int, d_model: int) -> np.ndarray:
-    """(length, d_model) table of sinusoidal codes for positions 0..length-1."""
+    """(length, d_model) table of sinusoidal codes for positions 0..length-1.
+
+    Built once per shape and shared, so it is read-only.
+    """
     pe = np.empty((length, d_model), dtype=np.float64)
     positions = np.arange(length, dtype=np.float64)[:, None]
     k = np.arange(d_model, dtype=np.float64) // 2
     angles = positions / (10000.0 ** (2.0 * k / d_model))
     pe[:, 0::2] = np.sin(angles[:, 0::2])
     pe[:, 1::2] = np.cos(angles[:, 1::2])
+    pe.flags.writeable = False
     return pe
 
 
+# The kernels below write into ``out`` buffers (fresh ones when none are
+# given) with one ufunc per operation of the formula, in its order, so they
+# equal the whole-array expressions bit for bit. A mean is np.add.reduce
+# followed by a division by the count, which is how np.mean computes it.
+
 # -- softmax -----------------------------------------------------------------
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(x - max) / sum(exp(x - max)) along ``axis``; ``out`` may be x itself."""
+    out = np.empty(np.shape(x)) if out is None else out
+    shift = np.maximum.reduce(x, axis=axis, keepdims=True)
+    np.subtract(x, shift, out=out)
+    np.exp(out, out=out)
+    total = np.add.reduce(out, axis=axis, keepdims=True)
+    return np.divide(out, total, out=out)
 
 
-def softmax_backward(dp: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarray:
-    return p * (dp - np.sum(dp * p, axis=axis, keepdims=True))
+def softmax_backward(
+    dp: np.ndarray, p: np.ndarray, axis: int = -1, out: np.ndarray | None = None
+) -> np.ndarray:
+    """p * (dp - sum(dp * p)) along ``axis``; ``out`` must not be dp or p."""
+    out = np.empty(np.shape(p)) if out is None else out
+    np.multiply(dp, p, out=out)
+    total = np.add.reduce(out, axis=axis, keepdims=True)
+    np.subtract(dp, total, out=out)
+    return np.multiply(p, out, out=out)
 
 
 # -- layer normalization -----------------------------------------------------
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LAYER_NORM_EPS):
+def layer_norm(
+    x: np.ndarray,
+    gain: np.ndarray,
+    bias: np.ndarray,
+    eps: float = LAYER_NORM_EPS,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+):
     """Normalize over the last axis, then apply the affine gain/bias.
 
-    Returns (y, cache); the cache keeps the pre-affine normalized values.
+    Returns (y, cache); the cache keeps the pre-affine normalized values
+    xhat and the inverse deviations inv. ``out`` is the (y, xhat, inv)
+    buffers, of x's shape twice and of x's shape with a last axis of 1.
     """
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = np.mean(centered**2, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    return gain * xhat + bias, (xhat, inv, gain)
+    if out is None:
+        out = (np.empty(x.shape), np.empty(x.shape), np.empty(x.shape[:-1] + (1,)))
+    y, xhat, inv = out
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= n
+    np.subtract(x, mean, out=xhat)  # centered
+    np.square(xhat, out=y)
+    np.add.reduce(y, axis=-1, keepdims=True, out=inv)
+    inv /= n  # variance
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(gain, xhat, out=y)
+    y += bias
+    return y, (xhat, inv, gain)
 
 
-def layer_norm_backward(dy: np.ndarray, cache):
+def layer_norm_backward(
+    dy: np.ndarray, cache, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+):
+    """(dx, dgain, dbias) for dy of layer_norm's output. dx goes to ``out``;
+    ``scratch`` is a work buffer of dy's shape. Neither may be dy."""
     xhat, inv, gain = cache
-    dxhat = dy * gain
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
+    dx = np.empty(dy.shape) if out is None else out
+    tmp = np.empty(dy.shape) if scratch is None else scratch
+    n = dy.shape[-1]
+    dxhat = np.multiply(dy, gain, out=dx)
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+    m1 /= n
+    np.multiply(dxhat, xhat, out=tmp)
+    m2 = np.add.reduce(tmp, axis=-1, keepdims=True)
+    m2 /= n
+    # dx = inv * (dxhat - m1 - xhat * m2)
+    np.subtract(dxhat, m1, out=dx)
+    np.multiply(xhat, m2, out=tmp)
+    np.subtract(dx, tmp, out=dx)
+    np.multiply(inv, dx, out=dx)
     reduce_axes = tuple(range(dy.ndim - 1))
-    dgain = np.sum(dy * xhat, axis=reduce_axes)
-    dbias = np.sum(dy, axis=reduce_axes)
+    dgain = np.add.reduce(np.multiply(dy, xhat, out=tmp), axis=reduce_axes)
+    dbias = np.add.reduce(dy, axis=reduce_axes)
     return dx, dgain, dbias
 
 
@@ -108,15 +163,16 @@ def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.tanh(out, out=out)
 
 
-def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gelu_forward(
+    x: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Tanh-approximation GELU; also returns tanh(u) for a cheap backward.
 
-    Works block by block into preallocated outputs; every element goes
-    through the same operations, in the same order, as the plain formula
-    0.5 * x * (1 + tanh(C0 * (x + C1 * x^3))).
+    Works block by block into the C-contiguous (g, t) buffers ``out``, or
+    fresh ones; every element goes through the same operations, in the same
+    order, as the plain formula 0.5 * x * (1 + tanh(C0 * (x + C1 * x^3))).
     """
-    g = np.empty(np.shape(x))
-    t = np.empty(np.shape(x))
+    g, t = (np.empty(np.shape(x)), np.empty(np.shape(x))) if out is None else out
     scratch = np.empty(min(g.size, _GELU_BLOCK))
     for xb, gb, tb in _gelu_blocks(x, g, t):
         _gelu_tanh(xb, tb)
@@ -127,12 +183,15 @@ def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, t
 
 
-def gelu_grad(x: np.ndarray, tanh_u: np.ndarray | None = None) -> np.ndarray:
-    """d GELU / dx, block by block, in the operation order of the formula
+def gelu_grad(
+    x: np.ndarray, tanh_u: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """d GELU / dx, block by block into the C-contiguous ``out`` (or a fresh
+    array), in the operation order of the formula
 
     0.5 * (1 + t) + 0.5 * x * (1 - t * t) * (C0 * (1 + 3 * C1 * x * x)).
     """
-    out = np.empty(np.shape(x))
+    out = np.empty(np.shape(x)) if out is None else out
     n = min(out.size, _GELU_BLOCK)
     s1, s2 = np.empty(n), np.empty(n)
     blocks = _gelu_blocks(x, out) if tanh_u is None else _gelu_blocks(x, out, tanh_u)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..labeling import WINDOW_CHUNK, Windows
 from .attention import attention_raw_batch
 from .base import ForecastModel, ShapeMismatchError
 from .linear import linear_raw_batch
@@ -27,11 +28,15 @@ def _raw_point_batch(model: ForecastModel, X_std: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
-def _standardized(model: ForecastModel, windows: np.ndarray) -> np.ndarray:
-    if windows.ndim != 3 or windows.shape[1:] != (model.window, model.n_channels):
+def _check_shape(model: ForecastModel, shape: tuple[int, ...]) -> None:
+    if len(shape) != 3 or shape[1:] != (model.window, model.n_channels):
         raise ShapeMismatchError(
-            f"expected (B, {model.window}, {model.n_channels}) windows, got {windows.shape}"
+            f"expected (B, {model.window}, {model.n_channels}) windows, got {shape}"
         )
+
+
+def _standardized(model: ForecastModel, windows: np.ndarray) -> np.ndarray:
+    _check_shape(model, windows.shape)
     return model.standardize(windows)
 
 
@@ -39,6 +44,22 @@ def predict_ttd_batch(model: ForecastModel, windows: np.ndarray) -> np.ndarray:
     """Clipped point forecasts for raw windows of shape (B, w, d)."""
     raw = _raw_point_batch(model, _standardized(model, windows))
     return np.maximum(raw, 0.0)
+
+
+def predict_ttd_windows(model: ForecastModel, windows: Windows) -> np.ndarray:
+    """Clipped point forecasts for every window of a raw window set.
+
+    The windows are gathered and standardized WINDOW_CHUNK at a time into
+    the one array the model reads, so no raw copy of the whole set exists;
+    the model then forecasts them in one call, as predict_ttd_batch would.
+    """
+    shape = (len(windows), *windows.shape)
+    _check_shape(model, shape)
+    X = np.empty(shape)
+    for lo in range(0, len(windows), WINDOW_CHUNK):
+        rows = slice(lo, lo + WINDOW_CHUNK)
+        X[rows] = model.standardize(windows.take(rows))
+    return np.maximum(_raw_point_batch(model, X), 0.0)
 
 
 def predict_quantiles_batch(model: ForecastModel, windows: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .models import (
     fit_quantile,
     predict_quantiles_batch,
     predict_ttd_batch,
+    predict_ttd_windows,
     train_attention,
 )
 from .scheduler import CycleScorer
@@ -99,9 +100,8 @@ def evaluate_forecaster(
     model: ForecastModel, windows_raw: Windows
 ) -> tuple[RegressionReport, np.ndarray, np.ndarray]:
     """Validation metrics plus (true, predicted) pairs for scatter output."""
-    X = windows_raw.take(slice(None))
     y = windows_raw.label.astype(np.float64)
-    yhat = predict_ttd_batch(model, X)
+    yhat = predict_ttd_windows(model, windows_raw)
     return regression_metrics(y, yhat), y, yhat
 
 

@@ -3,8 +3,9 @@
 These deliberately avoid the library's code paths: ranks are computed by
 sorting with explicit tie groups, Pearson via np.corrcoef, TTD labels by
 re-scanning adapted channels against thresholds, and policy outcomes by a
-straightforward per-segment replay and by a global-clock replay, and
-forecast scores by cutting each run's windows with sliding_window_view.
+straightforward per-segment replay and by a global-clock replay,
+forecast scores by cutting each run's windows with sliding_window_view,
+and softmax, layer norm and GELU as whole-array expressions.
 
 Helpers that only tests use live here too: a trajectory summary, an
 intercept-only pinball fit, which does run the library's training loop,
@@ -308,6 +309,38 @@ def gelu_grad_reference(x):
     t = np.tanh(GELU_C0 * (x + GELU_C1 * (x * x * x)))
     du = GELU_C0 * (1.0 + 3.0 * GELU_C1 * (x * x))
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
+def oracle_softmax(x, axis=-1):
+    """Softmax as whole-array expressions."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def oracle_softmax_backward(dp, p, axis=-1):
+    return p * (dp - np.sum(dp * p, axis=axis, keepdims=True))
+
+
+def oracle_layer_norm(x, gain, bias, eps=1e-8):
+    """(y, (xhat, inv, gain)) of layer normalization over the last axis."""
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    var = np.mean(centered**2, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    return gain * xhat + bias, (xhat, inv, gain)
+
+
+def oracle_layer_norm_backward(dy, cache):
+    """(dx, dgain, dbias) of layer normalization."""
+    xhat, inv, gain = cache
+    dxhat = dy * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
+    dx = inv * (dxhat - m1 - xhat * m2)
+    reduce_axes = tuple(range(dy.ndim - 1))
+    return dx, np.sum(dy * xhat, axis=reduce_axes), np.sum(dy, axis=reduce_axes)
 
 
 def attention_forward(window, params, heads, pool="mean") -> float:

@@ -14,6 +14,8 @@ from driftcal.models import (
 )
 from driftcal.models.attention import (
     INFERENCE_CHUNK,
+    Workspace,
+    _forward_chunks,
     attention_forward_batch,
     attention_loss_and_grads,
     attention_raw_batch,
@@ -181,8 +183,9 @@ def _tiny_model(d=3, w=6, pool="mean"):
 
 
 @pytest.mark.parametrize("pool", ["mean", "last"])
-@pytest.mark.parametrize(
-    "n", [0, 1, INFERENCE_CHUNK - 1, INFERENCE_CHUNK, INFERENCE_CHUNK + 1, 3 * INFERENCE_CHUNK + 5]
+@pytest.mark.parametrize(  # last chunks of a partial, a whole, one and five windows
+    "n", [0, 1, 2 * INFERENCE_CHUNK - 1, 2 * INFERENCE_CHUNK, 2 * INFERENCE_CHUNK + 1,
+          6 * INFERENCE_CHUNK + 5]
 )
 def test_chunked_inference_equals_one_forward(n, pool):
     model = _tiny_model(pool=pool)
@@ -209,3 +212,58 @@ def test_inference_memory_does_not_grow_with_window_count():
     small = _traced_peak(lambda: attention_raw_batch(model, X[:n]))
     large = _traced_peak(lambda: attention_raw_batch(model, X))
     assert large < 1.5 * small
+
+
+def _default_size_params(d=24):
+    """Parameters at the default model size (d_model 64, 4 heads, 2 layers)."""
+    return init_attention_params(np.random.default_rng(5), d, 64, 4, 2)
+
+
+def test_step_with_a_warm_workspace_allocates_little():
+    params = _default_size_params()
+    rng = np.random.default_rng(6)
+    X, y = rng.normal(size=(64, 40, 24)), rng.normal(loc=20.0, scale=5.0, size=64)
+    ws = Workspace(64)
+    for _ in range(2):
+        attention_loss_and_grads(X, y, params, 4, "mean", 1.0, ws)
+    peak = _traced_peak(lambda: attention_loss_and_grads(X, y, params, 4, "mean", 1.0, ws))
+    assert peak < 10 * 2**20  # a step without a workspace allocates ~92 MB
+
+
+def _assert_same_grads(a, b):
+    assert a.keys() == b.keys()
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
+
+
+@pytest.mark.parametrize("pool", ["mean", "last"])
+def test_shared_workspace_equals_fresh_workspaces(pool):
+    params = _tiny_params(seed=7)
+    rng = np.random.default_rng(8)
+    ws = Workspace(64)
+    for B in (64, 31, 64):  # a smaller batch works in the leading rows
+        X, y = rng.normal(size=(B, 6, 3)), rng.normal(loc=5.0, size=B)
+        loss, grads = attention_loss_and_grads(X, y, params, TINY["heads"], pool, 1.0, ws)
+        fresh_loss, fresh_grads = attention_loss_and_grads(X, y, params, TINY["heads"], pool)
+        assert loss == fresh_loss
+        _assert_same_grads(grads, fresh_grads)
+        yhat, _ = attention_forward_batch(X, params, TINY["heads"], pool, workspace=ws)
+        fresh_yhat, _ = attention_forward_batch(X, params, TINY["heads"], pool)
+        assert np.array_equal(yhat, fresh_yhat)
+
+
+def test_workspace_rejects_a_batch_larger_than_its_capacity():
+    with pytest.raises(ValueError, match="exceeds"):
+        attention_forward_batch(np.zeros((5, 6, 3)), _tiny_params(), TINY["heads"],
+                                workspace=Workspace(4))
+
+
+@pytest.mark.parametrize("pool", ["mean", "last"])
+def test_chunked_forwards_through_one_workspace_equal_one_forward(pool):
+    params = _tiny_params(seed=9)
+    rng = np.random.default_rng(10)
+    ws = Workspace(5)
+    for n in (17, 3, 15, 17):  # partial and whole last chunks, one workspace throughout
+        X = rng.normal(size=(n, 6, 3))
+        whole, _ = attention_forward_batch(X, params, TINY["heads"], pool, check=False)
+        assert np.array_equal(_forward_chunks(X, params, TINY["heads"], pool, ws), whole)

@@ -388,6 +388,21 @@ BAD_SETTINGS = [
     ("noise_reset_prob", ["adapt"], "noise_reset_prob = 7",
      "noise_reset_prob must be in [0, 1], got 7.0"),
     ("any_command", ["report"], "max_resets = -1", "max_resets must be >= 0, got -1"),
+    ("top_k_zero", ["adapt"], "top_k = 0", "top_k must be in 1..21, got 0"),
+    ("top_k_above_sensors", ["adapt"], "top_k = 22", "top_k must be in 1..21, got 22"),
+    ("warmup_steps", ["train"], "warmup_steps = -1", "warmup_steps must be >= 0, got -1"),
+    ("window", ["train", "--window", "0"], "", "window must be >= 1, got 0"),
+    ("stride", ["evaluate", "--stride", "0"], "", "stride must be >= 1, got 0"),
+    ("train_fraction_zero", ["train"], "train_fraction = 0",
+     "train_fraction must be in (0, 1), got 0.0"),
+    ("train_fraction_one", ["simulate"], "train_fraction = 1",
+     "train_fraction must be in (0, 1), got 1.0"),
+    ("capacity_window", ["simulate"], "capacity_window = 0", "capacity_window must be >= 1, got 0"),
+    ("policies_empty", ["simulate"], "policies = ,",
+     "policies must name at least one of ('reactive', 'fixed', 'predictive', 'quantile')"),
+    ("policies_unknown", ["simulate"], "policies = reactive,bogus",
+     "unknown policy kind 'bogus'; expected one of ('reactive', 'fixed', 'predictive', "
+     "'quantile')"),
 ]
 
 
@@ -395,7 +410,9 @@ BAD_SETTINGS = [
                          ids=[row[0] for row in BAD_SETTINGS])
 def test_invalid_settings_print_one_error_line(tmp_path, capsys, argv, lines, message):
     bad = tmp_path / "bad.ini"
-    bad.write_text(CONFIG + f"\n[extra]\n{lines}\n", encoding="utf-8")
+    keys = {line.split(" =")[0] for line in lines.splitlines()}
+    kept = [line for line in CONFIG.splitlines() if line.split(" =")[0] not in keys]
+    bad.write_text("\n".join(kept) + f"\n[extra]\n{lines}\n", encoding="utf-8")
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([*argv, "--config", str(bad), "--out", str(out)]) == 1
@@ -446,3 +463,18 @@ def test_simulate_rejects_a_non_finite_validation_cell(workspace, tmp_path, caps
                  "--out", str(copy)]) == 1
     assert capsys.readouterr().err == (
         f"error: engine {engine}: non-finite features at cycle {cycle}\n")
+
+
+def test_unknown_policy_fails_before_any_replay(workspace, tmp_path, capsys):
+    root, out, _ = workspace
+    copy = tmp_path / "bogus"
+    shutil.copytree(out, copy)
+    before = {path.name: path.read_bytes() for path in copy.iterdir()}
+    bad = tmp_path / "bogus.ini"
+    bad.write_text(CONFIG + "\n[policy]\npolicies = reactive,bogus\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["simulate", "--model", "linear", "--config", str(bad), "--out", str(copy)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and captured.out == ""
+    assert {path.name: path.read_bytes() for path in copy.iterdir()} == before
+    assert "events_reactive.csv" in before

@@ -1,15 +1,23 @@
-"""Forecast scorers against the per-run sliding-window reference."""
+"""Forecast scorers against the per-run sliding-window reference, and the
+validation forecasts of evaluate_forecaster."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from driftcal.adaptation import Segment
-from driftcal.models import TrainConfig
-from driftcal.pipeline import forecast_scorer, label_and_window, train_forecaster
+from driftcal.labeling import Standardizer
+from driftcal.models import ForecastModel, TrainConfig, predict_ttd_batch
+from driftcal.pipeline import (
+    evaluate_forecaster,
+    forecast_scorer,
+    label_and_window,
+    train_forecaster,
+)
 
-from oracles import oracle_forecast_scorer
+from oracles import oracle_forecast_scorer, windows_of
 
 W = 30
 
@@ -48,3 +56,32 @@ def test_forecast_scorer_matches_sliding_window_oracle(models, fleet_with_short_
     assert not any(engine == 99 for engine, _ in got.scores)  # the short run has no window
     assert (np.array(list(got.scores.values())).tobytes()
             == np.array(list(want.scores.values())).tobytes())  # bit for bit
+
+
+@pytest.mark.parametrize("kind", ["linear", "quantile", "attention"])
+def test_evaluate_equals_one_forecast_over_the_gathered_windows(models, small_dataset,
+                                                                monkeypatch, kind):
+    val = label_and_window(small_dataset, w=W, seed=4).val_raw
+    expected = predict_ttd_batch(models[kind], val.take(slice(None)))
+    monkeypatch.setattr("driftcal.models.predict.WINDOW_CHUNK", 7)  # many chunk edges
+    report, y, yhat = evaluate_forecaster(models[kind], val)
+    assert yhat.tobytes() == expected.tobytes()
+    assert y.tolist() == val.label.tolist() and report.n == len(val)
+
+
+def test_evaluate_holds_no_raw_copy_of_the_whole_window_set():
+    n, w, d = 8000, 40, 24
+    rng = np.random.default_rng(0)
+    windows = windows_of(rng.normal(size=(n, w, d)), np.zeros(n))
+    model = ForecastModel(kind="linear", params={"coef": rng.normal(size=w * d),
+                                                 "intercept": np.zeros(1)},
+                          window=w, n_channels=d,
+                          standardizer=Standardizer(mean=np.ones(d), std=np.full(d, 2.0)))
+    tracemalloc.start()
+    try:
+        evaluate_forecaster(model, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    standardized_bytes = n * w * d * 8
+    assert peak < 1.5 * standardized_bytes  # a raw copy beside it would make 2x
