@@ -422,10 +422,13 @@ def _metadata_dict(dataset: AdaptedDataset) -> dict:
     }
 
 
+def _content_digest(meta_text: str, csv_text: str) -> str:
+    return sha256_bytes(meta_text.encode("utf-8") + b"\n" + csv_text.encode("utf-8"))
+
+
 def dataset_digest(dataset: AdaptedDataset) -> str:
     """Content hash of the canonical serialization (metadata + CSV)."""
-    meta = canonical_json(_metadata_dict(dataset))
-    return sha256_bytes(meta.encode("utf-8") + b"\n" + _adapted_csv(dataset).encode("utf-8"))
+    return _content_digest(canonical_json(_metadata_dict(dataset)), _adapted_csv(dataset))
 
 
 def write_adapted_dataset(dataset: AdaptedDataset, out_dir: str | Path) -> dict:
@@ -438,8 +441,8 @@ def write_adapted_dataset(dataset: AdaptedDataset, out_dir: str | Path) -> dict:
     meta_text = canonical_json(_metadata_dict(dataset))
     csv_path.write_text(csv_text, encoding="utf-8")
     meta_path.write_text(meta_text + "\n", encoding="utf-8")
-    digest = sha256_bytes(meta_text.encode("utf-8") + b"\n" + csv_text.encode("utf-8"))
-    return {"csv": str(csv_path), "metadata": str(meta_path), "digest": digest}
+    return {"csv": str(csv_path), "metadata": str(meta_path),
+            "digest": _content_digest(meta_text, csv_text)}
 
 
 def _check_key_columns(run: AdaptedRun, block: np.ndarray) -> None:

@@ -28,6 +28,7 @@ from .adaptation import (
 from .cmapss_io import load_trajectories
 from .labeling import split_engines, window_runs
 from .models import (
+    KINDS,
     NonFiniteError,
     TrainConfig,
     TrainingDivergedError,
@@ -54,7 +55,6 @@ from .scheduler import (
 from .synthetic import synthetic_trajectories
 from .util import canonical_json, fmt_float, read_csv, sha256_bytes, sha256_file, write_csv
 
-MODEL_KINDS = ("linear", "quantile", "attention")
 SPLIT_TAGS = ("FD001", "FD002", "FD003", "FD004", "synthetic")
 
 
@@ -74,7 +74,6 @@ class RunConfig(TrainConfig, AdaptationConfig):
     allow_cross_reset: bool = True
     # [train]
     model: str = "attention"
-    ridge: float = 1e-6
     # [policy]
     policies: str = "reactive,fixed,predictive,quantile"
     margin: int = 5
@@ -100,8 +99,8 @@ class RunConfig(TrainConfig, AdaptationConfig):
         CostSpec(c_cal=self.cost_cal, c_vio=self.cost_vio)
         if self.split not in SPLIT_TAGS:
             raise ValueError(f"split must be one of {SPLIT_TAGS}, got {self.split!r}")
-        if self.model not in MODEL_KINDS:
-            raise ValueError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
+        if self.model not in KINDS:
+            raise ValueError(f"model must be one of {tuple(KINDS)}, got {self.model!r}")
         for name, ok, rule in (
             ("window", self.window >= 1, ">= 1"),
             ("stride", self.stride >= 1, ">= 1"),
@@ -110,6 +109,9 @@ class RunConfig(TrainConfig, AdaptationConfig):
             ("capacity_window", self.capacity_window >= 1, ">= 1"),
             ("period", self.period >= 0, ">= 0"),
             ("margin", self.margin >= 0, ">= 0"),
+            ("engines", self.engines >= 1, ">= 1"),
+            ("min_length", self.min_length >= 20, ">= 20"),
+            ("max_length", self.max_length >= self.min_length, f">= min_length = {self.min_length}"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
@@ -242,10 +244,9 @@ def cmd_train(cfg: RunConfig) -> int:
         seed=cfg.seed,
         allow_cross_reset=cfg.allow_cross_reset,
     )
-    model, logs = train_forecaster(cfg.model, bundle, cfg, ridge=cfg.ridge)
+    model, logs = train_forecaster(cfg.model, bundle, cfg)
     path = _model_path(cfg, cfg.model)
     save_model(model, path, extra_header={"seed": cfg.seed, "config_digest": cfg.digest()})
-    metric_name = {"linear": "none", "quantile": "pinball", "attention": "mae"}[cfg.model]
     write_csv(
         Path(cfg.out) / f"train_log_{cfg.model}.csv",
         ["epoch", "train_loss", "val_metric", "lr"],
@@ -253,7 +254,7 @@ def cmd_train(cfg: RunConfig) -> int:
             [str(log.epoch), fmt_float(log.train_loss), fmt_float(log.val_metric), fmt_float(log.lr)]
             for log in logs
         ),
-        preamble=_preamble(cfg) + [f"val_metric={metric_name}"],
+        preamble=_preamble(cfg) + [f"val_metric={KINDS[cfg.model].val_metric}"],
     )
     print(f"trained {cfg.model} on {len(bundle.train_std)} windows "
           f"({len(logs)} epochs); saved {path}")
@@ -295,7 +296,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     windows = window_runs(val.runs, w=cfg.window, stride=cfg.stride,
                           allow_cross_reset=cfg.allow_cross_reset)
     rows = []
-    for kind in MODEL_KINDS:
+    for kind in KINDS:
         path = _model_path(cfg, kind)
         if not path.exists():
             continue
@@ -411,7 +412,7 @@ def cmd_report(cfg: RunConfig) -> int:
         warnings.append("no adapted dataset found (run adapt)")
 
     trained = {}
-    for kind in MODEL_KINDS:
+    for kind in KINDS:
         if note_file(f"model_{kind}.bin"):
             log_path = note_file(f"train_log_{kind}.csv")
             n_epochs = 0
@@ -482,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--window", type=int, default=None)
         p.add_argument("--stride", type=int, default=None)
-        p.add_argument("--model", default=None, choices=MODEL_KINDS)
+        p.add_argument("--model", default=None, choices=tuple(KINDS))
         p.add_argument("--margin", type=int, default=None)
         p.add_argument("--period", type=int, default=None)
         p.add_argument("--capacity-k", dest="capacity_k", type=int, default=None)

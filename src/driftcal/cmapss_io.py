@@ -7,7 +7,6 @@ grouped per engine and each engine's cycles must run 1..L with no gaps.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,16 +61,6 @@ def sensor_column(sensor_id: int) -> int:
     return N_SETTINGS + sensor_id - 1
 
 
-def _as_lines(text) -> list[str]:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    if isinstance(text, str):
-        return text.splitlines()
-    if isinstance(text, io.IOBase):
-        return _as_lines(text.read())
-    return [str(line) for line in text]
-
-
 def _scan_lines(lines: list[str]) -> np.ndarray:
     """Line-by-line parse and schema check; the first bad line raises a
     SchemaError that names it. Returns the (rows, 26) values."""
@@ -114,13 +103,14 @@ def _numeric_table(lines: list[str]) -> np.ndarray:
     return table
 
 
-def parse_trajectories(text) -> list[SensorTrajectory]:
-    """Parse C-MAPSS text into trajectories, in first-appearance engine order.
-
-    Accepts a str, bytes, open file, or iterable of lines. Spaces and tabs
-    both separate columns; blank lines are ignored.
+def parse_trajectories(text: str | bytes) -> list[SensorTrajectory]:
+    """Parse C-MAPSS text (str, or UTF-8 bytes) into trajectories, in
+    first-appearance engine order. Spaces and tabs both separate columns;
+    blank lines are ignored.
     """
-    lines = _as_lines(text)
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    lines = text.splitlines()
     if not any(line.strip() for line in lines):
         return []
     table = _numeric_table(lines)

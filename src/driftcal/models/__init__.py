@@ -15,5 +15,6 @@ from .base import (
 )
 from .linear import fit_linear
 from .nn import NonFiniteError
-from .predict import predict_quantiles_batch, predict_ttd_batch, predict_ttd_windows
+from .predict import (KINDS, kind_of, predict_quantiles_batch, predict_ttd_batch,
+                      predict_ttd_windows)
 from .quantile import fit_quantile

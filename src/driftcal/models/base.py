@@ -39,6 +39,7 @@ class TrainConfig:
     pool: str = "mean"  # or "last"
     # quantile extras
     hidden_width: int = 64
+    ridge: float = 1e-6  # the linear model's L2 penalty
 
     def __post_init__(self):
         for name in ("max_epochs", "batch_size", "patience", "d_model", "heads", "hidden_width"):
@@ -50,6 +51,8 @@ class TrainConfig:
             raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
         if not self.smooth_l1_beta > 0:
             raise ValueError(f"smooth_l1_beta must be > 0, got {self.smooth_l1_beta}")
         if self.d_model % self.heads != 0:

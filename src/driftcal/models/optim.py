@@ -12,6 +12,8 @@ import numpy as np
 from .base import EpochLog, TrainConfig, TrainingDivergedError
 from .nn import NonFiniteError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
 
 @dataclass(frozen=True)
 class LrSchedule:
@@ -61,17 +63,14 @@ def adamw_step(
     state: AdamWState,
     step: int,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.01,
 ):
     """One in-place update: decay params by (1 - lr*wd), then apply the
-    bias-corrected Adam step. ``step`` is 1-based."""
+    bias-corrected Adam step (BETA1, BETA2, EPS). ``step`` is 1-based."""
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    bc1 = 1.0 - beta1**step
-    bc2 = 1.0 - beta2**step
+    bc1 = 1.0 - BETA1**step
+    bc2 = 1.0 - BETA2**step
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
@@ -81,17 +80,17 @@ def adamw_step(
         m = state.m[name]
         v = state.v[name]
         a, b = state.scratch[name]
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=a)
-        v *= beta2
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=a)
+        v *= BETA2
         np.square(g, out=a)
-        v += np.multiply(a, 1.0 - beta2, out=a)
+        v += np.multiply(a, 1.0 - BETA2, out=a)
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), without temporaries
         np.divide(m, bc1, out=a)
         a *= lr
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        b += eps
+        b += EPS
         a /= b
         p -= a
     return params, state

@@ -1,31 +1,48 @@
-"""Prediction entry points shared by all forecaster kinds.
+"""The forecaster kinds, and the prediction entry points shared by them.
 
-These take raw (unstandardized) windows; the model's stored standardizer
-is applied internally. Point forecasts are clipped at zero.
+The predictions take raw (unstandardized) windows; the model's stored
+standardizer is applied internally. Point forecasts are clipped at zero.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from ..labeling import WINDOW_CHUNK, Windows
-from .attention import attention_raw_batch
+from .attention import attention_raw_batch, train_attention
 from .base import ForecastModel, ShapeMismatchError
-from .linear import linear_raw_batch
-from .quantile import quantile_raw_batch
+from .linear import fit_linear, linear_raw_batch
+from .quantile import QUANTILES, fit_quantile, quantile_raw_batch
 
 
-def _raw_point_batch(model: ForecastModel, X_std: np.ndarray) -> np.ndarray:
-    if model.kind == "linear":
-        return linear_raw_batch(model, X_std)
-    if model.kind == "attention":
-        return attention_raw_batch(model, X_std)
-    if model.kind == "quantile":
-        levels = sorted(model.meta["quantiles"])
-        rectified = quantile_raw_batch(model, X_std)
-        median_idx = min(range(len(levels)), key=lambda j: abs(levels[j] - 0.5))
-        return rectified[:, median_idx]
-    raise ValueError(f"unknown model kind {model.kind!r}")
+class Kind(NamedTuple):
+    """One forecaster kind: its fit, called as (train, val, cfg,
+    standardizer) -> (model, epoch logs); its raw point forecasts for
+    standardized windows (B, w, d); and the metric its epoch logs record."""
+
+    fit: Callable
+    raw_point: Callable
+    val_metric: str
+
+
+# each fit looks its function up when called, so a wrapped module attribute runs
+KINDS = {
+    "linear": Kind(lambda train, val, cfg, std: (fit_linear(train, cfg.ridge, std), []),
+                   linear_raw_batch, "none"),
+    "quantile": Kind(lambda *args: fit_quantile(*args),
+                     lambda model, X: quantile_raw_batch(model, X)[:, QUANTILES.index(0.5)],
+                     "pinball"),
+    "attention": Kind(lambda *args: train_attention(*args), attention_raw_batch, "mae"),
+}
+
+
+def kind_of(name: str) -> Kind:
+    """The KINDS entry for a kind name; ValueError names an unknown one."""
+    if name not in KINDS:
+        raise ValueError(f"unknown model kind {name!r}")
+    return KINDS[name]
 
 
 def _check_shape(model: ForecastModel, shape: tuple[int, ...]) -> None:
@@ -42,7 +59,7 @@ def _standardized(model: ForecastModel, windows: np.ndarray) -> np.ndarray:
 
 def predict_ttd_batch(model: ForecastModel, windows: np.ndarray) -> np.ndarray:
     """Clipped point forecasts for raw windows of shape (B, w, d)."""
-    raw = _raw_point_batch(model, _standardized(model, windows))
+    raw = kind_of(model.kind).raw_point(model, _standardized(model, windows))
     return np.maximum(raw, 0.0)
 
 
@@ -53,13 +70,14 @@ def predict_ttd_windows(model: ForecastModel, windows: Windows) -> np.ndarray:
     the one array the model reads, so no raw copy of the whole set exists;
     the model then forecasts them in one call, as predict_ttd_batch would.
     """
+    raw_point = kind_of(model.kind).raw_point
     shape = (len(windows), *windows.shape)
     _check_shape(model, shape)
     X = np.empty(shape)
     for lo in range(0, len(windows), WINDOW_CHUNK):
         rows = slice(lo, lo + WINDOW_CHUNK)
         X[rows] = model.standardize(windows.take(rows))
-    return np.maximum(_raw_point_batch(model, X), 0.0)
+    return np.maximum(raw_point(model, X), 0.0)
 
 
 def predict_quantiles_batch(model: ForecastModel, windows: np.ndarray) -> np.ndarray:

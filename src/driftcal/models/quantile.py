@@ -1,8 +1,8 @@
 """Multi-quantile pinball-loss regressor.
 
 A two-layer feed-forward network (width 64, tanh) on flattened windows
-with one output head per quantile level; trained on summed pinball losses.
-Quantile crossing is rectified by sorting the head outputs per input.
+with one output head per level of QUANTILES; trained on summed pinball
+losses. Quantile crossing is rectified by sorting the head outputs per input.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .base import EpochLog, ForecastModel, TrainConfig, validation_set
 from .nn import check_finite, pinball_grad, pinball_loss, tanh_grad, xavier_uniform
 from .optim import fit_minibatch
 
-DEFAULT_QUANTILES = (0.1, 0.5, 0.9)
+QUANTILES = (0.1, 0.5, 0.9)  # ascending
 
 
 def init_quantile_params(
@@ -69,12 +69,10 @@ def fit_quantile(
     train_windows: Windows,
     val_windows: Windows,
     cfg: TrainConfig,
-    quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
     standardizer: Standardizer | None = None,
 ) -> tuple[ForecastModel, list[EpochLog]]:
-    """Mini-batch AdamW on summed pinball losses; early stopping on the
-    validation pinball loss with cfg.patience."""
-    quantiles = tuple(sorted(quantiles))
+    """Mini-batch AdamW on summed pinball losses at the QUANTILES levels;
+    early stopping on the validation pinball loss with cfg.patience."""
     Xva3, yva = validation_set(train_windows, val_windows)
     w, d = train_windows.shape
     # one GEMM over all validation windows: row blocks could round differently
@@ -84,14 +82,14 @@ def fit_quantile(
         val_out, _ = quantile_forward_batch(Xva, params, check=False)
         return sum(
             float(np.mean(pinball_loss(yva, val_out[:, j], q)))
-            for j, q in enumerate(quantiles)
+            for j, q in enumerate(QUANTILES)
         )
 
     params = init_quantile_params(
-        np.random.default_rng([cfg.seed, 3]), w * d, cfg.hidden_width, len(quantiles)
+        np.random.default_rng([cfg.seed, 3]), w * d, cfg.hidden_width, len(QUANTILES)
     )
     best_params, logs = fit_minibatch(
-        lambda Xb, yb, p: quantile_loss_and_grads(Xb, yb, p, quantiles),
+        lambda Xb, yb, p: quantile_loss_and_grads(Xb, yb, p, QUANTILES),
         val_pinball,
         params,
         lambda idx: train_windows.take(idx).reshape(len(idx), -1),
@@ -105,7 +103,7 @@ def fit_quantile(
         window=w,
         n_channels=d,
         standardizer=standardizer,
-        meta={"quantiles": list(quantiles), "hidden_width": cfg.hidden_width},
+        meta={"quantiles": list(QUANTILES), "hidden_width": cfg.hidden_width},
     )
     return model, logs
 

@@ -20,12 +20,10 @@ from .models import (
     EpochLog,
     ForecastModel,
     TrainConfig,
-    fit_linear,
-    fit_quantile,
+    kind_of,
     predict_quantiles_batch,
     predict_ttd_batch,
     predict_ttd_windows,
-    train_attention,
 )
 from .scheduler import CycleScorer
 
@@ -79,21 +77,10 @@ def label_and_window(
 
 
 def train_forecaster(
-    kind: str, bundle: WindowBundle, cfg: TrainConfig, ridge: float = 1e-6
+    kind: str, bundle: WindowBundle, cfg: TrainConfig
 ) -> tuple[ForecastModel, list[EpochLog]]:
-    """Fit one forecaster on the bundle's standardized train windows."""
-    if kind == "linear":
-        model = fit_linear(bundle.train_std, ridge=ridge, standardizer=bundle.standardizer)
-        return model, []
-    if kind == "quantile":
-        return fit_quantile(
-            bundle.train_std, bundle.val_std, cfg, standardizer=bundle.standardizer
-        )
-    if kind == "attention":
-        return train_attention(
-            bundle.train_std, bundle.val_std, cfg, standardizer=bundle.standardizer
-        )
-    raise ValueError(f"unknown forecaster kind {kind!r}")
+    """Fit one forecaster of a KINDS kind on the bundle's standardized train windows."""
+    return kind_of(kind).fit(bundle.train_std, bundle.val_std, cfg, bundle.standardizer)
 
 
 def evaluate_forecaster(
@@ -112,7 +99,7 @@ def forecast_scorer(
 
     Scores exist at cycles >= w (a full window is needed). The point score
     is the clipped forecast; with use_quantile=True it is the rectified,
-    clipped lowest-level quantile (q10 at the default levels). A window
+    clipped lowest-level quantile (q10). A window
     with a non-finite cell raises ValueError, as ``window_runs`` does.
     """
     scores: dict[tuple[int, int], float] = {}

@@ -62,6 +62,21 @@ def test_tracer_wraps_every_target_and_counts_attention_flops():
     assert tracer.counts[FLOPS] > 0
 
 
+def test_train_forecaster_records_the_fit_spans():
+    pipeline = importlib.import_module("driftcal.pipeline")
+    windows = _tiny_windows()
+    bundle = pipeline.WindowBundle(train_raw=windows, val_raw=windows, train_std=windows,
+                                   val_std=windows, standardizer=None, split=None)
+    cfg = TrainConfig(max_epochs=2, patience=2, batch_size=8, hidden_width=4)
+    tracer = tracing.Tracer()
+    _traced(tracer, lambda: [pipeline.train_forecaster(kind, bundle, cfg)
+                             for kind in ("linear", "quantile")])
+    _, _, calls, _ = tracer.summary()
+    assert calls["models.linear.fit"] == 1
+    assert calls["models.quantile.fit"] == 1
+    assert tracer.counts["models.quantile.epochs"] == 2
+
+
 def test_flop_counter_reads_the_forward_and_backward_arguments():
     attention = importlib.import_module("driftcal.models.attention")
     params = attention.init_attention_params(np.random.default_rng(1), 3, 8, 2, 1)

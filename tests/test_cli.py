@@ -1,5 +1,6 @@
 """End-to-end CLI runs on a small synthetic split."""
 
+import argparse
 import json
 import shutil
 from dataclasses import fields
@@ -9,7 +10,8 @@ import pytest
 from driftcal.adaptation import AdaptationConfig, read_adapted_dataset
 from driftcal.cli import RunConfig, build_config, build_parser, main
 from driftcal.labeling import split_engines
-from driftcal.models import NonFiniteError, TrainConfig, TrainingDivergedError, load_model
+from driftcal.models import (KINDS, NonFiniteError, TrainConfig, TrainingDivergedError,
+                             load_model)
 from driftcal.pipeline import evaluate_forecaster, label_and_window
 from driftcal.util import fmt_float, read_csv, sha256_file
 
@@ -218,6 +220,35 @@ def test_train_log_has_one_row_per_epoch(workspace):
     assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
 
 
+def _val_metric_line(path):
+    return [line for line in path.read_text(encoding="utf-8").splitlines()
+            if line.startswith("# val_metric=")]
+
+
+@pytest.mark.parametrize(("kind", "metric"), [("linear", "none"), ("quantile", "pinball")])
+def test_train_log_names_the_val_metric(workspace, kind, metric):
+    _, out, _ = workspace
+    assert _val_metric_line(out / f"train_log_{kind}.csv") == [f"# val_metric={metric}"]
+
+
+def test_model_flag_offers_every_kind():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in sub.choices.values():
+        (model,) = [a for a in command._actions if a.dest == "model"]
+        assert tuple(model.choices) == tuple(KINDS)
+
+
+def test_model_file_of_unknown_kind_prints_one_error_line(workspace, tmp_path, capsys):
+    root, out, _ = workspace
+    copy = tmp_path / "bogus"
+    shutil.copytree(out, copy)
+    path = copy / "model_linear.bin"
+    path.write_bytes(path.read_bytes().replace(b'"kind": "linear"', b'"kind": "bogus"', 1))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(root / "run.ini"), "--out", str(copy)]) == 1
+    assert capsys.readouterr().err == "error: unknown model kind 'bogus'\n"
+
+
 def test_benchmark_file_split_roundtrip(tmp_path):
     # write a real-format train file and drive the FD001 code path with it
     from driftcal.cmapss_io import serialize_trajectories
@@ -246,6 +277,7 @@ def test_attention_cli_path(tmp_path):
     args = ["--config", str(cfg_path), "--out", str(out)]
     assert main(["adapt"] + args) == 0
     assert main(["train", "--model", "attention"] + args) == 0
+    assert _val_metric_line(out / "train_log_attention.csv") == ["# val_metric=mae"]
     assert main(["evaluate"] + args) == 0
     assert main(["simulate", "--model", "attention",
                  "--config", str(cfg_path), "--out", str(out)]) == 1  # no quantile model
@@ -391,6 +423,16 @@ BAD_SETTINGS = [
     ("top_k_zero", ["adapt"], "top_k = 0", "top_k must be in 1..21, got 0"),
     ("top_k_above_sensors", ["adapt"], "top_k = 22", "top_k must be in 1..21, got 22"),
     ("warmup_steps", ["train"], "warmup_steps = -1", "warmup_steps must be >= 0, got -1"),
+    ("ridge_inf", ["train"], "ridge = inf", "ridge must be finite and >= 0, got inf"),
+    ("ridge_nan", ["train", "--model", "linear"], "ridge = nan",
+     "ridge must be finite and >= 0, got nan"),
+    ("model", ["train"], "model = bogus",
+     "model must be one of ('linear', 'quantile', 'attention'), got 'bogus'"),
+    ("engines", ["train"], "engines = 0", "engines must be >= 1, got 0"),
+    ("min_length", ["adapt"], "min_length = 10\nmax_length = 5",
+     "min_length must be >= 20, got 10"),
+    ("max_length", ["adapt"], "min_length = 40\nmax_length = 30",
+     "max_length must be >= min_length = 40, got 30"),
     ("window", ["train", "--window", "0"], "", "window must be >= 1, got 0"),
     ("stride", ["evaluate", "--stride", "0"], "", "stride must be >= 1, got 0"),
     ("train_fraction_zero", ["train"], "train_fraction = 0",

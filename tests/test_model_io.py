@@ -67,3 +67,11 @@ def test_roundtrip_preserves_standardizer(tmp_path):
     assert loaded.window == 2 and loaded.n_channels == 3
     window = np.array([[[1.0, 2.0, 3.0], [1.5, 3.5, 5.5]]])
     assert predict_ttd_batch(loaded, window)[0] == predict_ttd_batch(model, window)[0]
+
+
+def test_a_loaded_model_of_unknown_kind_raises_one_value_error(tmp_path):
+    model = _constant_linear_model(1.0)
+    model.kind = "bogus"
+    save_model(model, tmp_path / "model.bin")
+    with pytest.raises(ValueError, match="'bogus'"):
+        predict_ttd_batch(load_model(tmp_path / "model.bin"), np.zeros((1, 2, 3)))

@@ -69,6 +69,11 @@ def test_evaluate_equals_one_forecast_over_the_gathered_windows(models, small_da
     assert y.tolist() == val.label.tolist() and report.n == len(val)
 
 
+def test_unknown_kind_raises_one_value_error_before_reading_the_bundle():
+    with pytest.raises(ValueError, match="'bogus'"):
+        train_forecaster("bogus", None, TrainConfig())
+
+
 def test_evaluate_holds_no_raw_copy_of_the_whole_window_set():
     n, w, d = 8000, 40, 24
     rng = np.random.default_rng(0)
