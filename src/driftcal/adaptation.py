@@ -33,6 +33,35 @@ class DegenerateSpanError(AdaptationError):
     """Baseline-to-tail span too small to place a threshold."""
 
 
+@dataclass(frozen=True)
+class AdaptationConfig:
+    """Every setting of the adaptation step: sensor ranking, thresholds and resets."""
+
+    top_k: int = 3
+    max_resets: int = 3
+    fraction_low: float = 0.55
+    fraction_high: float = 0.80
+    noise_sigma_frac: float = 0.02
+    stitch_low: float = 0.95
+    stitch_high: float = 1.05
+    noise_reset_prob: float = 0.5
+
+    def __post_init__(self):
+        f_high, s_high = self.fraction_high, self.stitch_high
+        for name, ok, rule in (
+            ("top_k", 1 <= self.top_k <= N_SENSORS, f"in 1..{N_SENSORS}"),
+            ("max_resets", self.max_resets >= 0, ">= 0"),
+            ("fraction_high", 0 < f_high < 1, "in (0, 1)"),
+            ("fraction_low", 0 < self.fraction_low <= f_high, f"in (0, fraction_high = {f_high}]"),
+            ("stitch_high", 0 < s_high < math.inf, "finite and > 0"),
+            ("stitch_low", 0 < self.stitch_low <= s_high, f"in (0, stitch_high = {s_high}]"),
+            ("noise_sigma_frac", 0 <= self.noise_sigma_frac < math.inf, "finite and >= 0"),
+            ("noise_reset_prob", 0 <= self.noise_reset_prob <= 1, "in [0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+
+
 # ---------------------------------------------------------------------------
 # Spearman rank correlation
 # ---------------------------------------------------------------------------
@@ -79,15 +108,13 @@ class DriftSensorRanking:
         return tuple(sensor_id for sensor_id, _ in self.entries[:k])
 
 
-def rank_drift_sensors(trajs: list[SensorTrajectory], top_k: int) -> DriftSensorRanking:
+def rank_drift_sensors(trajs: list[SensorTrajectory]) -> DriftSensorRanking:
     """Score each sensor by the per-engine mean of |spearman_rho(series, cycle)|.
 
     Ties in score break toward the smaller sensor id.
     """
     if not trajs:
         raise AdaptationError("need at least one trajectory to rank sensors")
-    if not 1 <= top_k <= N_SENSORS:
-        raise AdaptationError(f"top_k must be in 1..{N_SENSORS}, got {top_k}")
     scores = np.zeros(N_SENSORS, dtype=np.float64)
     for traj in trajs:
         cycle = np.arange(1, traj.length + 1, dtype=np.float64)
@@ -124,12 +151,12 @@ def make_threshold(
     sensor_series,
     rng: np.random.Generator,
     sensor_id: int = 0,
-    fraction_range: tuple[float, float] = (0.55, 0.80),
+    config: AdaptationConfig = AdaptationConfig(),
 ) -> ThresholdSpec:
     """Place a threshold inside the baseline-to-tail span of one series.
 
     Baseline is the mean of the first 10 cycles, tail the mean of the last 5;
-    the fraction is drawn uniformly from ``fraction_range``.
+    the fraction is drawn uniformly from the config's fraction_low..fraction_high.
     """
     series = np.asarray(sensor_series, dtype=np.float64)
     if series.ndim != 1 or series.size < 20:
@@ -141,7 +168,7 @@ def make_threshold(
             f"sensor {sensor_id}: |tail - baseline| = {abs(tail - baseline):.3g} "
             f"below tolerance {SPAN_TOLERANCE:g}"
         )
-    fraction = float(rng.uniform(*fraction_range))
+    fraction = float(rng.uniform(config.fraction_low, config.fraction_high))
     return ThresholdSpec(
         sensor_id=sensor_id,
         baseline=baseline,
@@ -210,14 +237,10 @@ def _first_crossing(channels: np.ndarray, thresholds, start: int, end: int) -> i
 
 def synthesize_resets(
     traj: SensorTrajectory,
-    sensors: tuple[int, ...] | list[int],
     thresholds: list[ThresholdSpec] | tuple[ThresholdSpec, ...],
     donors: list[SensorTrajectory],
     rng: np.random.Generator,
-    max_resets: int = 3,
-    noise_sigma_frac: float = 0.02,
-    stitch_range: tuple[float, float] = (0.95, 1.05),
-    noise_reset_prob: float = 0.5,
+    config: AdaptationConfig = AdaptationConfig(),
 ) -> AdaptedRun:
     """Scan a run for threshold crossings and splice in recalibration events.
 
@@ -226,18 +249,12 @@ def synthesize_resets(
     noise and re-drifted along the run's own early-life trend, or replaced
     by a scaled early-life slice of a donor engine. Non-drift channels are
     never touched. The final segment keeps its crossing (if any) and runs
-    to the end of the trajectory.
+    to the end of the trajectory. The drift sensors are the thresholds'
+    sensor ids, in order.
     """
-    sensors = tuple(sensors)
-    if not sensors:
+    specs = tuple(thresholds)
+    if not specs:
         raise AdaptationError(f"engine {traj.engine_id}: empty drift sensor set")
-    by_id = {spec.sensor_id: spec for spec in thresholds}
-    if set(by_id) != set(sensors):
-        raise AdaptationError(
-            f"engine {traj.engine_id}: thresholds cover {sorted(by_id)} "
-            f"but drift sensors are {sorted(sensors)}"
-        )
-    specs = [by_id[s] for s in sensors]
 
     length = traj.length
     channels = traj.channels.copy()
@@ -249,30 +266,26 @@ def synthesize_resets(
         if crossing is None:
             segments.append(Segment(start=start, end=length, crossing=None))
             break
-        if len(resets) >= max_resets or crossing >= length:
+        if len(resets) >= config.max_resets or crossing >= length:
             segments.append(Segment(start=start, end=length, crossing=crossing))
             break
         segments.append(Segment(start=start, end=crossing, crossing=crossing))
         reset_row = crossing  # 0-based row of cycle crossing+1
         remaining = length - crossing
-        kind = NOISE_RESET
-        if rng.uniform() >= noise_reset_prob:
+        # stitch a donor's early life, unless the draw says noise, there is
+        # no donor, or the drawn donor is too short
+        if (rng.uniform() >= config.noise_reset_prob and donors
+                and (donor := donors[int(rng.integers(len(donors)))]).length >= remaining):
             kind = STITCH_RESET
-            if donors:
-                donor = donors[int(rng.integers(len(donors)))]
-                if donor.length < remaining:
-                    kind = NOISE_RESET  # donor too short, fall back
-            else:
-                kind = NOISE_RESET
-        if kind == STITCH_RESET:
-            factor = float(rng.uniform(*stitch_range))
+            factor = float(rng.uniform(config.stitch_low, config.stitch_high))
             for spec in specs:
                 col = sensor_column(spec.sensor_id)
                 channels[reset_row:, col] = donor.channels[:remaining, col] * factor
         else:
+            kind = NOISE_RESET
             for spec in specs:
                 col = sensor_column(spec.sensor_id)
-                sigma = noise_sigma_frac * abs(spec.tail - spec.baseline)
+                sigma = config.noise_sigma_frac * abs(spec.tail - spec.baseline)
                 trend = traj.channels[:remaining, col]
                 noise = rng.normal(0.0, sigma, size=remaining)
                 channels[reset_row:, col] = trend - trend[0] + spec.baseline + noise
@@ -281,8 +294,8 @@ def synthesize_resets(
 
     return AdaptedRun(
         engine_id=traj.engine_id,
-        drift_sensors=sensors,
-        thresholds=tuple(specs),
+        drift_sensors=tuple(spec.sensor_id for spec in specs),
+        thresholds=specs,
         segments=tuple(segments),
         channels=channels,
         reset_events=tuple(resets),
@@ -292,33 +305,6 @@ def synthesize_resets(
 # ---------------------------------------------------------------------------
 # Dataset-level adaptation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AdaptationConfig:
-    top_k: int = 3
-    max_resets: int = 3
-    fraction_low: float = 0.55
-    fraction_high: float = 0.80
-    noise_sigma_frac: float = 0.02
-    stitch_low: float = 0.95
-    stitch_high: float = 1.05
-    noise_reset_prob: float = 0.5
-
-    def __post_init__(self):
-        f_high, s_high = self.fraction_high, self.stitch_high
-        for name, ok, rule in (
-            ("top_k", 1 <= self.top_k <= N_SENSORS, f"in 1..{N_SENSORS}"),
-            ("max_resets", self.max_resets >= 0, ">= 0"),
-            ("fraction_high", 0 < f_high < 1, "in (0, 1)"),
-            ("fraction_low", 0 < self.fraction_low <= f_high, f"in (0, fraction_high = {f_high}]"),
-            ("stitch_high", 0 < s_high < math.inf, "finite and > 0"),
-            ("stitch_low", 0 < self.stitch_low <= s_high, f"in (0, stitch_high = {s_high}]"),
-            ("noise_sigma_frac", 0 <= self.noise_sigma_frac < math.inf, "finite and >= 0"),
-            ("noise_reset_prob", 0 <= self.noise_reset_prob <= 1, "in [0, 1]"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
-
 
 @dataclass
 class AdaptedDataset:
@@ -339,9 +325,7 @@ def adapt_dataset(
     with its own rng stream derived from (seed, engine_id)."""
     if not trajs:
         raise AdaptationError("cannot adapt an empty trajectory list")
-    ranking = rank_drift_sensors(trajs, config.top_k)
-    selected = ranking.top(config.top_k)
-    fraction_range = (config.fraction_low, config.fraction_high)
+    selected = rank_drift_sensors(trajs).top(config.top_k)
 
     runs = []
     for traj in trajs:
@@ -349,9 +333,7 @@ def adapt_dataset(
         thresholds = []
         for sensor_id in selected:
             try:
-                thresholds.append(
-                    make_threshold(traj.sensor(sensor_id), rng, sensor_id, fraction_range)
-                )
+                thresholds.append(make_threshold(traj.sensor(sensor_id), rng, sensor_id, config))
             except DegenerateSpanError:
                 continue  # sensor uninformative for this run
         if not thresholds:
@@ -359,19 +341,7 @@ def adapt_dataset(
                 f"engine {traj.engine_id}: all selected sensors have degenerate spans"
             )
         donors = [d for d in trajs if d.engine_id != traj.engine_id]
-        runs.append(
-            synthesize_resets(
-                traj,
-                tuple(spec.sensor_id for spec in thresholds),
-                thresholds,
-                donors,
-                rng,
-                max_resets=config.max_resets,
-                noise_sigma_frac=config.noise_sigma_frac,
-                stitch_range=(config.stitch_low, config.stitch_high),
-                noise_reset_prob=config.noise_reset_prob,
-            )
-        )
+        runs.append(synthesize_resets(traj, thresholds, donors, rng, config))
     return AdaptedDataset(
         split_tag=split_tag, runs=runs, seed=seed, config=config, drift_sensors=selected
     )
@@ -465,7 +435,8 @@ def _check_key_columns(run: AdaptedRun, block: np.ndarray) -> None:
 
 def read_adapted_dataset(out_dir: str | Path) -> AdaptedDataset:
     out_dir = Path(out_dir)
-    meta = json.loads((out_dir / ADAPTED_META_NAME).read_text(encoding="utf-8"))
+    meta_path = out_dir / ADAPTED_META_NAME
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
     if meta.get("format") != "driftcal-adapted v1":
         raise ValueError(f"unsupported adapted-dataset format: {meta.get('format')!r}")
 
@@ -490,35 +461,38 @@ def read_adapted_dataset(out_dir: str | Path) -> AdaptedDataset:
         blocks[engine_id] = (start, stop)
     all_channels = np.ascontiguousarray(table[:, 4:])
 
-    runs = []
-    for entry in meta["runs"]:
-        engine_id = entry["engine_id"]
-        if engine_id not in blocks:
-            raise ValueError(f"engine {engine_id}: no rows in {ADAPTED_CSV_NAME}")
-        start, stop = blocks[engine_id]
-        if stop - start != entry["length"]:
-            raise ValueError(
-                f"engine {engine_id}: CSV has {stop - start} cycles, "
-                f"metadata says {entry['length']}"
+    try:
+        runs = []
+        for entry in meta["runs"]:
+            engine_id = entry["engine_id"]
+            if engine_id not in blocks:
+                raise ValueError(f"engine {engine_id}: no rows in {ADAPTED_CSV_NAME}")
+            start, stop = blocks[engine_id]
+            if stop - start != entry["length"]:
+                raise ValueError(
+                    f"engine {engine_id}: CSV has {stop - start} cycles, "
+                    f"metadata says {entry['length']}"
+                )
+            run = AdaptedRun(
+                engine_id=engine_id,
+                drift_sensors=tuple(entry["drift_sensors"]),
+                thresholds=tuple(ThresholdSpec(**t) for t in entry["thresholds"]),
+                segments=tuple(
+                    Segment(start=s[0], end=s[1], crossing=s[2]) for s in entry["segments"]
+                ),
+                channels=all_channels[start:stop],
+                reset_events=tuple(
+                    ResetEvent(cycle=e[0], kind=e[1]) for e in entry["reset_events"]
+                ),
             )
-        run = AdaptedRun(
-            engine_id=engine_id,
-            drift_sensors=tuple(entry["drift_sensors"]),
-            thresholds=tuple(ThresholdSpec(**t) for t in entry["thresholds"]),
-            segments=tuple(
-                Segment(start=s[0], end=s[1], crossing=s[2]) for s in entry["segments"]
-            ),
-            channels=all_channels[start:stop],
-            reset_events=tuple(
-                ResetEvent(cycle=e[0], kind=e[1]) for e in entry["reset_events"]
-            ),
+            _check_key_columns(run, table[start:stop])
+            runs.append(run)
+        return AdaptedDataset(
+            split_tag=meta["split_tag"],
+            runs=runs,
+            seed=meta["seed"],
+            config=AdaptationConfig(**meta["config"]),
+            drift_sensors=tuple(meta["drift_sensors"]),
         )
-        _check_key_columns(run, table[start:stop])
-        runs.append(run)
-    return AdaptedDataset(
-        split_tag=meta["split_tag"],
-        runs=runs,
-        seed=meta["seed"],
-        config=AdaptationConfig(**meta["config"]),
-        drift_sensors=tuple(meta["drift_sensors"]),
-    )
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"{meta_path} is malformed: {type(exc).__name__}: {exc}") from exc

@@ -42,19 +42,21 @@ class TrainConfig:
     ridge: float = 1e-6  # the linear model's L2 penalty
 
     def __post_init__(self):
-        for name in ("max_epochs", "batch_size", "patience", "d_model", "heads", "hidden_width"):
+        for name in ("max_epochs", "batch_size", "patience", "d_model", "heads", "layers",
+                     "hidden_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.warmup_steps < 0:
-            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
+        for name in ("warmup_steps", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (math.isfinite(self.base_lr) and self.base_lr > 0):
             raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not (math.isfinite(self.ridge) and self.ridge >= 0):
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
-        if not self.smooth_l1_beta > 0:
-            raise ValueError(f"smooth_l1_beta must be > 0, got {self.smooth_l1_beta}")
+        if not (math.isfinite(self.smooth_l1_beta) and self.smooth_l1_beta > 0):
+            raise ValueError(f"smooth_l1_beta must be finite and > 0, got {self.smooth_l1_beta}")
         if self.d_model % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide d_model ({self.d_model})")
         if self.pool not in ("mean", "last"):

@@ -18,15 +18,15 @@ QUANTILES = (0.1, 0.5, 0.9)  # ascending
 
 
 def init_quantile_params(
-    rng: np.random.Generator, n_features: int, hidden: int, n_quantiles: int
+    rng: np.random.Generator, n_features: int, hidden: int
 ) -> dict[str, np.ndarray]:
     return {
         "l1.w": xavier_uniform(rng, (n_features, hidden)),
         "l1.b": np.zeros(hidden),
         "l2.w": xavier_uniform(rng, (hidden, hidden)),
         "l2.b": np.zeros(hidden),
-        "head.w": xavier_uniform(rng, (hidden, n_quantiles)),
-        "head.b": np.zeros(n_quantiles),
+        "head.w": xavier_uniform(rng, (hidden, len(QUANTILES))),
+        "head.b": np.zeros(len(QUANTILES)),
     }
 
 
@@ -53,13 +53,13 @@ def quantile_backward_batch(dout: np.ndarray, params: dict[str, np.ndarray], cac
     return grads
 
 
-def quantile_loss_and_grads(Xf, y, params, quantiles):
+def quantile_loss_and_grads(Xf, y, params):
     """Summed-over-levels mean pinball loss plus parameter gradients."""
     out, cache = quantile_forward_batch(Xf, params)
     n = len(y)
     loss = 0.0
     dout = np.empty_like(out)
-    for j, q in enumerate(quantiles):
+    for j, q in enumerate(QUANTILES):
         loss += float(np.mean(pinball_loss(y, out[:, j], q)))
         dout[:, j] = pinball_grad(y, out[:, j], q) / n
     return loss, quantile_backward_batch(dout, params, cache)
@@ -85,11 +85,9 @@ def fit_quantile(
             for j, q in enumerate(QUANTILES)
         )
 
-    params = init_quantile_params(
-        np.random.default_rng([cfg.seed, 3]), w * d, cfg.hidden_width, len(QUANTILES)
-    )
+    params = init_quantile_params(np.random.default_rng([cfg.seed, 3]), w * d, cfg.hidden_width)
     best_params, logs = fit_minibatch(
-        lambda Xb, yb, p: quantile_loss_and_grads(Xb, yb, p, QUANTILES),
+        quantile_loss_and_grads,
         val_pinball,
         params,
         lambda idx: train_windows.take(idx).reshape(len(idx), -1),

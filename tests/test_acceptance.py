@@ -174,13 +174,13 @@ def test_criterion_05_gradient_checks():
         central_difference_gradients(att_loss, flatten_params(att_params), step=1e-5),
     )
 
-    q_params = init_quantile_params(rng, 6, 8, 3)
+    q_params = init_quantile_params(rng, 6, 8)
     Xq = rng.normal(size=(8, 6))
     yq = rng.normal(loc=5.0, scale=4.0, size=8)
-    _, q_analytic = quantile_loss_and_grads(Xq, yq, q_params, (0.1, 0.5, 0.9))
+    _, q_analytic = quantile_loss_and_grads(Xq, yq, q_params)
 
     def q_loss(flat):
-        loss, _ = quantile_loss_and_grads(Xq, yq, unflatten_params(flat, q_params), (0.1, 0.5, 0.9))
+        loss, _ = quantile_loss_and_grads(Xq, yq, unflatten_params(flat, q_params))
         return loss
 
     q_err = max_relative_error(
@@ -319,7 +319,7 @@ def test_criterion_09_fd001_sensor_ranking():
         pytest.skip("train_FD001.txt not supplied")
     start = time.perf_counter()
     trajs = load_trajectories(path)
-    ranking = rank_drift_sensors(trajs, top_k=5)
+    ranking = rank_drift_sensors(trajs)
     top5 = set(ranking.top(5))
     hits = top5 & {11, 4, 12}
     elapsed = time.perf_counter() - start

@@ -102,7 +102,7 @@ def test_ranking_single_monotone_sensor():
     length = 30
     channels = np.ones((length, N_CHANNELS))
     channels[:, sensor_column(4)] = np.arange(length, dtype=float)
-    ranking = rank_drift_sensors([_traj_with_channels(1, channels)], top_k=3)
+    ranking = rank_drift_sensors([_traj_with_channels(1, channels)])
     top_id, top_score = ranking.entries[0]
     assert top_id == 4
     assert top_score == pytest.approx(1.0)
@@ -115,7 +115,7 @@ def test_ranking_is_mean_of_per_engine_abs_rho():
     for engine in (1, 2):
         channels = rng.normal(size=(25, N_CHANNELS))
         trajs.append(_traj_with_channels(engine, channels))
-    ranking = rank_drift_sensors(trajs, top_k=5)
+    ranking = rank_drift_sensors(trajs)
     scores = dict(ranking.entries)
     for sensor_id in range(1, 22):
         expected = np.mean(
@@ -131,21 +131,21 @@ def test_ranking_tie_break_by_sensor_id():
     channels = np.ones((20, N_CHANNELS))
     channels[:, sensor_column(9)] = np.arange(20.0)
     channels[:, sensor_column(3)] = np.arange(20.0) * 2.0
-    ranking = rank_drift_sensors([_traj_with_channels(1, channels)], top_k=2)
+    ranking = rank_drift_sensors([_traj_with_channels(1, channels)])
     assert ranking.top(2) == (3, 9)  # equal scores 1.0, smaller id first
 
 
-def test_ranking_rejects_bad_top_k(small_trajectories):
+def test_ranking_rejects_bad_top_k():
+    with pytest.raises(ValueError, match=r"top_k must be in 1\.\.21, got 22"):
+        AdaptationConfig(top_k=22)
+    with pytest.raises(ValueError, match=r"top_k must be in 1\.\.21, got 0"):
+        AdaptationConfig(top_k=0)
     with pytest.raises(AdaptationError):
-        rank_drift_sensors(small_trajectories, top_k=22)
-    with pytest.raises(AdaptationError):
-        rank_drift_sensors(small_trajectories, top_k=0)
-    with pytest.raises(AdaptationError):
-        rank_drift_sensors([], top_k=3)
+        rank_drift_sensors([])
 
 
 def test_synthetic_drift_sensors_rank_first(small_trajectories):
-    ranking = rank_drift_sensors(small_trajectories, top_k=3)
+    ranking = rank_drift_sensors(small_trajectories)
     assert set(ranking.top(3)) == {2, 7, 15}
 
 
@@ -225,7 +225,7 @@ def test_no_crossing_single_segment():
         sensor_id=1, baseline=spec.baseline, tail=spec.tail, fraction=spec.fraction,
         threshold=1e9, direction=1,
     )
-    run = synthesize_resets(traj, (1,), [far], [], np.random.default_rng(0))
+    run = synthesize_resets(traj, [far], [], np.random.default_rng(0))
     assert len(run.segments) == 1
     assert run.segments[0].crossing is None
     assert run.reset_events == ()
@@ -236,7 +236,8 @@ def test_monotone_ramp_segments_and_invariants():
     traj = _ramp_trajectory()
     spec = _spec_for(traj, 1, 0.55)
     rng = np.random.default_rng(1)
-    run = synthesize_resets(traj, (1,), [spec], [_ramp_trajectory(2, 200)], rng, max_resets=3)
+    run = synthesize_resets(traj, [spec], [_ramp_trajectory(2, 200)], rng,
+                            AdaptationConfig(max_resets=3))
     # segments partition the run
     cycles = [c for seg in run.segments for c in range(seg.start, seg.end + 1)]
     assert cycles == list(range(1, traj.length + 1))
@@ -262,7 +263,8 @@ def test_monotone_ramp_segments_and_invariants():
 def test_max_resets_zero_is_pure_scan():
     traj = _ramp_trajectory()
     spec = _spec_for(traj, 1, 0.55)
-    run = synthesize_resets(traj, (1,), [spec], [], np.random.default_rng(0), max_resets=0)
+    run = synthesize_resets(traj, [spec], [], np.random.default_rng(0),
+                            AdaptationConfig(max_resets=0))
     assert np.array_equal(run.channels, traj.channels)  # no mutation
     assert len(run.segments) == 1
     seg = run.segments[0]
@@ -276,8 +278,8 @@ def test_short_donor_falls_back_to_noise():
     short_donor = _ramp_trajectory(engine_id=2, length=30)
     # force the stitch branch every time: noise_reset_prob=0 means stitch
     run = synthesize_resets(
-        traj, (1,), [spec], [short_donor], np.random.default_rng(3),
-        max_resets=3, noise_reset_prob=0.0,
+        traj, [spec], [short_donor], np.random.default_rng(3),
+        AdaptationConfig(max_resets=3, noise_reset_prob=0.0),
     )
     assert all(ev.kind == "noise-reset" for ev in run.reset_events)
     assert len(run.reset_events) >= 1
@@ -286,14 +288,7 @@ def test_short_donor_falls_back_to_noise():
 def test_empty_sensor_set_rejected():
     traj = _ramp_trajectory()
     with pytest.raises(AdaptationError):
-        synthesize_resets(traj, (), [], [], np.random.default_rng(0))
-
-
-def test_threshold_sensor_mismatch_rejected():
-    traj = _ramp_trajectory()
-    spec = _spec_for(traj, 1, 0.6)
-    with pytest.raises(AdaptationError):
-        synthesize_resets(traj, (1, 2), [spec], [], np.random.default_rng(0))
+        synthesize_resets(traj, [], [], np.random.default_rng(0))
 
 
 def test_non_drift_channels_untouched(small_trajectories, small_dataset):

@@ -336,7 +336,7 @@ def test_flag_overrides_config_file(tmp_path, flag, key, file_value, expected):
 @pytest.mark.parametrize(
     ("field", "value"),
     [("batch_size", 0), ("batch_size", -5), ("max_epochs", 0), ("heads", 0), ("d_model", 0),
-     ("hidden_width", 0)],
+     ("hidden_width", 0), ("layers", 0), ("layers", -1)],
 )
 def test_invalid_train_settings_print_one_error_line(workspace, tmp_path, capsys, field, value):
     _, out, _ = workspace
@@ -353,7 +353,7 @@ def test_invalid_train_settings_print_one_error_line(workspace, tmp_path, capsys
     ("field", "value"),
     [("base_lr", "-1"), ("base_lr", "0"), ("base_lr", "nan"), ("base_lr", "inf"),
      ("weight_decay", "-0.01"), ("weight_decay", "nan"), ("weight_decay", "inf"),
-     ("smooth_l1_beta", "0"), ("smooth_l1_beta", "-1")],
+     ("smooth_l1_beta", "0"), ("smooth_l1_beta", "-1"), ("smooth_l1_beta", "inf")],
 )
 def test_invalid_optimizer_settings_print_one_error_line(workspace, tmp_path, capsys, field,
                                                          value):
@@ -423,6 +423,8 @@ BAD_SETTINGS = [
     ("top_k_zero", ["adapt"], "top_k = 0", "top_k must be in 1..21, got 0"),
     ("top_k_above_sensors", ["adapt"], "top_k = 22", "top_k must be in 1..21, got 22"),
     ("warmup_steps", ["train"], "warmup_steps = -1", "warmup_steps must be >= 0, got -1"),
+    ("seed_train", ["train"], "seed = -1", "seed must be >= 0, got -1"),
+    ("seed_adapt", ["adapt"], "seed = -1", "seed must be >= 0, got -1"),
     ("ridge_inf", ["train"], "ridge = inf", "ridge must be finite and >= 0, got inf"),
     ("ridge_nan", ["train", "--model", "linear"], "ridge = nan",
      "ridge must be finite and >= 0, got nan"),
@@ -460,6 +462,28 @@ def test_invalid_settings_print_one_error_line(tmp_path, capsys, argv, lines, me
     assert main([*argv, "--config", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()  # failed before any data was read or written
+
+
+@pytest.mark.parametrize(
+    ("argv", "edit", "message"),
+    [(["evaluate"], lambda meta: meta["config"].update(bogus=1),
+      "TypeError: AdaptationConfig.__init__() got an unexpected keyword argument 'bogus'"),
+     (["simulate", "--model", "linear"], lambda meta: meta["runs"][0]["segments"].insert(0, [1]),
+      "IndexError: list index out of range")],
+    ids=["config_key", "segment_entry"],
+)
+def test_malformed_metadata_prints_one_error_line(workspace, tmp_path, capsys, argv, edit,
+                                                  message):
+    root, out, _ = workspace
+    copy = tmp_path / "malformed"
+    shutil.copytree(out, copy)
+    meta_path = copy / "adapted_meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    edit(meta)
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    capsys.readouterr()
+    assert main([*argv, "--config", str(root / "run.ini"), "--out", str(copy)]) == 1
+    assert capsys.readouterr().err == f"error: {meta_path} is malformed: {message}\n"
 
 
 def test_evaluate_windows_only_the_validation_runs(workspace, tmp_path, monkeypatch):

@@ -9,11 +9,13 @@ early-stopping quantile model, the epoch-log hashes and the default run
 config digest before the quantile and attention forecasters shared one
 training loop and the run config built its parts from their fields; all of
 them before windows became views into one channel matrix; the policy event
-hashes before the replay stepped segment jobs instead of a global clock. A
-refactor must leave every one of them unchanged. The model pins cover float64
-arithmetic, so they hold only for one BLAS build (numpy's bundled OpenBLAS)
-at one BLAS thread count: at numpy's default thread count every pin holds,
-while with OPENBLAS_NUM_THREADS=1 the linear and attention model pins fail.
+hashes before the replay stepped segment jobs instead of a global clock; the
+off-default adaptation digest before the adaptation functions took their
+config whole. A refactor must leave every one of them unchanged. The model
+pins cover float64 arithmetic, so they hold only for one BLAS build (numpy's
+bundled OpenBLAS) at one BLAS thread count: at numpy's default thread count
+every pin holds, while with OPENBLAS_NUM_THREADS=1 the linear and attention
+model pins fail.
 """
 
 import hashlib
@@ -66,7 +68,15 @@ PINS = {
     "quantile_logs": "34cccf0ec395c0794f11a71dffb72ae2198c14018021405c6cedfe82c577d358",
     "quantile_early_stop_logs": "ea072af901b189c966f7d7fae42a189f86ef47e38769a9c7b9efcd92fd6622ee",
     "attention_logs": "bb2e7ea87680e1d74aed35d1187815b600fcdb9b1d6d74c8a75e73df303b94d6",
+    "off_default_dataset_digest":
+        "e8d596451cbfd0de2c00c52787da17fa78bea1437fccb838ec70146a827f7e1d",
 }
+
+# every adaptation field off its default: changing any one of them moves the digest
+OFF_DEFAULT_ADAPTATION = AdaptationConfig(
+    top_k=4, max_resets=2, fraction_low=0.6, fraction_high=0.7, noise_sigma_frac=0.05,
+    stitch_low=0.9, stitch_high=1.1, noise_reset_prob=0.3,
+)
 
 # events of each policy on the validation runs, uncapped and with CAPACITY
 EVENT_PINS = {
@@ -157,6 +167,11 @@ def test_adapted_files_and_digest_hashes(dataset, tmp_path):
     assert _sha((tmp_path / ADAPTED_META_NAME).read_bytes()) == PINS["adapted_meta"]
     assert result["digest"] == PINS["dataset_digest"]
     assert dataset_digest(dataset) == PINS["dataset_digest"]
+
+
+def test_off_default_adaptation_digest(fleet):
+    dataset = adapt_dataset(fleet, OFF_DEFAULT_ADAPTATION, seed=SEED)
+    assert dataset_digest(dataset) == PINS["off_default_dataset_digest"]
 
 
 def test_quantile_model_bytes_hash(bundle, tmp_path):
