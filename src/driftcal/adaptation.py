@@ -437,6 +437,8 @@ def read_adapted_dataset(out_dir: str | Path) -> AdaptedDataset:
     out_dir = Path(out_dir)
     meta_path = out_dir / ADAPTED_META_NAME
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path} is malformed: not a JSON object")
     if meta.get("format") != "driftcal-adapted v1":
         raise ValueError(f"unsupported adapted-dataset format: {meta.get('format')!r}")
 

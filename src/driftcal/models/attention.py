@@ -44,9 +44,11 @@ def init_attention_params(
         pfx = f"enc{i}."
         p[pfx + "ln1.g"] = np.ones(d_model)
         p[pfx + "ln1.b"] = np.zeros(d_model)
-        for name in ("wq", "wk", "wv", "wo"):
-            p[pfx + "attn." + name] = xavier_uniform(rng, (d_model, d_model))
-            p[pfx + "attn." + name.replace("w", "b")] = np.zeros(d_model)
+        # one packed Q|K|V projection, each block drawn as its own square layer
+        p[pfx + "attn.wqkv"] = np.hstack([xavier_uniform(rng, (d_model, d_model)) for _ in "qkv"])
+        p[pfx + "attn.bqkv"] = np.zeros(3 * d_model)
+        p[pfx + "attn.wo"] = xavier_uniform(rng, (d_model, d_model))
+        p[pfx + "attn.bo"] = np.zeros(d_model)
         p[pfx + "ln2.g"] = np.ones(d_model)
         p[pfx + "ln2.b"] = np.zeros(d_model)
         p[pfx + "ffn.w1"] = xavier_uniform(rng, (d_model, 4 * d_model))
@@ -128,20 +130,17 @@ def mha_forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str, heads
                 ws: Workspace | None = None):
     """Multi-head self-attention over (B, w, d_model) inputs.
 
-    Q, K, V, the attention weights and the merged heads, which the backward
-    reads, live in buffers named after ``prefix``; the output in one buffer
-    every sublayer shares.
+    The packed Q|K|V projection, the attention weights and the merged heads,
+    which the backward reads, live in buffers named after ``prefix``; the
+    output in one buffer every sublayer shares.
     """
     B, w, dm = x.shape
     ws = Workspace(B) if ws is None else ws
     dh = dm // heads
     scale = 1.0 / math.sqrt(dh)
-    qkv = []
-    for name in "qkv":
-        proj = _mm(x, params[prefix + "w" + name], ws.get(prefix + name, B, w, dm))
-        proj += params[prefix + "b" + name]
-        qkv.append(_split_heads(proj, heads))
-    qh, kh, vh = qkv
+    qkv = _mm(x, params[prefix + "wqkv"], ws.get(prefix + "qkv", B, w, 3 * dm))
+    qkv += params[prefix + "bqkv"]
+    qh, kh, vh = (_split_heads(part, heads) for part in np.split(qkv, 3, axis=-1))
     attn = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=ws.get(prefix + "attn", B, heads, w, w))
     attn *= scale  # the scores, then in place their softmax: rows sum to 1
     softmax(attn, axis=-1, out=attn)
@@ -169,23 +168,16 @@ def mha_backward(dout: np.ndarray, params: dict[str, np.ndarray], cache):
     dattn = np.matmul(doh, cache["vh"].transpose(0, 1, 3, 2),
                       out=ws.get("d_attn", B, heads, w, w))
     dheads = ws.get("d_heads", B, heads, w, dh)
-    dv = _merge_heads(np.matmul(cache["attn"].transpose(0, 1, 3, 2), doh, out=dheads),
-                      ws.get("dv", B, w, dm))
+    dqkv = ws.get("d_qkv", B, w, 3 * dm)
+    dq, dk, dv = np.split(dqkv, 3, axis=-1)  # column views; _merge_heads reshapes them as views
+    _merge_heads(np.matmul(cache["attn"].transpose(0, 1, 3, 2), doh, out=dheads), dv)
     dscores = softmax_backward(dattn, cache["attn"], out=ws.get("d_scores", B, heads, w, w))
     dscores *= cache["scale"]
-    dq = _merge_heads(np.matmul(dscores, cache["kh"], out=dheads), ws.get("dq", B, w, dm))
-    dk = _merge_heads(np.matmul(dscores.transpose(0, 1, 3, 2), cache["qh"], out=dheads),
-                      ws.get("dk", B, w, dm))
-    grads[prefix + "wq"] = _gram(x, dq)
-    grads[prefix + "bq"] = dq.sum(axis=(0, 1))
-    grads[prefix + "wk"] = _gram(x, dk)
-    grads[prefix + "bk"] = dk.sum(axis=(0, 1))
-    grads[prefix + "wv"] = _gram(x, dv)
-    grads[prefix + "bv"] = dv.sum(axis=(0, 1))
-    dx = _mm(dq, params[prefix + "wq"].T, ws.get("d_x", B, w, dm))
-    part = ws.get("d_x_part", B, w, dm)
-    dx += _mm(dk, params[prefix + "wk"].T, part)
-    dx += _mm(dv, params[prefix + "wv"].T, part)
+    _merge_heads(np.matmul(dscores, cache["kh"], out=dheads), dq)
+    _merge_heads(np.matmul(dscores.transpose(0, 1, 3, 2), cache["qh"], out=dheads), dk)
+    grads[prefix + "wqkv"] = _gram(x, dqkv)
+    grads[prefix + "bqkv"] = dqkv.sum(axis=(0, 1))
+    dx = _mm(dqkv, params[prefix + "wqkv"].T, ws.get("d_x", B, w, dm))
     return dx, grads
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..labeling import Standardizer, Windows
 
-MODEL_MAGIC = "driftcal-model v1"
+MODEL_MAGIC = "driftcal-model v2"
 
 
 class ShapeMismatchError(ValueError):
@@ -125,34 +125,36 @@ def save_model(model: ForecastModel, path: str | Path, extra_header: dict | None
 
 
 def load_model(path: str | Path) -> ForecastModel:
+    """Read a save_model file; a malformed one raises one ValueError naming it."""
     with open(path, "rb") as f:
-        magic = f.readline().rstrip(b"\n").decode("utf-8")
+        magic = f.readline().rstrip(b"\n").decode("utf-8", "replace")
         if magic != MODEL_MAGIC:
-            raise ValueError(f"{path}: not a model file (magic {magic!r})")
-        header = json.loads(f.readline().decode("utf-8"))
-        blob = f.read()
-    params = {}
-    offset = 0
-    for name, shape in header["params"]:
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset * 8)
-        params[name] = arr.reshape(shape).astype(np.float64)
-        offset += size
-    std = header["standardizer"]
-    standardizer = None
-    if std is not None:
-        standardizer = Standardizer(
+            raise ValueError(f"{path}: not a {MODEL_MAGIC!r} file (magic {magic!r}); retrain it")
+        header_line, blob = f.readline(), f.read()
+    try:
+        header = json.loads(header_line)
+        sizes = [math.prod(shape) for _, shape in header["params"]]
+        if len(blob) != 8 * sum(sizes):
+            raise ValueError(f"{len(blob)} parameter bytes, expected {8 * sum(sizes)}")
+        flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+        offsets = np.cumsum([0, *sizes]).tolist()
+        params = {name: flat[offsets[i]:offsets[i + 1]].reshape(shape)
+                  for i, (name, shape) in enumerate(header["params"])}
+        std = header["standardizer"]
+        standardizer = None if std is None else Standardizer(
             mean=np.array(std["mean"], dtype=np.float64),
             std=np.array(std["std"], dtype=np.float64),
         )
-    return ForecastModel(
-        kind=header["kind"],
-        params=params,
-        window=header["window"],
-        n_channels=header["n_channels"],
-        standardizer=standardizer,
-        meta=header["meta"],
-    )
+        return ForecastModel(
+            kind=header["kind"],
+            params=params,
+            window=header["window"],
+            n_channels=header["n_channels"],
+            standardizer=standardizer,
+            meta=header["meta"],
+        )
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
 def validation_set(train: Windows, val: Windows) -> tuple[np.ndarray, np.ndarray]:

@@ -48,7 +48,8 @@ def test_single_position_attention_is_identity():
     x = rng.normal(size=(3, 1, TINY["d_model"]))
     out, cache = mha_forward(x, params, "enc0.attn.", TINY["heads"])
     assert np.abs(cache["attn"] - 1.0).max() < 1e-12
-    v = x @ params["enc0.attn.wv"] + params["enc0.attn.bv"]
+    dm = TINY["d_model"]  # V is the last of the packed Q|K|V column blocks
+    v = x @ params["enc0.attn.wqkv"][:, 2 * dm:] + params["enc0.attn.bqkv"][2 * dm:]
     expected = v @ params["enc0.attn.wo"] + params["enc0.attn.bo"]
     assert np.allclose(out, expected, atol=1e-12)
 

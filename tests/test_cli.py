@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import shutil
 from dataclasses import fields
 
@@ -484,6 +485,41 @@ def test_malformed_metadata_prints_one_error_line(workspace, tmp_path, capsys, a
     capsys.readouterr()
     assert main([*argv, "--config", str(root / "run.ini"), "--out", str(copy)]) == 1
     assert capsys.readouterr().err == f"error: {meta_path} is malformed: {message}\n"
+
+
+def _with_header(header: bytes):
+    """An edit that replaces a model file's JSON header line."""
+    def edit(data: bytes) -> bytes:
+        magic, _, blob = data.split(b"\n", 2)
+        return b"\n".join([magic, header, blob])
+    return edit
+
+
+@pytest.mark.parametrize(
+    ("name", "edit", "message"),
+    [("model_linear.bin", _with_header(b"[1]"),
+      " is malformed: TypeError: list indices must be integers or slices, not str"),
+     ("model_linear.bin", _with_header(b'{"kind": "linear"}'), " is malformed: KeyError: 'params'"),
+     ("model_linear.bin", lambda data: data[:-4],
+      r" is malformed: ValueError: \d+ parameter bytes, expected \d+"),
+     ("model_linear.bin", lambda data: data + bytes(4),
+      r" is malformed: ValueError: \d+ parameter bytes, expected \d+"),
+     ("model_linear.bin", lambda data: data.replace(b"model v2", b"model v1", 1),
+      r": not a 'driftcal-model v2' file \(magic 'driftcal-model v1'\); retrain it"),
+     ("adapted_meta.json", lambda data: b"[1]", " is malformed: not a JSON object")],
+    ids=["header_list", "header_no_params", "truncated", "extra_bytes", "v1_magic",
+         "metadata_list"],
+)
+def test_malformed_file_prints_one_error_line(workspace, tmp_path, capsys, name, edit, message):
+    root, out, _ = workspace
+    copy = tmp_path / "malformed"
+    shutil.copytree(out, copy)
+    path = copy / name
+    path.write_bytes(edit(path.read_bytes()))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(root / "run.ini"), "--out", str(copy)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {re.escape(str(path))}{message}\n", err), err
 
 
 def test_evaluate_windows_only_the_validation_runs(workspace, tmp_path, monkeypatch):

@@ -11,7 +11,11 @@ training loop and the run config built its parts from their fields; all of
 them before windows became views into one channel matrix; the policy event
 hashes before the replay stepped segment jobs instead of a global clock; the
 off-default adaptation digest before the adaptation functions took their
-config whole. A refactor must leave every one of them unchanged. The model
+config whole; the attention init hash, in the packed Q|K|V layout, before
+each layer's three projections became one. A refactor must leave every one of
+them unchanged. Model format v2 (the packed projection) retook the model and
+attention forecast pins; the linear and quantile files after their magic line
+are still the bytes format v1 wrote (V1_BODY_PINS). The model
 pins cover float64 arithmetic, so they hold only for one BLAS build (numpy's
 bundled OpenBLAS) at one BLAS thread count: at numpy's default thread count
 every pin holds, while with OPENBLAS_NUM_THREADS=1 the linear and attention
@@ -35,6 +39,7 @@ from driftcal.adaptation import (
 from driftcal.cli import RunConfig
 from driftcal.cmapss_io import serialize_trajectories
 from driftcal.models import EpochLog, TrainConfig, predict_ttd_batch, save_model
+from driftcal.models.attention import init_attention_params
 from driftcal.pipeline import (
     forecast_scorer,
     label_and_window,
@@ -59,17 +64,26 @@ PINS = {
     "adapted_csv": "54da021117105a5abfd1226e6dc42081d0aa37777aff6cea61b0f1be93fbfca3",
     "adapted_meta": "ac9f7e526856427b59aa44a1e04002948cec58f52c5d0d08dbf4b59d4d68986e",
     "dataset_digest": "fe9fe6457479b45d0ea2f19d9c49e2ab0177b74e5522e8262466ab83d8622a32",
-    "quantile_model": "25e83e4de49ff930f118a652c2df212e6a62482b08c08a1461c179a4088f30e4",
-    "linear_model": "ff9cf51b4295c03c78d1f1fbd7244b255c4dedec04a5f3a85cf7c95f536c01a3",
-    "attention_model": "d028964fb08c3890d8b397f1cfe123b2cd7329a370f38eda08a7c4940dcd3c97",
-    "attention_predictions": "b080cd6ab86a05fe7c8c5ff76555dab9fad2333b66b7dab69a23667ecba86339",
+    "quantile_model": "c69067fdf3480d38c0a0f446d8b112103ea4af91187620e631c49ae038b8d9e6",
+    "linear_model": "32f9d595118c9ead677f47b853a9f863591c7a890c22a7a45ee44e129c5c53e7",
+    "attention_model": "8251867b910e4d373fe23a4bfe86bba8acb0209a59ba2126651db9b022ce852f",
+    "attention_predictions": "3e307deae8ec5810c9f3d787a234cedb9e5d8c91171df2a187288b8858d315ec",
     "run_config_digest": "4c1bcbe352d3d7a8f6c6bf5d21f7f12f054361dcd09de7740a95bfb0bd98aa2e",
-    "quantile_early_stop_model": "76cd2ce6f7e91e2f70b1e9079c0acd6139eac0f02a191b6970f8a6104bdd7a12",
+    "quantile_early_stop_model": "ce303d9c9feddd4a22acd9378e2516045a4d7497c09dd25df87aeacc52076560",
     "quantile_logs": "34cccf0ec395c0794f11a71dffb72ae2198c14018021405c6cedfe82c577d358",
     "quantile_early_stop_logs": "ea072af901b189c966f7d7fae42a189f86ef47e38769a9c7b9efcd92fd6622ee",
     "attention_logs": "bb2e7ea87680e1d74aed35d1187815b600fcdb9b1d6d74c8a75e73df303b94d6",
     "off_default_dataset_digest":
         "e8d596451cbfd0de2c00c52787da17fa78bea1437fccb838ec70146a827f7e1d",
+    "attention_init": "1615db5ce57bb63e077b19c518d6e46c62c7ed91c1aee9a5a0ec315974e31f2e",
+}
+
+# model files after their first (magic) line, as model format v1 wrote them
+V1_BODY_PINS = {
+    "linear_model": "e2bcb1365500b262180f3d6f423611c743f1f054b92b151ed1ba2b6b3df0f3f9",
+    "quantile_model": "496e7a7c3c4af49e2523231f4e3665e6c3b29f7bcee26a79092ce54857494c34",
+    "quantile_early_stop_model":
+        "ba12b32ee35effa6d3a2dfb9b6a0e85fdb2a8d4a707ed9e6aee902b231a1089e",
 }
 
 # every adaptation field off its default: changing any one of them moves the digest
@@ -111,9 +125,11 @@ def bundle(dataset):
     return label_and_window(dataset, seed=SEED)
 
 
-def _model_sha(model, tmp_path) -> str:
+def _model_shas(model, tmp_path) -> tuple[str, str]:
+    """Hashes of the saved model file, whole and after its magic line."""
     save_model(model, tmp_path / "model.bin")
-    return _sha((tmp_path / "model.bin").read_bytes())
+    data = (tmp_path / "model.bin").read_bytes()
+    return _sha(data), _sha(data.split(b"\n", 1)[1])
 
 
 def _logs_sha(logs) -> str:
@@ -179,7 +195,8 @@ def test_quantile_model_bytes_hash(bundle, tmp_path):
         "quantile", bundle, TrainConfig(max_epochs=2, patience=2, seed=SEED)
     )
     assert len(logs) == 2
-    assert _model_sha(model, tmp_path) == PINS["quantile_model"]
+    assert _model_shas(model, tmp_path) == (PINS["quantile_model"],
+                                            V1_BODY_PINS["quantile_model"])
     assert _logs_sha(logs) == PINS["quantile_logs"]
 
 
@@ -190,13 +207,23 @@ def test_early_stopped_quantile_model_restores_best_epoch(bundle, tmp_path):
     best_epoch = val.index(min(val)) + 1
     assert len(logs) < cfg.max_epochs
     assert best_epoch < len(logs)
-    assert _model_sha(model, tmp_path) == PINS["quantile_early_stop_model"]
+    assert _model_shas(model, tmp_path) == (PINS["quantile_early_stop_model"],
+                                            V1_BODY_PINS["quantile_early_stop_model"])
     assert _logs_sha(logs) == PINS["quantile_early_stop_logs"]
 
 
 def test_linear_model_bytes_hash(bundle, tmp_path):
     model, _ = train_forecaster("linear", bundle, TrainConfig(seed=SEED))
-    assert _model_sha(model, tmp_path) == PINS["linear_model"]
+    assert _model_shas(model, tmp_path) == (PINS["linear_model"], V1_BODY_PINS["linear_model"])
+
+
+def test_attention_init_params_hash():
+    params = init_attention_params(np.random.default_rng([SEED, 1]), 24, 64, 4, 2)
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode("utf-8"))
+        h.update(params[name].tobytes())
+    assert h.hexdigest() == PINS["attention_init"]
 
 
 def test_attention_model_and_prediction_bytes_hash(bundle, tmp_path):
@@ -204,7 +231,7 @@ def test_attention_model_and_prediction_bytes_hash(bundle, tmp_path):
         "attention", bundle, TrainConfig(max_epochs=1, patience=1, seed=SEED)
     )
     assert len(logs) == 1
-    assert _model_sha(model, tmp_path) == PINS["attention_model"]
+    assert _model_shas(model, tmp_path)[0] == PINS["attention_model"]
     assert _logs_sha(logs) == PINS["attention_logs"]
     X_val = np.stack([win.features for win in bundle.val_raw])
     assert len(X_val) > 128  # crosses inference chunk boundaries
