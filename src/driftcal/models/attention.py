@@ -5,17 +5,32 @@ passed through pre-norm encoder layers (multi-head self-attention and a
 4x-width feed-forward block, both with residual connections), pooled over
 time, and read out by a linear head. Forward and backward passes are
 explicit so gradients can be verified against finite differences.
+
+A batch's per-window work runs in row slices, one per usable CPU, on a
+small thread pool, with numpy's OpenBLAS held at one thread. Every sum over
+windows (the weight, bias and gain gradients, the read-out, the loss) is
+one call over the whole batch, so no result depends on the slice count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import copy
+import ctypes
+import functools
+import itertools
 import math
+import os
+import threading
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
 from ..labeling import Standardizer, Windows
 from .base import EpochLog, ForecastModel, TrainConfig, validation_set
 from .nn import (
+    NonFiniteError,
     check_finite,
     gelu_forward,
     gelu_grad,
@@ -72,28 +87,142 @@ def n_encoder_layers(params: dict[str, np.ndarray]) -> int:
 INFERENCE_CHUNK = 64
 
 
+# -- threads -----------------------------------------------------------------
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when numpy has no such library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _n_slices() -> int:
+    """Row slices per batch: one per usable CPU, or one when BLAS cannot be
+    held at one thread (two slices at BLAS's default threads run slower)."""
+    return _usable_cpus() if _openblas_threads() else 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS at one thread inside the block, and at its old count
+    after it; untouched when batches run as one slice."""
+    blas = _openblas_threads() if _n_slices() > 1 else None
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    old = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
+
+
+_pool_lock = threading.Lock()
+_pool = None  # (pid of its process, ThreadPoolExecutor)
+
+
+def _run(tasks) -> list:
+    """Results of the no-argument callables ``tasks``, in order.
+
+    This thread and up to _n_slices() - 1 threads of a pool, made on first
+    use, take the tasks in turn until none is left; a pool thread runs in a
+    copy of the caller's context, so numpy's error state holds in it. No
+    task is still running when a failure is raised.
+    """
+    n_threads = min(len(tasks), _n_slices())
+    if n_threads <= 1:
+        return [task() for task in tasks]
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():  # a forked child has no pool threads
+            # imported here, not with the module: it adds ~10 ms to every start-up
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = os.getpid(), ThreadPoolExecutor(n_threads - 1, "driftcal-attention")
+        pool = _pool[1]
+    outcomes: list = [None] * len(tasks)
+    turns = itertools.count()  # next() on it is atomic
+
+    def take_turns():
+        while (k := next(turns)) < len(tasks):
+            outcomes[k] = tasks[k]()
+
+    helpers = [pool.submit(contextvars.copy_context().run, take_turns)
+               for _ in range(n_threads - 1)]
+    try:
+        take_turns()
+    finally:
+        for helper in helpers:
+            helper.exception()  # waits for the helper; its failure is raised below
+    for helper in helpers:
+        helper.result()
+    return outcomes
+
+
+def _row_slices(B: int, w: int) -> list[slice]:
+    """At most _n_slices() near-equal runs of the windows 0..B-1 (one when B
+    is 0), each of at least two GEMM rows: numpy runs a one-row product as
+    a matrix-vector product, which rounds differently."""
+    n = max(1, min(B, B * w // 2, _n_slices()))
+    return [slice(B * k // n, B * (k + 1) // n) for k in range(n)]
+
+
+# -- workspace ---------------------------------------------------------------
+
 class Workspace:
     """Activation buffers that attention forwards and backwards reuse.
 
     Each named buffer is allocated on first use, for ``capacity`` windows;
     a batch of B <= capacity windows works in its leading B rows, which are
-    C-contiguous. A forward's cache reads the workspace, so a workspace
-    serves one batch at a time: its backward must run before the next
-    forward into the same workspace.
+    C-contiguous. A row slice of the batch works in ``rows(start)``, which
+    shares the buffers. A forward's cache reads the workspace, so a
+    workspace serves one batch at a time: its backward must run before the
+    next forward into the same workspace.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
+        self.start = 0
         self._buffers: dict[str, np.ndarray] = {}
+        self._lock = threading.Lock()  # slices of one batch allocate a buffer once
+
+    def allocated(self) -> bool:
+        """Whether any buffer has been allocated."""
+        return bool(self._buffers)
+
+    def rows(self, start: int) -> Workspace:
+        """This workspace, with batches from row ``start`` on."""
+        view = copy.copy(self)
+        view.start = start
+        return view
 
     def get(self, name: str, B: int, *shape: int) -> np.ndarray:
-        """The leading (B, *shape) rows of buffer ``name``."""
-        if B > self.capacity:
-            raise ValueError(f"batch of {B} windows exceeds the workspace's {self.capacity}")
+        """The (B, *shape) rows of buffer ``name`` from this view's start."""
+        stop = self.start + B
+        if stop > self.capacity:
+            raise ValueError(f"batch of {stop} windows exceeds the workspace's {self.capacity}")
         buf = self._buffers.get(name)
         if buf is None or buf.shape[1:] != shape:
-            buf = self._buffers[name] = np.empty((self.capacity, *shape))
-        return buf[:B]
+            with self._lock:
+                buf = self._buffers.get(name)
+                if buf is None or buf.shape[1:] != shape:
+                    buf = self._buffers[name] = np.empty((self.capacity, *shape))
+        return buf[self.start : stop]
 
     def layer_norm(self, name: str, B: int, w: int, dm: int):
         """The (y, xhat, inv) buffers of one layer norm."""
@@ -103,8 +232,14 @@ class Workspace:
 
 def _mm(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(..., din) @ (din, dout) into ``out`` via one 2-d GEMM (fast on
-    single-core BLAS); x and out are C-contiguous."""
-    np.matmul(x.reshape(-1, x.shape[-1]), w, out=out.reshape(-1, w.shape[1]))
+    single-core BLAS); x and out are C-contiguous.
+
+    A transposed w is copied first: OpenBLAS's small-matrix kernel for a
+    transposed operand rounds a row differently with the number of rows, so
+    a row slice would not equal its rows of the whole batch.
+    """
+    np.matmul(x.reshape(-1, x.shape[-1]), np.ascontiguousarray(w),
+              out=out.reshape(-1, w.shape[1]))
     return out
 
 
@@ -155,14 +290,14 @@ def mha_forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str, heads
     return out, cache
 
 
-def mha_backward(dout: np.ndarray, params: dict[str, np.ndarray], cache):
+def mha_backward(dout: np.ndarray, params: dict[str, np.ndarray], cache) -> np.ndarray:
+    """dx for dout of mha_forward's output. The packed Q|K|V gradient stays
+    in buffer d_qkv: with dout, x and the merged heads it gives the weight
+    gradients, which _layer_grads sums over the whole batch."""
     x, ws = cache["x"], cache["ws"]
     B, w, dm = x.shape
     heads, dh = cache["heads"], dm // cache["heads"]
     prefix = cache["prefix"]
-    grads = {}
-    grads[prefix + "wo"] = _gram(cache["merged"], dout)
-    grads[prefix + "bo"] = dout.sum(axis=(0, 1))
     dmerged = _mm(dout, params[prefix + "wo"].T, ws.get("d_merged", B, w, dm))
     doh = _split_heads(dmerged, heads)
     dattn = np.matmul(doh, cache["vh"].transpose(0, 1, 3, 2),
@@ -175,10 +310,7 @@ def mha_backward(dout: np.ndarray, params: dict[str, np.ndarray], cache):
     dscores *= cache["scale"]
     _merge_heads(np.matmul(dscores, cache["kh"], out=dheads), dq)
     _merge_heads(np.matmul(dscores.transpose(0, 1, 3, 2), cache["qh"], out=dheads), dk)
-    grads[prefix + "wqkv"] = _gram(x, dqkv)
-    grads[prefix + "bqkv"] = dqkv.sum(axis=(0, 1))
-    dx = _mm(dqkv, params[prefix + "wqkv"].T, ws.get("d_x", B, w, dm))
-    return dx, grads
+    return _mm(dqkv, params[prefix + "wqkv"].T, ws.get("d_x", B, w, dm))
 
 
 def _head(z: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
@@ -186,21 +318,11 @@ def _head(z: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
     return z @ params["head.w"][:, 0] + params["head.b"][0]
 
 
-def attention_forward_batch(
-    X: np.ndarray,
-    params: dict[str, np.ndarray],
-    heads: int,
-    pool: str = "mean",
-    check: bool = True,
-    workspace: Workspace | None = None,
-):
-    """Raw (unclipped) forecasts for a batch of windows (B, w, d).
-
-    Activations go into ``workspace``, or a fresh one for this batch; the
-    returned cache reads them, and holds the workspace for the backward.
-    """
+def _encode(X: np.ndarray, params: dict[str, np.ndarray], heads: int, pool: str, check: bool,
+            ws: Workspace, z: np.ndarray) -> list[dict]:
+    """The encoder over windows X (B, w, d) in workspace ``ws``, their
+    pooled features written to z; returns the layer caches."""
     B, w, _ = X.shape
-    ws = Workspace(B) if workspace is None else workspace
     d_model = params["in_proj.w"].shape[1]
     # h is the residual stream, updated in place: h += a is h + a, bit for bit
     h = _mm(X, params["in_proj.w"], ws.get("h", B, w, d_model))
@@ -228,20 +350,127 @@ def attention_forward_batch(
         f += params[pfx + "ffn.b2"]
         if check:
             check_finite(f, f"enc{i}.ffn")
-        layer_caches.append(
-            {"ln1c": ln1c, "attnc": attnc, "ln2c": ln2c, "n2": n2, "u": u,
-             "tanh_u": tanh_u, "g": g}
-        )
+        layer_caches.append({"ln1c": ln1c, "attnc": attnc, "ln2c": ln2c, "u": u,
+                             "tanh_u": tanh_u})
         h += f
-    z = h.mean(axis=1) if pool == "mean" else h[:, -1, :]
+    if pool == "mean":
+        np.mean(h, axis=1, out=z)
+    else:
+        z[...] = h[:, -1, :]
+    return layer_caches
+
+
+def _check_order(params: dict[str, np.ndarray]) -> list[str]:
+    """The layers _encode checks for non-finite values, in pass order."""
+    return ["in_proj", *(f"enc{i}.{part}" for i in range(n_encoder_layers(params))
+                         for part in ("attn", "ffn"))]
+
+
+def attention_forward_batch(
+    X: np.ndarray,
+    params: dict[str, np.ndarray],
+    heads: int,
+    pool: str = "mean",
+    check: bool = True,
+    workspace: Workspace | None = None,
+):
+    """Raw (unclipped) forecasts for a batch of windows (B, w, d).
+
+    Activations go into ``workspace``, or a fresh one for this batch; the
+    returned cache reads them, and holds the workspace for the backward.
+    A window that turns non-finite raises NonFiniteError naming the first
+    layer, in pass order, where any window did.
+    """
+    B, w, _ = X.shape
+    ws = Workspace(B) if workspace is None else workspace
+    # A fresh workspace's first batch runs as one slice, so that its buffers
+    # come from this thread's malloc arena: a pool thread's arena would keep
+    # their memory after the workspace is gone (+16% peak RSS on the default
+    # benchmark when slices allocated them).
+    slices = _row_slices(B, w) if ws.allocated() else [slice(0, B)]
+    z = ws.get("z", B, params["in_proj.w"].shape[1])
+
+    def encode(rows: slice):
+        try:
+            return _encode(X[rows], params, heads, pool, check, ws.rows(rows.start), z[rows])
+        except NonFiniteError as exc:
+            return exc
+
+    caches = _run([functools.partial(encode, rows) for rows in slices])
+    failed = [c for c in caches if isinstance(c, NonFiniteError)]
+    if failed:
+        order = _check_order(params)
+        raise min(failed, key=lambda exc: order.index(exc.layer))
     yhat = _head(z, params)
     if check:
         check_finite(yhat, "head")
-    cache = {"X": X, "layer_caches": layer_caches, "z": z, "pool": pool, "w": w, "ws": ws}
+    cache = {"X": X, "slices": list(zip(slices, caches)), "z": z, "pool": pool, "ws": ws}
     return yhat, cache
 
 
+def _backward_rows(i: int, c: dict, params: dict[str, np.ndarray], ws: Workspace) -> None:
+    """Encoder layer i's backward over one row slice: the gradient of the
+    residual stream below the layer, into buffer d_stream{i}, from the one
+    above it in d_stream{i+1}. The inputs of the layer's weight, bias and gain
+    gradients stay in the workspace for _layer_grads."""
+    B, w, dff = c["u"].shape
+    dm = params["in_proj.w"].shape[1]
+    pfx = f"enc{i}."
+    # h_out = h1 + ffn(ln2(h1)); the residual passes dh straight through
+    dh = ws.get(f"d_stream{i + 1}", B, w, dm)
+    dg = _mm(dh, params[pfx + "ffn.w2"].T, ws.get("d_g", B, w, dff))
+    du = gelu_grad(c["u"], c["tanh_u"], out=ws.get("d_u", B, w, dff))
+    du *= dg
+    dn2 = _mm(du, params[pfx + "ffn.w1"].T, ws.get("d_n2", B, w, dm))
+    dh1_ln, _ = layer_norm_backward(dn2, c["ln2c"], out=ws.get("d_ln", B, w, dm),
+                                    scratch=ws.get("d_ln2_xhat", B, w, dm))
+    dh1 = np.add(dh, dh1_ln, out=ws.get("d_h1", B, w, dm))
+    # h1 = h + attn(ln1(h))
+    dn1 = mha_backward(dh1, params, c["attnc"])
+    dh_ln, _ = layer_norm_backward(dn1, c["ln1c"], out=ws.get("d_ln", B, w, dm),
+                                   scratch=ws.get("d_ln1_xhat", B, w, dm))
+    np.add(dh1, dh_ln, out=ws.get(f"d_stream{i}", B, w, dm))
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum over the windows and positions of (B, w, n) values."""
+    return np.add.reduce(a, axis=(0, 1))
+
+
+def _layer_grads(i: int, params: dict[str, np.ndarray], ws: Workspace, B: int, w: int):
+    """Parameter name -> no-argument task computing that gradient of encoder
+    layer i from the whole batch's buffers _backward_rows left; GEMMs first."""
+    pfx = f"enc{i}."
+    dm, dff = params[pfx + "ffn.w1"].shape
+
+    def buf(name: str, n: int = dm) -> np.ndarray:
+        return ws.get(name, B, w, n)
+
+    dh, du, dh1, dqkv = buf(f"d_stream{i + 1}"), buf("d_u", dff), buf("d_h1"), buf("d_qkv", 3 * dm)
+    tasks = {
+        "ffn.w1": (_gram, buf(pfx + "ln2.y"), du),
+        "ffn.w2": (_gram, buf(pfx + "g", dff), dh),
+        "attn.wqkv": (_gram, buf(pfx + "ln1.y"), dqkv),
+        "attn.wo": (_gram, buf(pfx + "attn.merged"), dh1),
+        "ffn.b1": (_sum_rows, du),
+        "ffn.b2": (_sum_rows, dh),
+        "attn.bqkv": (_sum_rows, dqkv),
+        "attn.bo": (_sum_rows, dh1),
+        "ln2.g": (_sum_rows, buf("d_ln2_xhat")),
+        "ln2.b": (_sum_rows, buf("d_n2")),
+        "ln1.g": (_sum_rows, buf("d_ln1_xhat")),
+        "ln1.b": (_sum_rows, buf("d_x")),
+    }
+    return {pfx + name: functools.partial(*task) for name, task in tasks.items()}
+
+
 def attention_backward_batch(dyhat: np.ndarray, params: dict[str, np.ndarray], cache):
+    """Gradients of every parameter for dyhat of the forward's forecasts.
+
+    Each layer's per-window chain runs on the forward's row slices; then
+    its gradients, each one sum over the whole batch, run as tasks side by
+    side, before the next layer's chain overwrites their inputs.
+    """
     X, ws = cache["X"], cache["ws"]
     B, w, _ = X.shape
     d_model = params["in_proj.w"].shape[1]
@@ -249,41 +478,21 @@ def attention_backward_batch(dyhat: np.ndarray, params: dict[str, np.ndarray], c
     grads["head.w"] = (cache["z"].T @ dyhat)[:, None]
     grads["head.b"] = np.array([dyhat.sum()])
     dz = dyhat[:, None] * params["head.w"][:, 0][None, :]
-    # dh, the gradient of the residual stream, is updated in place like h
-    dh = ws.get("d_h", B, w, d_model)
+    n_layers = n_encoder_layers(params)
+    dh = ws.get(f"d_stream{n_layers}", B, w, d_model)
     if cache["pool"] == "mean":
         np.divide(dz[:, None, :], w, out=dh)
     else:
         dh.fill(0.0)
         dh[:, -1, :] = dz
-    ln_out, ln_scratch = ws.get("d_ln", B, w, d_model), ws.get("d_ln_scratch", B, w, d_model)
-    for i in reversed(range(len(cache["layer_caches"]))):
-        c = cache["layer_caches"][i]
-        pfx = f"enc{i}."
-        dff = c["u"].shape[-1]
-        # h_out = h1 + ffn(ln2(h1)); the residual passes dh straight through
-        df = dh
-        grads[pfx + "ffn.w2"] = _gram(c["g"], df)
-        grads[pfx + "ffn.b2"] = df.sum(axis=(0, 1))
-        dg = _mm(df, params[pfx + "ffn.w2"].T, ws.get("d_g", B, w, dff))
-        du = gelu_grad(c["u"], c["tanh_u"], out=ws.get("d_u", B, w, dff))
-        du *= dg
-        grads[pfx + "ffn.w1"] = _gram(c["n2"], du)
-        grads[pfx + "ffn.b1"] = du.sum(axis=(0, 1))
-        dn2 = _mm(du, params[pfx + "ffn.w1"].T, ws.get("d_n2", B, w, d_model))
-        dh1_ln, dg2, db2 = layer_norm_backward(dn2, c["ln2c"], out=ln_out, scratch=ln_scratch)
-        grads[pfx + "ln2.g"] = dg2
-        grads[pfx + "ln2.b"] = db2
-        dh += dh1_ln  # dh1
-        # h1 = h + attn(ln1(h))
-        dn1, attn_grads = mha_backward(dh, params, c["attnc"])
-        grads.update(attn_grads)
-        dh_ln, dg1, db1 = layer_norm_backward(dn1, c["ln1c"], out=ln_out, scratch=ln_scratch)
-        grads[pfx + "ln1.g"] = dg1
-        grads[pfx + "ln1.b"] = db1
-        dh += dh_ln
+    for i in reversed(range(n_layers)):
+        _run([functools.partial(_backward_rows, i, layer_caches[i], params, ws.rows(rows.start))
+              for rows, layer_caches in cache["slices"]])
+        tasks = _layer_grads(i, params, ws, B, w)
+        grads.update(zip(tasks, _run(list(tasks.values()))))
+    dh = ws.get("d_stream0", B, w, d_model)
     grads["in_proj.w"] = _gram(X, dh)
-    grads["in_proj.b"] = dh.sum(axis=(0, 1))
+    grads["in_proj.b"] = _sum_rows(dh)
     return grads
 
 
@@ -306,8 +515,10 @@ def train_attention(
     """SmoothL1 + AdamW + warmup/cosine, early stopping on validation MAE.
 
     Deterministic for a fixed cfg.seed: init, shuffling, and the batch
-    reduction order are all derived from it. The training steps and the
-    validation forwards share one workspace, sized for one batch.
+    reduction order are all derived from it, and the bits are the same at
+    every BLAS thread count: the fit holds numpy's OpenBLAS at one thread.
+    The training steps and the validation forwards share one workspace,
+    sized for one batch.
     """
     Xva, yva = validation_set(train_windows, val_windows)
     w, d = train_windows.shape
@@ -320,17 +531,18 @@ def train_attention(
     params = init_attention_params(
         np.random.default_rng([cfg.seed, 1]), d, cfg.d_model, cfg.heads, cfg.layers
     )
-    best_params, logs = fit_minibatch(
-        lambda Xb, yb, p: attention_loss_and_grads(
-            Xb, yb, p, cfg.heads, cfg.pool, cfg.smooth_l1_beta, ws
-        ),
-        val_mae,
-        params,
-        train_windows.take,
-        train_windows.label.astype(np.float64),
-        cfg,
-        np.random.default_rng([cfg.seed, 2]),
-    )
+    with _one_blas_thread():
+        best_params, logs = fit_minibatch(
+            lambda Xb, yb, p: attention_loss_and_grads(
+                Xb, yb, p, cfg.heads, cfg.pool, cfg.smooth_l1_beta, ws
+            ),
+            val_mae,
+            params,
+            train_windows.take,
+            train_windows.label.astype(np.float64),
+            cfg,
+            np.random.default_rng([cfg.seed, 2]),
+        )
 
     model = ForecastModel(
         kind="attention",
@@ -370,7 +582,8 @@ def _forward_chunks(X: np.ndarray, params: dict[str, np.ndarray], heads: int,
 
 def attention_raw_batch(model: ForecastModel, X: np.ndarray) -> np.ndarray:
     """Raw predictions for standardized windows (B, w, d), INFERENCE_CHUNK
-    windows at a time through one workspace."""
+    windows at a time through one workspace, at one BLAS thread."""
     ws = Workspace(max(1, min(len(X), INFERENCE_CHUNK)))
-    return _forward_chunks(X, model.params, model.meta["heads"],
-                           model.meta.get("pool", "mean"), ws)
+    with _one_blas_thread():
+        return _forward_chunks(X, model.params, model.meta["heads"],
+                               model.meta.get("pool", "mean"), ws)

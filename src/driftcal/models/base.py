@@ -141,10 +141,14 @@ def load_model(path: str | Path) -> ForecastModel:
         params = {name: flat[offsets[i]:offsets[i + 1]].reshape(shape)
                   for i, (name, shape) in enumerate(header["params"])}
         std = header["standardizer"]
-        standardizer = None if std is None else Standardizer(
-            mean=np.array(std["mean"], dtype=np.float64),
-            std=np.array(std["std"], dtype=np.float64),
-        )
+        standardizer = None
+        if std is not None:
+            stats = {name: np.array(std[name], dtype=np.float64) for name in ("mean", "std")}
+            for name, values in stats.items():
+                if values.shape != (header["n_channels"],):
+                    raise ValueError(f"standardizer {name} of shape {values.shape}, "
+                                     f"expected ({header['n_channels']},)")
+            standardizer = Standardizer(**stats)
         return ForecastModel(
             kind=header["kind"],
             params=params,

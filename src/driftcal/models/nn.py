@@ -17,12 +17,17 @@ _GELU_C1 = 0.044715
 
 
 class NonFiniteError(FloatingPointError):
-    """A forward pass produced NaN or Inf; the message names the layer."""
+    """A forward pass produced NaN or Inf; the message names the layer,
+    and so does ``layer`` when check_finite raised it."""
+
+    def __init__(self, message: str, layer: str | None = None):
+        super().__init__(message)
+        self.layer = layer
 
 
 def check_finite(arr: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite values in {name}")
+        raise NonFiniteError(f"non-finite values in {name}", layer=name)
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -115,8 +120,11 @@ def layer_norm(
 def layer_norm_backward(
     dy: np.ndarray, cache, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ):
-    """(dx, dgain, dbias) for dy of layer_norm's output. dx goes to ``out``;
-    ``scratch`` is a work buffer of dy's shape. Neither may be dy."""
+    """(dx, dy * xhat) for dy of layer_norm's output, into ``out`` and the
+    work buffer ``scratch`` of dy's shape (fresh ones when not given);
+    neither may be dy. Summed over the leading axes, dy * xhat is the gain
+    gradient and dy the bias gradient: the caller sums them, so that a
+    batch worked on in parts is summed whole."""
     xhat, inv, gain = cache
     dx = np.empty(dy.shape) if out is None else out
     tmp = np.empty(dy.shape) if scratch is None else scratch
@@ -132,10 +140,7 @@ def layer_norm_backward(
     np.multiply(xhat, m2, out=tmp)
     np.subtract(dx, tmp, out=dx)
     np.multiply(inv, dx, out=dx)
-    reduce_axes = tuple(range(dy.ndim - 1))
-    dgain = np.add.reduce(np.multiply(dy, xhat, out=tmp), axis=reduce_axes)
-    dbias = np.add.reduce(dy, axis=reduce_axes)
-    return dx, dgain, dbias
+    return dx, np.multiply(dy, xhat, out=tmp)
 
 
 # -- activations -------------------------------------------------------------

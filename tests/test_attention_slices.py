@@ -1,0 +1,151 @@
+"""Attention passes split into row slices against the one-slice pass.
+
+A batch's per-window work runs in one row slice per usable CPU; the slice
+count is forced here by patching the usable-CPU count. Every sum over
+windows is one whole-batch call, so forecasts, loss and gradients must
+equal the one-slice pass bit for bit whatever the slice count.
+"""
+
+import sys
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from driftcal.models import NonFiniteError, TrainConfig, TrainingDivergedError, train_attention
+from driftcal.models import attention
+from driftcal.models.attention import (
+    Workspace,
+    attention_forward_batch,
+    attention_loss_and_grads,
+    init_attention_params,
+)
+
+from oracles import windows_of
+
+HEADS = 2
+
+
+def _params(seed: int, d: int = 3) -> dict[str, np.ndarray]:
+    return init_attention_params(np.random.default_rng(seed), d, 8, HEADS, 2)
+
+
+@contextmanager
+def _cpus(n: int):
+    """A context in which attention sees ``n`` usable CPUs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(attention, "_usable_cpus", lambda: n)
+        yield
+
+
+def _step(n_cpus, X, y, params, pool, ws=None):
+    """(forecasts, loss, gradients) of one forward and backward at ``n_cpus``."""
+    with _cpus(n_cpus):
+        yhat, _ = attention_forward_batch(X, params, HEADS, pool, workspace=ws)
+        loss, grads = attention_loss_and_grads(X, y, params, HEADS, pool, 1.0, ws)
+    return yhat, loss, grads
+
+
+def _forward_outcome(n_cpus, X, params) -> str:
+    """The NonFiniteError message of a checked forward at ``n_cpus``, or "finite"."""
+    with _cpus(n_cpus), np.errstate(all="ignore"):
+        try:
+            attention_forward_batch(X, params, HEADS)
+        except NonFiniteError as exc:
+            return str(exc)
+    return "finite"
+
+
+def _assert_same_step(a, b):
+    assert np.array_equal(a[0], b[0])
+    assert a[1] == b[1]
+    assert a[2].keys() == b[2].keys()
+    for name in a[2]:
+        assert np.array_equal(a[2][name], b[2][name]), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(B=st.integers(1, 150), n_cpus=st.integers(2, 4), pool=st.sampled_from(["mean", "last"]),
+       w=st.sampled_from([1, 2, 6]), seed=st.integers(0, 2**32 - 1))
+def test_sliced_step_equals_one_slice(B, n_cpus, pool, w, seed):
+    rng = np.random.default_rng(seed)
+    params = _params(seed % 1000)
+    X, y = rng.normal(size=(B, w, 3)), rng.normal(loc=5.0, scale=3.0, size=B)
+    one = _step(1, X, y, params, pool)
+    # fresh workspaces: the slices allocate every buffer of the batch together
+    _assert_same_step(_step(n_cpus, X, y, params, pool), one)
+    ws = Workspace(B + 3)
+    for batch in (X[: max(1, B // 2)], X):  # a warm workspace, a larger batch second
+        rows = len(batch)
+        expected = _step(1, batch, y[:rows], params, pool)
+        _assert_same_step(_step(n_cpus, batch, y[:rows], params, pool, ws), expected)
+
+
+def test_slices_allocating_together_lose_no_buffer(monkeypatch):
+    # A workspace warmed by a forward alone gets its backward buffers from
+    # the slices. Four slices on a pool of three threads, switching as often
+    # as the interpreter allows: a buffer allocated twice would leave one
+    # slice's rows out of the whole-batch gradients.
+    params = _params(4)
+    rng = np.random.default_rng(5)
+    X, y = rng.normal(size=(40, 6, 3)), rng.normal(loc=5.0, scale=3.0, size=40)
+    expected = _step(1, X, y, params, "mean")
+    monkeypatch.setattr(attention, "_pool", None)  # a fresh pool, sized for four slices
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            _assert_same_step(_step(4, X, y, params, "mean", Workspace(len(X))), expected)
+    finally:
+        sys.setswitchinterval(interval)
+        attention._pool[1].shutdown()
+
+
+@settings(max_examples=40, deadline=None)
+@given(B=st.integers(2, 40), n_cpus=st.integers(2, 4), data=st.data())
+def test_sliced_forward_names_the_earliest_non_finite_layer(B, n_cpus, data):
+    # an infinite weight makes every finite window non-finite in that
+    # sublayer, while NaN windows fail at the input projection, before it
+    params = _params(1)
+    blown = data.draw(st.sampled_from([None, "enc0.attn.wo", "enc0.ffn.w2", "enc1.ffn.w2"]))
+    if blown:
+        params[blown] = params[blown] * np.inf
+    X = np.random.default_rng(B).normal(size=(B, 6, 3))
+    X[data.draw(st.lists(st.integers(0, B - 1), max_size=3))] = np.nan
+    assert _forward_outcome(n_cpus, X, params) == _forward_outcome(1, X, params)
+
+
+def test_sliced_forward_prefers_an_earlier_layer_in_a_later_slice():
+    params = _params(2)
+    params["enc0.ffn.w2"] = params["enc0.ffn.w2"] * np.inf
+    X = np.random.default_rng(3).normal(size=(8, 6, 3))
+    assert _forward_outcome(2, X, params) == "non-finite values in enc0.ffn"
+    X[-1] = np.nan  # now the last slice fails at in_proj, the first still at enc0.ffn
+    assert _forward_outcome(2, X, params) == "non-finite values in in_proj"
+
+
+@pytest.mark.skipif(attention._openblas_threads() is None,
+                    reason="numpy's bundled OpenBLAS not found")
+def test_diverged_fit_restores_the_blas_thread_count(monkeypatch):
+    monkeypatch.setattr(attention, "_usable_cpus", lambda: 2)
+    get_threads, _ = attention._openblas_threads()
+    before = get_threads()
+    seen = []
+    step = attention.attention_loss_and_grads
+
+    def watched(*args, **kwargs):
+        seen.append(get_threads())
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(attention, "attention_loss_and_grads", watched)
+    rng = np.random.default_rng(0)
+    windows = windows_of(rng.normal(size=(30, 6, 3)), rng.integers(0, 40, size=30).tolist())
+    # lr*wd > 1 flips and amplifies the decay factor until overflow
+    cfg = TrainConfig(max_epochs=60, batch_size=16, base_lr=1e9, warmup_steps=0,
+                      weight_decay=1.0, d_model=8, heads=HEADS, layers=1)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
+        train_attention(windows, windows, cfg)
+    assert seen and set(seen) == {1}
+    assert get_threads() == before

@@ -495,6 +495,17 @@ def _with_header(header: bytes):
     return edit
 
 
+def _with_one_channel_standardizer(field: str):
+    """An edit that keeps one channel of the header's standardizer ``field``,
+    which would broadcast over all channels."""
+    def edit(data: bytes) -> bytes:
+        magic, header, blob = data.split(b"\n", 2)
+        fields = json.loads(header)
+        del fields["standardizer"][field][1:]
+        return b"\n".join([magic, json.dumps(fields).encode("utf-8"), blob])
+    return edit
+
+
 @pytest.mark.parametrize(
     ("name", "edit", "message"),
     [("model_linear.bin", _with_header(b"[1]"),
@@ -506,9 +517,13 @@ def _with_header(header: bytes):
       r" is malformed: ValueError: \d+ parameter bytes, expected \d+"),
      ("model_linear.bin", lambda data: data.replace(b"model v2", b"model v1", 1),
       r": not a 'driftcal-model v2' file \(magic 'driftcal-model v1'\); retrain it"),
+     ("model_linear.bin", _with_one_channel_standardizer("mean"),
+      r" is malformed: ValueError: standardizer mean of shape \(1,\), expected \(\d+,\)"),
+     ("model_linear.bin", _with_one_channel_standardizer("std"),
+      r" is malformed: ValueError: standardizer std of shape \(1,\), expected \(\d+,\)"),
      ("adapted_meta.json", lambda data: b"[1]", " is malformed: not a JSON object")],
     ids=["header_list", "header_no_params", "truncated", "extra_bytes", "v1_magic",
-         "metadata_list"],
+         "standardizer_mean", "standardizer_std", "metadata_list"],
 )
 def test_malformed_file_prints_one_error_line(workspace, tmp_path, capsys, name, edit, message):
     root, out, _ = workspace

@@ -102,10 +102,13 @@ def test_layer_norm_and_backward_equal_formula(x, seed):
             y, cache = layer_norm(x, gain, bias, out=out)
             assert _same(y, y_ref)
             assert _same(cache[0], xhat_ref) and _same(cache[1], inv_ref)
+            axes = tuple(range(x.ndim - 1))  # the caller sums the gain and bias gradients
             for dout, work in ((None, None), (dx_out, scratch)):
-                dx, dgain, dbias = layer_norm_backward(dy, cache, out=dout, scratch=work)
+                dx, dy_xhat = layer_norm_backward(dy, cache, out=dout, scratch=work)
                 assert _same(dx, dx_ref)
-                assert _same(dgain, dgain_ref) and _same(dbias, dbias_ref)
+                assert _same(np.add.reduce(dy_xhat, axis=axes), dgain_ref)
+                assert _same(np.add.reduce(dy, axis=axes), dbias_ref)
+            assert dx is dx_out and dy_xhat is scratch
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,15 +15,23 @@ config whole; the attention init hash, in the packed Q|K|V layout, before
 each layer's three projections became one. A refactor must leave every one of
 them unchanged. Model format v2 (the packed projection) retook the model and
 attention forecast pins; the linear and quantile files after their magic line
-are still the bytes format v1 wrote (V1_BODY_PINS). The model
-pins cover float64 arithmetic, so they hold only for one BLAS build (numpy's
-bundled OpenBLAS) at one BLAS thread count: at numpy's default thread count
-every pin holds, while with OPENBLAS_NUM_THREADS=1 the linear and attention
-model pins fail.
+are still the bytes format v1 wrote (V1_BODY_PINS). The attention init
+forecast hash was taken before attention batches ran in row slices on
+several threads; the attention model and forecast pins were retaken then,
+once, because the gradient GEMMs of the last, partial batch now always run
+at one BLAS thread. The model pins cover float64 arithmetic, so they hold
+only for one BLAS build (numpy's bundled OpenBLAS). The attention pins hold
+at every BLAS thread count (test_attention_bytes_do_not_depend_on_blas_threads);
+the linear model pin holds only at numpy's default thread count and fails
+with OPENBLAS_NUM_THREADS=1.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +47,8 @@ from driftcal.adaptation import (
 from driftcal.cli import RunConfig
 from driftcal.cmapss_io import serialize_trajectories
 from driftcal.models import EpochLog, TrainConfig, predict_ttd_batch, save_model
-from driftcal.models.attention import init_attention_params
+from driftcal.models.attention import INFERENCE_CHUNK, attention_raw_batch, init_attention_params
+from driftcal.models.base import ForecastModel
 from driftcal.pipeline import (
     forecast_scorer,
     label_and_window,
@@ -66,8 +75,8 @@ PINS = {
     "dataset_digest": "fe9fe6457479b45d0ea2f19d9c49e2ab0177b74e5522e8262466ab83d8622a32",
     "quantile_model": "c69067fdf3480d38c0a0f446d8b112103ea4af91187620e631c49ae038b8d9e6",
     "linear_model": "32f9d595118c9ead677f47b853a9f863591c7a890c22a7a45ee44e129c5c53e7",
-    "attention_model": "8251867b910e4d373fe23a4bfe86bba8acb0209a59ba2126651db9b022ce852f",
-    "attention_predictions": "3e307deae8ec5810c9f3d787a234cedb9e5d8c91171df2a187288b8858d315ec",
+    "attention_model": "e042665cd727f0d5e4227957b716f65520ed7305d22fab6b5eb80aa12633bd67",
+    "attention_predictions": "ef0dda97dce48edda77bb0af92e3a9768be8a2edad2c1c9861f78ed377daa8d5",
     "run_config_digest": "4c1bcbe352d3d7a8f6c6bf5d21f7f12f054361dcd09de7740a95bfb0bd98aa2e",
     "quantile_early_stop_model": "ce303d9c9feddd4a22acd9378e2516045a4d7497c09dd25df87aeacc52076560",
     "quantile_logs": "34cccf0ec395c0794f11a71dffb72ae2198c14018021405c6cedfe82c577d358",
@@ -76,6 +85,8 @@ PINS = {
     "off_default_dataset_digest":
         "e8d596451cbfd0de2c00c52787da17fa78bea1437fccb838ec70146a827f7e1d",
     "attention_init": "1615db5ce57bb63e077b19c518d6e46c62c7ed91c1aee9a5a0ec315974e31f2e",
+    "attention_init_inference":
+        "56d5f07641c1a7bc3dfa7a3896eb8d528ba7f8fcc232a0e94d5d984423b37018",
 }
 
 # model files after their first (magic) line, as model format v1 wrote them
@@ -217,13 +228,27 @@ def test_linear_model_bytes_hash(bundle, tmp_path):
     assert _model_shas(model, tmp_path) == (PINS["linear_model"], V1_BODY_PINS["linear_model"])
 
 
+def _init_params():
+    return init_attention_params(np.random.default_rng([SEED, 1]), 24, 64, 4, 2)
+
+
 def test_attention_init_params_hash():
-    params = init_attention_params(np.random.default_rng([SEED, 1]), 24, 64, 4, 2)
+    params = _init_params()
     h = hashlib.sha256()
     for name in sorted(params):
         h.update(name.encode("utf-8"))
         h.update(params[name].tobytes())
     assert h.hexdigest() == PINS["attention_init"]
+
+
+def test_attention_inference_bytes_hash(bundle):
+    # forecasts of the untrained model: inference bits, apart from any training
+    w, d = bundle.val_std.shape
+    model = ForecastModel(kind="attention", params=_init_params(), window=w, n_channels=d,
+                          meta={"heads": 4, "pool": "mean"})
+    X = bundle.val_std.take(slice(None))
+    assert len(X) > 2 * INFERENCE_CHUNK and len(X) % INFERENCE_CHUNK  # ends on a partial chunk
+    assert _sha(attention_raw_batch(model, X).tobytes()) == PINS["attention_init_inference"]
 
 
 def test_attention_model_and_prediction_bytes_hash(bundle, tmp_path):
@@ -237,6 +262,20 @@ def test_attention_model_and_prediction_bytes_hash(bundle, tmp_path):
     assert len(X_val) > 128  # crosses inference chunk boundaries
     yhat = predict_ttd_batch(model, X_val)
     assert _sha(yhat.tobytes()) == PINS["attention_predictions"]
+
+
+def test_attention_bytes_do_not_depend_on_blas_threads():
+    """The pinned attention fit, in fresh processes with OPENBLAS_NUM_THREADS=1
+    and with the variable removed (numpy's default thread count), writes
+    the pinned model, logs and forecasts in both. The linear model is not
+    covered: its bytes still depend on the thread count."""
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    test = f"{Path(__file__).relative_to(root)}::test_attention_model_and_prediction_bytes_hash"
+    for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                             cwd=root, env={**env, **extra}, capture_output=True, text=True)
+        assert run.returncode == 0, f"{extra or 'default threads'}:\n{run.stdout[-3000:]}"
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
