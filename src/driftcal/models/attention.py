@@ -6,24 +6,16 @@ passed through pre-norm encoder layers (multi-head self-attention and a
 time, and read out by a linear head. Forward and backward passes are
 explicit so gradients can be verified against finite differences.
 
-A batch's per-window work runs in row slices, one per usable CPU, on a
-small thread pool, with numpy's OpenBLAS held at one thread. Every sum over
-windows (the weight, bias and gain gradients, the read-out, the loss) is
-one call over the whole batch, so no result depends on the slice count.
+A batch's per-window work runs in row slices on several threads, at one
+BLAS thread; models/threads.py says how.
 """
 
 from __future__ import annotations
 
-import contextvars
 import copy
-import ctypes
 import functools
-import itertools
 import math
-import os
 import threading
-from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +36,7 @@ from .nn import (
     xavier_uniform,
 )
 from .optim import fit_minibatch
+from .threads import one_blas_thread, row_slices, run_tasks
 
 
 def init_attention_params(
@@ -85,101 +78,6 @@ def n_encoder_layers(params: dict[str, np.ndarray]) -> int:
 # default batch, so inference holds no more activations than a training
 # step, and fixed chunks keep memory flat however many windows there are.
 INFERENCE_CHUNK = 64
-
-
-# -- threads -----------------------------------------------------------------
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
-    when numpy has no such library."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0))
-
-
-def _n_slices() -> int:
-    """Row slices per batch: one per usable CPU, or one when BLAS cannot be
-    held at one thread (two slices at BLAS's default threads run slower)."""
-    return _usable_cpus() if _openblas_threads() else 1
-
-
-@contextmanager
-def _one_blas_thread():
-    """numpy's OpenBLAS at one thread inside the block, and at its old count
-    after it; untouched when batches run as one slice."""
-    blas = _openblas_threads() if _n_slices() > 1 else None
-    if blas is None:
-        yield
-        return
-    get_threads, set_threads = blas
-    old = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(old)
-
-
-_pool_lock = threading.Lock()
-_pool = None  # (pid of its process, ThreadPoolExecutor)
-
-
-def _run(tasks) -> list:
-    """Results of the no-argument callables ``tasks``, in order.
-
-    This thread and up to _n_slices() - 1 threads of a pool, made on first
-    use, take the tasks in turn until none is left; a pool thread runs in a
-    copy of the caller's context, so numpy's error state holds in it. No
-    task is still running when a failure is raised.
-    """
-    n_threads = min(len(tasks), _n_slices())
-    if n_threads <= 1:
-        return [task() for task in tasks]
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():  # a forked child has no pool threads
-            # imported here, not with the module: it adds ~10 ms to every start-up
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = os.getpid(), ThreadPoolExecutor(n_threads - 1, "driftcal-attention")
-        pool = _pool[1]
-    outcomes: list = [None] * len(tasks)
-    turns = itertools.count()  # next() on it is atomic
-
-    def take_turns():
-        while (k := next(turns)) < len(tasks):
-            outcomes[k] = tasks[k]()
-
-    helpers = [pool.submit(contextvars.copy_context().run, take_turns)
-               for _ in range(n_threads - 1)]
-    try:
-        take_turns()
-    finally:
-        for helper in helpers:
-            helper.exception()  # waits for the helper; its failure is raised below
-    for helper in helpers:
-        helper.result()
-    return outcomes
-
-
-def _row_slices(B: int, w: int) -> list[slice]:
-    """At most _n_slices() near-equal runs of the windows 0..B-1 (one when B
-    is 0), each of at least two GEMM rows: numpy runs a one-row product as
-    a matrix-vector product, which rounds differently."""
-    n = max(1, min(B, B * w // 2, _n_slices()))
-    return [slice(B * k // n, B * (k + 1) // n) for k in range(n)]
 
 
 # -- workspace ---------------------------------------------------------------
@@ -387,7 +285,7 @@ def attention_forward_batch(
     # come from this thread's malloc arena: a pool thread's arena would keep
     # their memory after the workspace is gone (+16% peak RSS on the default
     # benchmark when slices allocated them).
-    slices = _row_slices(B, w) if ws.allocated() else [slice(0, B)]
+    slices = row_slices(B, w) if ws.allocated() else [slice(0, B)]
     z = ws.get("z", B, params["in_proj.w"].shape[1])
 
     def encode(rows: slice):
@@ -396,7 +294,7 @@ def attention_forward_batch(
         except NonFiniteError as exc:
             return exc
 
-    caches = _run([functools.partial(encode, rows) for rows in slices])
+    caches = run_tasks([functools.partial(encode, rows) for rows in slices])
     failed = [c for c in caches if isinstance(c, NonFiniteError)]
     if failed:
         order = _check_order(params)
@@ -486,10 +384,10 @@ def attention_backward_batch(dyhat: np.ndarray, params: dict[str, np.ndarray], c
         dh.fill(0.0)
         dh[:, -1, :] = dz
     for i in reversed(range(n_layers)):
-        _run([functools.partial(_backward_rows, i, layer_caches[i], params, ws.rows(rows.start))
-              for rows, layer_caches in cache["slices"]])
+        run_tasks([functools.partial(_backward_rows, i, caches[i], params, ws.rows(rows.start))
+                   for rows, caches in cache["slices"]])
         tasks = _layer_grads(i, params, ws, B, w)
-        grads.update(zip(tasks, _run(list(tasks.values()))))
+        grads.update(zip(tasks, run_tasks(list(tasks.values()))))
     dh = ws.get("d_stream0", B, w, d_model)
     grads["in_proj.w"] = _gram(X, dh)
     grads["in_proj.b"] = _sum_rows(dh)
@@ -531,7 +429,7 @@ def train_attention(
     params = init_attention_params(
         np.random.default_rng([cfg.seed, 1]), d, cfg.d_model, cfg.heads, cfg.layers
     )
-    with _one_blas_thread():
+    with one_blas_thread():
         best_params, logs = fit_minibatch(
             lambda Xb, yb, p: attention_loss_and_grads(
                 Xb, yb, p, cfg.heads, cfg.pool, cfg.smooth_l1_beta, ws
@@ -584,6 +482,6 @@ def attention_raw_batch(model: ForecastModel, X: np.ndarray) -> np.ndarray:
     """Raw predictions for standardized windows (B, w, d), INFERENCE_CHUNK
     windows at a time through one workspace, at one BLAS thread."""
     ws = Workspace(max(1, min(len(X), INFERENCE_CHUNK)))
-    with _one_blas_thread():
+    with one_blas_thread():
         return _forward_chunks(X, model.params, model.meta["heads"],
                                model.meta.get("pool", "mean"), ws)

@@ -7,32 +7,11 @@ import numpy as np
 
 from ..labeling import WINDOW_CHUNK, Standardizer, Windows
 from .base import ForecastModel
+from .threads import one_blas_thread
 
 
 class SingularSystemError(np.linalg.LinAlgError):
     """Normal equations are singular; retry with ridge > 0."""
-
-
-def _solve_normal_equations(A: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    """Solve (A^T A + R) beta = A^T y for the design matrix A = [X | 1] via
-    Cholesky.
-
-    The ridge penalty is applied to the feature coefficients only, never to
-    the intercept (A's last column).
-    """
-    p = A.shape[1] - 1
-    G = A.T @ A
-    if ridge > 0:
-        G[np.arange(p), np.arange(p)] += ridge
-    b = A.T @ y
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        raise SingularSystemError(
-            "normal equations are singular or indefinite; pass ridge > 0"
-        ) from None
-    z = np.linalg.solve(L, b)
-    return np.linalg.solve(L.T, z)
 
 
 def fit_linear(
@@ -46,14 +25,29 @@ def fit_linear(
     if not windows:
         raise ValueError("empty window set")
     w, d = windows.shape
-    # [X | 1] filled chunk by chunk: the only full copy of the flattened windows
-    A = np.empty((len(windows), w * d + 1))
-    for first in range(0, len(windows), WINDOW_CHUNK):
-        rows = slice(first, first + WINDOW_CHUNK)
-        A[rows, :-1] = windows.take(rows).reshape(-1, w * d)
+    p = w * d
+    # A^T A and A^T y of A = [X | 1], summed over blocks of A's rows in block
+    # order, at one BLAS thread like the solve: no bit depends on the thread
+    # count, and no more than one block of A exists at a time
+    G, b = np.zeros((p + 1, p + 1)), np.zeros(p + 1)
+    A = np.empty((min(len(windows), WINDOW_CHUNK), p + 1))
     A[:, -1] = 1.0
-    y = windows.label.astype(np.float64)
-    beta = _solve_normal_equations(A, y, ridge)
+    with one_blas_thread():
+        for first in range(0, len(windows), WINDOW_CHUNK):
+            rows = slice(first, min(first + WINDOW_CHUNK, len(windows)))
+            block = A[: rows.stop - first]
+            block[:, :-1] = windows.take(rows).reshape(-1, p)
+            G += block.T @ block
+            b += block.T @ windows.label[rows].astype(np.float64)
+        # the ridge penalizes the feature coefficients only, never the intercept
+        G[np.arange(p), np.arange(p)] += ridge
+        try:
+            L = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            raise SingularSystemError(
+                "normal equations are singular or indefinite; pass ridge > 0"
+            ) from None
+        beta = np.linalg.solve(L.T, np.linalg.solve(L, b))
     return ForecastModel(
         kind="linear",
         params={"coef": beta[:-1].copy(), "intercept": beta[-1:].copy()},
@@ -65,6 +59,8 @@ def fit_linear(
 
 
 def linear_raw_batch(model: ForecastModel, X: np.ndarray) -> np.ndarray:
-    """Raw (unclipped) predictions for standardized windows (B, w, d)."""
+    """Raw (unclipped) predictions for standardized windows (B, w, d), at
+    one BLAS thread: the product's bits depend on the thread count."""
     flat = X.reshape(X.shape[0], -1)
-    return flat @ model.params["coef"] + model.params["intercept"][0]
+    with one_blas_thread():
+        return flat @ model.params["coef"] + model.params["intercept"][0]

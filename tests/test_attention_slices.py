@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftcal.models import NonFiniteError, TrainConfig, TrainingDivergedError, train_attention
-from driftcal.models import attention
+from driftcal.models import attention, linear, threads
 from driftcal.models.attention import (
     Workspace,
     attention_forward_batch,
@@ -36,7 +36,7 @@ def _params(seed: int, d: int = 3) -> dict[str, np.ndarray]:
 def _cpus(n: int):
     """A context in which attention sees ``n`` usable CPUs."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(attention, "_usable_cpus", lambda: n)
+        patch.setattr(threads, "usable_cpus", lambda: n)
         yield
 
 
@@ -92,7 +92,7 @@ def test_slices_allocating_together_lose_no_buffer(monkeypatch):
     rng = np.random.default_rng(5)
     X, y = rng.normal(size=(40, 6, 3)), rng.normal(loc=5.0, scale=3.0, size=40)
     expected = _step(1, X, y, params, "mean")
-    monkeypatch.setattr(attention, "_pool", None)  # a fresh pool, sized for four slices
+    monkeypatch.setattr(threads, "_pool", None)  # a fresh pool, sized for four slices
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -100,7 +100,7 @@ def test_slices_allocating_together_lose_no_buffer(monkeypatch):
             _assert_same_step(_step(4, X, y, params, "mean", Workspace(len(X))), expected)
     finally:
         sys.setswitchinterval(interval)
-        attention._pool[1].shutdown()
+        threads._pool[1].shutdown()
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,20 +126,7 @@ def test_sliced_forward_prefers_an_earlier_layer_in_a_later_slice():
     assert _forward_outcome(2, X, params) == "non-finite values in in_proj"
 
 
-@pytest.mark.skipif(attention._openblas_threads() is None,
-                    reason="numpy's bundled OpenBLAS not found")
-def test_diverged_fit_restores_the_blas_thread_count(monkeypatch):
-    monkeypatch.setattr(attention, "_usable_cpus", lambda: 2)
-    get_threads, _ = attention._openblas_threads()
-    before = get_threads()
-    seen = []
-    step = attention.attention_loss_and_grads
-
-    def watched(*args, **kwargs):
-        seen.append(get_threads())
-        return step(*args, **kwargs)
-
-    monkeypatch.setattr(attention, "attention_loss_and_grads", watched)
+def _diverged_attention_fit():
     rng = np.random.default_rng(0)
     windows = windows_of(rng.normal(size=(30, 6, 3)), rng.integers(0, 40, size=30).tolist())
     # lr*wd > 1 flips and amplifies the decay factor until overflow
@@ -147,5 +134,40 @@ def test_diverged_fit_restores_the_blas_thread_count(monkeypatch):
                       weight_decay=1.0, d_model=8, heads=HEADS, layers=1)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
         train_attention(windows, windows, cfg)
+
+
+def _singular_linear_fit():
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(30, 4, 3))
+    X[:, :, 2] = X[:, :, 1]  # a duplicated channel: rank deficient
+    with pytest.raises(linear.SingularSystemError):
+        linear.fit_linear(windows_of(X, rng.integers(0, 20, size=30)), ridge=0.0)
+
+
+# each failing fit, and a step it takes inside its one-thread block
+FAILING_FITS = {
+    "attention": (_diverged_attention_fit, attention, "attention_loss_and_grads"),
+    "linear": (_singular_linear_fit, np.linalg, "cholesky"),
+}
+
+
+@pytest.mark.skipif(threads.openblas_threads() is None,
+                    reason="numpy's bundled OpenBLAS not found")
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("kind", FAILING_FITS)
+def test_failed_fit_restores_the_blas_thread_count(monkeypatch, kind, n_cpus):
+    fit, module, step_name = FAILING_FITS[kind]
+    monkeypatch.setattr(threads, "usable_cpus", lambda: n_cpus)
+    get_threads, _ = threads.openblas_threads()
+    before = get_threads()
+    seen = []
+    step = getattr(module, step_name)
+
+    def watched(*args, **kwargs):
+        seen.append(get_threads())
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(module, step_name, watched)
+    fit()
     assert seen and set(seen) == {1}
     assert get_threads() == before

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from driftcal.labeling import WINDOW_CHUNK
 from driftcal.models.base import ShapeMismatchError
 from driftcal.models.linear import SingularSystemError, fit_linear, linear_raw_batch
 from driftcal.models.predict import predict_ttd_batch
@@ -90,3 +93,18 @@ def test_predict_clips_and_checks_shape():
     assert predict_ttd_batch(model, window[None])[0] >= 0.0
     with pytest.raises(ShapeMismatchError):
         predict_ttd_batch(model, window[None, :2])
+
+
+def test_fit_memory_does_not_grow_with_the_window_count():
+    n, w, d = 8 * WINDOW_CHUNK + 5, 6, 3
+    rng = np.random.default_rng(11)
+    windows = _windows_from(rng.normal(size=(n, w, d)), rng.integers(0, 50, size=n))
+    p = w * d
+    block, gram = WINDOW_CHUNK * (p + 1) * 8, (p + 1) ** 2 * 8  # bytes of [X | 1] and A^T A
+    tracemalloc.start()
+    try:
+        fit_linear(windows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * block + 2 * gram  # the whole [X | 1] alone would take 8 blocks

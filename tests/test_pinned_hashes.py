@@ -2,9 +2,8 @@
 
 Each hash was taken before the code it covers was rewritten: the data-layer
 and quantile hashes before the writers, the reader, the ranking and the
-optimizer were vectorized; the linear and attention model hashes and the
-attention forecast hash before attention inference ran in chunks, the
-linear design matrix was filled in place and GELU worked in blocks; the
+optimizer were vectorized; the attention model and forecast hashes
+before attention inference ran in chunks and GELU worked in blocks; the
 early-stopping quantile model, the epoch-log hashes and the default run
 config digest before the quantile and attention forecasters shared one
 training loop and the run config built its parts from their fields; all of
@@ -14,22 +13,24 @@ off-default adaptation digest before the adaptation functions took their
 config whole; the attention init hash, in the packed Q|K|V layout, before
 each layer's three projections became one. A refactor must leave every one of
 them unchanged. Model format v2 (the packed projection) retook the model and
-attention forecast pins; the linear and quantile files after their magic line
-are still the bytes format v1 wrote (V1_BODY_PINS). The attention init
+attention forecast pins; the quantile files after their magic line are
+still the bytes format v1 wrote (V1_BODY_PINS). The attention init
 forecast hash was taken before attention batches ran in row slices on
 several threads; the attention model and forecast pins were retaken then,
 once, because the gradient GEMMs of the last, partial batch now always run
-at one BLAS thread. The model pins cover float64 arithmetic, so they hold
-only for one BLAS build (numpy's bundled OpenBLAS). The attention pins hold
-at every BLAS thread count (test_attention_bytes_do_not_depend_on_blas_threads);
-the linear model pin holds only at numpy's default thread count and fails
-with OPENBLAS_NUM_THREADS=1.
+at one BLAS thread. The linear model pin was retaken once when the linear
+fit began to sum its normal equations in row blocks at one BLAS thread; the
+linear forecast pin was taken then. The model pins cover float64
+arithmetic, so they hold only for one BLAS build (numpy's bundled OpenBLAS),
+but at every BLAS thread count (test_fits_do_not_depend_on_blas_threads).
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -46,7 +47,14 @@ from driftcal.adaptation import (
 )
 from driftcal.cli import RunConfig
 from driftcal.cmapss_io import serialize_trajectories
-from driftcal.models import EpochLog, TrainConfig, predict_ttd_batch, save_model
+from driftcal.models import (
+    EpochLog,
+    TrainConfig,
+    predict_quantiles_batch,
+    predict_ttd_batch,
+    predict_ttd_windows,
+    save_model,
+)
 from driftcal.models.attention import INFERENCE_CHUNK, attention_raw_batch, init_attention_params
 from driftcal.models.base import ForecastModel
 from driftcal.pipeline import (
@@ -74,7 +82,8 @@ PINS = {
     "adapted_meta": "ac9f7e526856427b59aa44a1e04002948cec58f52c5d0d08dbf4b59d4d68986e",
     "dataset_digest": "fe9fe6457479b45d0ea2f19d9c49e2ab0177b74e5522e8262466ab83d8622a32",
     "quantile_model": "c69067fdf3480d38c0a0f446d8b112103ea4af91187620e631c49ae038b8d9e6",
-    "linear_model": "32f9d595118c9ead677f47b853a9f863591c7a890c22a7a45ee44e129c5c53e7",
+    "linear_model": "3a8861f57de9ecdcd37ca0007361ae9d0a91f1d2591f0b8584a9949e4266625c",
+    "linear_predictions": "922765f307e1e3e519fea1ac3ea72fb00b6ce45e5e505f3bd4576d1cb6428dcb",
     "attention_model": "e042665cd727f0d5e4227957b716f65520ed7305d22fab6b5eb80aa12633bd67",
     "attention_predictions": "ef0dda97dce48edda77bb0af92e3a9768be8a2edad2c1c9861f78ed377daa8d5",
     "run_config_digest": "4c1bcbe352d3d7a8f6c6bf5d21f7f12f054361dcd09de7740a95bfb0bd98aa2e",
@@ -89,9 +98,8 @@ PINS = {
         "56d5f07641c1a7bc3dfa7a3896eb8d528ba7f8fcc232a0e94d5d984423b37018",
 }
 
-# model files after their first (magic) line, as model format v1 wrote them
+# quantile model files after their first (magic) line, as model format v1 wrote them
 V1_BODY_PINS = {
-    "linear_model": "e2bcb1365500b262180f3d6f423611c743f1f054b92b151ed1ba2b6b3df0f3f9",
     "quantile_model": "496e7a7c3c4af49e2523231f4e3665e6c3b29f7bcee26a79092ce54857494c34",
     "quantile_early_stop_model":
         "ba12b32ee35effa6d3a2dfb9b6a0e85fdb2a8d4a707ed9e6aee902b231a1089e",
@@ -116,14 +124,25 @@ EVENT_PINS = {
 }
 CAPACITY = CapacitySpec(k=1, window_width=5)
 
+# the pinned fit of each kind
+FITS = {
+    "linear": TrainConfig(seed=SEED),
+    "quantile": TrainConfig(max_epochs=2, patience=2, seed=SEED),
+    "attention": TrainConfig(max_epochs=1, patience=1, seed=SEED),
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _fleet():
+    return synthetic_trajectories(n_engines=8, seed=SEED, length_range=(130, 360))
+
+
 @pytest.fixture(scope="module")
 def fleet():
-    return synthetic_trajectories(n_engines=8, seed=SEED, length_range=(130, 360))
+    return _fleet()
 
 
 @pytest.fixture(scope="module")
@@ -164,9 +183,8 @@ def policy_hashes(dataset, bundle):
     """Outcome hash per policy, uncapped and under CAPACITY (key suffix ":k1"),
     with the linear point scorer and the 2-epoch quantile scorer at margin 5."""
     val = validation_subset(dataset, bundle.split)
-    linear, _ = train_forecaster("linear", bundle, TrainConfig(seed=SEED))
-    quantile, _ = train_forecaster("quantile", bundle, TrainConfig(max_epochs=2, patience=2,
-                                                                   seed=SEED))
+    linear, _ = train_forecaster("linear", bundle, FITS["linear"])
+    quantile, _ = train_forecaster("quantile", bundle, FITS["quantile"])
     scorers = {"predictive": forecast_scorer(linear, val),
                "quantile": forecast_scorer(quantile, val, use_quantile=True)}
     period = median_segment_length(training_subset(dataset, bundle.split))
@@ -202,9 +220,7 @@ def test_off_default_adaptation_digest(fleet):
 
 
 def test_quantile_model_bytes_hash(bundle, tmp_path):
-    model, logs = train_forecaster(
-        "quantile", bundle, TrainConfig(max_epochs=2, patience=2, seed=SEED)
-    )
+    model, logs = train_forecaster("quantile", bundle, FITS["quantile"])
     assert len(logs) == 2
     assert _model_shas(model, tmp_path) == (PINS["quantile_model"],
                                             V1_BODY_PINS["quantile_model"])
@@ -224,8 +240,14 @@ def test_early_stopped_quantile_model_restores_best_epoch(bundle, tmp_path):
 
 
 def test_linear_model_bytes_hash(bundle, tmp_path):
-    model, _ = train_forecaster("linear", bundle, TrainConfig(seed=SEED))
-    assert _model_shas(model, tmp_path) == (PINS["linear_model"], V1_BODY_PINS["linear_model"])
+    model, _ = train_forecaster("linear", bundle, FITS["linear"])
+    assert _model_shas(model, tmp_path)[0] == PINS["linear_model"]
+
+
+def test_linear_prediction_bytes_hash(bundle):
+    model, _ = train_forecaster("linear", bundle, FITS["linear"])
+    yhat = predict_ttd_windows(model, bundle.val_raw)
+    assert _sha(yhat.tobytes()) == PINS["linear_predictions"]
 
 
 def _init_params():
@@ -252,9 +274,7 @@ def test_attention_inference_bytes_hash(bundle):
 
 
 def test_attention_model_and_prediction_bytes_hash(bundle, tmp_path):
-    model, logs = train_forecaster(
-        "attention", bundle, TrainConfig(max_epochs=1, patience=1, seed=SEED)
-    )
+    model, logs = train_forecaster("attention", bundle, FITS["attention"])
     assert len(logs) == 1
     assert _model_shas(model, tmp_path)[0] == PINS["attention_model"]
     assert _logs_sha(logs) == PINS["attention_logs"]
@@ -264,18 +284,40 @@ def test_attention_model_and_prediction_bytes_hash(bundle, tmp_path):
     assert _sha(yhat.tobytes()) == PINS["attention_predictions"]
 
 
-def test_attention_bytes_do_not_depend_on_blas_threads():
-    """The pinned attention fit, in fresh processes with OPENBLAS_NUM_THREADS=1
-    and with the variable removed (numpy's default thread count), writes
-    the pinned model, logs and forecasts in both. The linear model is not
-    covered: its bytes still depend on the thread count."""
-    root = Path(__file__).resolve().parent.parent
+def fit_hashes() -> dict[str, list[str]]:
+    """Per kind, hashes of its pinned fit's model file and epoch logs, and
+    of its forecasts for the validation windows: every quantile head, the
+    point forecast of the other kinds."""
+    bundle = label_and_window(adapt_dataset(_fleet(), AdaptationConfig(), seed=SEED), seed=SEED)
+    hashes = {}
+    for kind, cfg in FITS.items():
+        model, logs = train_forecaster(kind, bundle, cfg)
+        if kind == "quantile":
+            yhat = predict_quantiles_batch(model, bundle.val_raw.take(slice(None)))
+        else:
+            yhat = predict_ttd_windows(model, bundle.val_raw)
+        with tempfile.TemporaryDirectory() as tmp:
+            hashes[kind] = [_model_shas(model, Path(tmp))[0], _logs_sha(logs),
+                            _sha(yhat.tobytes())]
+    return hashes
+
+
+def test_fits_do_not_depend_on_blas_threads():
+    """Every kind's pinned fit, in fresh processes with OPENBLAS_NUM_THREADS=1
+    and with the variable removed (numpy's default thread count), writes the
+    same model, epoch logs and forecasts in both."""
+    tests = Path(__file__).resolve().parent
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    test = f"{Path(__file__).relative_to(root)}::test_attention_model_and_prediction_bytes_hash"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]))
+    script = "import json, test_pinned_hashes as t; print(json.dumps(t.fit_hashes()))"
+    runs = []
     for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
-        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
-                             cwd=root, env={**env, **extra}, capture_output=True, text=True)
-        assert run.returncode == 0, f"{extra or 'default threads'}:\n{run.stdout[-3000:]}"
+        run = subprocess.run([sys.executable, "-c", script], cwd=tests, env={**env, **extra},
+                             capture_output=True, text=True)
+        assert run.returncode == 0, f"{extra or 'default threads'}:\n{run.stderr[-3000:]}"
+        runs.append(json.loads(run.stdout))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
