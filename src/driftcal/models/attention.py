@@ -25,6 +25,7 @@ from .nn import (
     NonFiniteError,
     check_finite,
     gelu_forward,
+    gelu_from_tanh,
     gelu_grad,
     layer_norm,
     layer_norm_backward,
@@ -90,7 +91,9 @@ class Workspace:
     C-contiguous. A row slice of the batch works in ``rows(start)``, which
     shares the buffers. A forward's cache reads the workspace, so a
     workspace serves one batch at a time: its backward must run before the
-    next forward into the same workspace.
+    next forward into the same workspace. Dead values share buffers: all
+    layers write their GELU output into one, and the feed-forward backward
+    writes dg into the layer's u and du into its tanh_u.
     """
 
     def __init__(self, capacity: int):
@@ -242,7 +245,7 @@ def _encode(X: np.ndarray, params: dict[str, np.ndarray], heads: int, pool: str,
                               out=ws.layer_norm(pfx + "ln2", B, w, d_model))
         u = _mm(n2, params[pfx + "ffn.w1"], ws.get(pfx + "u", B, w, dff))
         u += params[pfx + "ffn.b1"]
-        g, tanh_u = gelu_forward(u, out=(ws.get(pfx + "g", B, w, dff),
+        g, tanh_u = gelu_forward(u, out=(ws.get("g", B, w, dff),
                                          ws.get(pfx + "tanh_u", B, w, dff)))
         f = _mm(g, params[pfx + "ffn.w2"], ws.get("sublayer", B, w, d_model))
         f += params[pfx + "ffn.b2"]
@@ -281,12 +284,13 @@ def attention_forward_batch(
     """
     B, w, _ = X.shape
     ws = Workspace(B) if workspace is None else workspace
-    # A fresh workspace's first batch runs as one slice, so that its buffers
-    # come from this thread's malloc arena: a pool thread's arena would keep
-    # their memory after the workspace is gone (+16% peak RSS on the default
-    # benchmark when slices allocated them).
-    slices = row_slices(B, w) if ws.allocated() else [slice(0, B)]
-    z = ws.get("z", B, params["in_proj.w"].shape[1])
+    # A fresh workspace's first batch (told before z is allocated) runs as one
+    # slice, so its buffers come from this thread's malloc arena: a pool
+    # thread's arena would keep their memory after the workspace is gone
+    # (+16% peak RSS on the default benchmark when slices allocated them).
+    d_model = params["in_proj.w"].shape[1]
+    slices = row_slices(B, w, d_model) if ws.allocated() else [slice(0, B)]
+    z = ws.get("z", B, d_model)
 
     def encode(rows: slice):
         try:
@@ -316,9 +320,10 @@ def _backward_rows(i: int, c: dict, params: dict[str, np.ndarray], ws: Workspace
     pfx = f"enc{i}."
     # h_out = h1 + ffn(ln2(h1)); the residual passes dh straight through
     dh = ws.get(f"d_stream{i + 1}", B, w, dm)
-    dg = _mm(dh, params[pfx + "ffn.w2"].T, ws.get("d_g", B, w, dff))
-    du = gelu_grad(c["u"], c["tanh_u"], out=ws.get("d_u", B, w, dff))
-    du *= dg
+    # g back into the shared buffer, then gelu' over tanh_u and dg over the dead u
+    gelu_from_tanh(c["u"], c["tanh_u"], ws.get("g", B, w, dff))
+    du = gelu_grad(c["u"], c["tanh_u"], out=c["tanh_u"])
+    du *= _mm(dh, params[pfx + "ffn.w2"].T, c["u"])
     dn2 = _mm(du, params[pfx + "ffn.w1"].T, ws.get("d_n2", B, w, dm))
     dh1_ln, _ = layer_norm_backward(dn2, c["ln2c"], out=ws.get("d_ln", B, w, dm),
                                     scratch=ws.get("d_ln2_xhat", B, w, dm))
@@ -344,10 +349,11 @@ def _layer_grads(i: int, params: dict[str, np.ndarray], ws: Workspace, B: int, w
     def buf(name: str, n: int = dm) -> np.ndarray:
         return ws.get(name, B, w, n)
 
-    dh, du, dh1, dqkv = buf(f"d_stream{i + 1}"), buf("d_u", dff), buf("d_h1"), buf("d_qkv", 3 * dm)
+    dh, du, dh1 = buf(f"d_stream{i + 1}"), buf(pfx + "tanh_u", dff), buf("d_h1")
+    dqkv = buf("d_qkv", 3 * dm)
     tasks = {
         "ffn.w1": (_gram, buf(pfx + "ln2.y"), du),
-        "ffn.w2": (_gram, buf(pfx + "g", dff), dh),
+        "ffn.w2": (_gram, buf("g", dff), dh),
         "attn.wqkv": (_gram, buf(pfx + "ln1.y"), dqkv),
         "attn.wo": (_gram, buf(pfx + "attn.merged"), dh1),
         "ffn.b1": (_sum_rows, du),
@@ -386,8 +392,8 @@ def attention_backward_batch(dyhat: np.ndarray, params: dict[str, np.ndarray], c
     for i in reversed(range(n_layers)):
         run_tasks([functools.partial(_backward_rows, i, caches[i], params, ws.rows(rows.start))
                    for rows, caches in cache["slices"]])
-        tasks = _layer_grads(i, params, ws, B, w)
-        grads.update(zip(tasks, run_tasks(list(tasks.values()))))
+        tasks = _layer_grads(i, params, ws, B, w)  # one thread for one slice
+        grads.update(zip(tasks, run_tasks(list(tasks.values()), len(cache["slices"]))))
     dh = ws.get("d_stream0", B, w, d_model)
     grads["in_proj.w"] = _gram(X, dh)
     grads["in_proj.b"] = _sum_rows(dh)
@@ -418,12 +424,12 @@ def train_attention(
     The training steps and the validation forwards share one workspace,
     sized for one batch.
     """
-    Xva, yva = validation_set(train_windows, val_windows)
+    yva = validation_set(train_windows, val_windows)
     w, d = train_windows.shape
     ws = Workspace(min(cfg.batch_size, len(train_windows)))
 
     def val_mae(params):
-        val_pred = _forward_chunks(Xva, params, cfg.heads, cfg.pool, ws)
+        val_pred = _forward_chunks(val_windows.take, len(yva), params, cfg.heads, cfg.pool, ws)
         return float(np.mean(np.abs(np.maximum(val_pred, 0.0) - yva)))
 
     params = init_attention_params(
@@ -459,21 +465,22 @@ def train_attention(
     return model, logs
 
 
-def _forward_chunks(X: np.ndarray, params: dict[str, np.ndarray], heads: int,
+def _forward_chunks(take, n: int, params: dict[str, np.ndarray], heads: int,
                     pool: str, ws: Workspace) -> np.ndarray:
-    """Raw forecasts for (B, w, d) windows, equal bit for bit to one
-    attention_forward_batch call over all of X.
+    """Raw forecasts for n windows, equal bit for bit to one
+    attention_forward_batch call over all of them.
 
-    The encoder runs as many windows at a time as the workspace holds; each
-    window's pooled features depend on that window alone. The read-out runs
-    once over all of them, because numpy computes a one-row read-out (a last
-    chunk of one window) as a dot product, which rounds differently.
+    ``take(rows)`` gathers a slice of the windows (from a fit's window set,
+    or an inference array); the encoder runs on one workspace of them at a
+    time, and a window's pooled features depend on that window alone. The
+    read-out runs once over all of them: numpy computes a one-row read-out
+    (a last chunk of one window) as a dot product, which rounds differently.
     """
-    z = np.empty((len(X), params["in_proj.w"].shape[1]))
-    for start in range(0, len(X), ws.capacity):
-        stop = start + ws.capacity
-        z[start:stop] = attention_forward_batch(
-            X[start:stop], params, heads, pool, check=False, workspace=ws
+    z = np.empty((n, params["in_proj.w"].shape[1]))
+    for start in range(0, n, ws.capacity):
+        rows = slice(start, start + ws.capacity)
+        z[rows] = attention_forward_batch(
+            take(rows), params, heads, pool, check=False, workspace=ws
         )[1]["z"]
     return _head(z, params)
 
@@ -483,5 +490,5 @@ def attention_raw_batch(model: ForecastModel, X: np.ndarray) -> np.ndarray:
     windows at a time through one workspace, at one BLAS thread."""
     ws = Workspace(max(1, min(len(X), INFERENCE_CHUNK)))
     with one_blas_thread():
-        return _forward_chunks(X, model.params, model.meta["heads"],
+        return _forward_chunks(X.__getitem__, len(X), model.params, model.meta["heads"],
                                model.meta.get("pool", "mean"), ws)

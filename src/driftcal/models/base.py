@@ -161,11 +161,11 @@ def load_model(path: str | Path) -> ForecastModel:
         raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
-def validation_set(train: Windows, val: Windows) -> tuple[np.ndarray, np.ndarray]:
-    """The validation windows (n, w, d), gathered once, and their float
-    labels; both window sets must be non-empty and of one window shape."""
+def validation_set(train: Windows, val: Windows) -> np.ndarray:
+    """The float labels of the validation windows, which each fit gathers
+    itself; both window sets must be non-empty and of one window shape."""
     if not train or not val:
         raise ValueError("need non-empty train and validation window sets")
     if val.shape != train.shape:
         raise ValueError(f"validation window shape {val.shape} != train {train.shape}")
-    return val.take(slice(None)), val.label.astype(np.float64)
+    return val.label.astype(np.float64)

@@ -180,19 +180,28 @@ def gelu_forward(
     g, t = (np.empty(np.shape(x)), np.empty(np.shape(x))) if out is None else out
     scratch = np.empty(min(g.size, _GELU_BLOCK))
     for xb, gb, tb in _gelu_blocks(x, g, t):
-        _gelu_tanh(xb, tb)
-        s = scratch[: xb.size]
-        np.multiply(0.5, xb, out=gb)
-        np.add(1.0, tb, out=s)
-        np.multiply(gb, s, out=gb)
+        gelu_from_tanh(xb, _gelu_tanh(xb, tb), gb, scratch)
     return g, t
+
+
+def gelu_from_tanh(x: np.ndarray, tanh_u: np.ndarray, out: np.ndarray,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * x * (1 + tanh_u), in that operation order, block by block into
+    the C-contiguous ``out``: gelu_forward's g, bit for bit, from its t."""
+    scratch = np.empty(min(out.size, _GELU_BLOCK)) if scratch is None else scratch
+    for xb, tb, ob in _gelu_blocks(x, tanh_u, out):
+        s = scratch[: xb.size]
+        np.multiply(0.5, xb, out=ob)
+        np.add(1.0, tb, out=s)
+        np.multiply(ob, s, out=ob)
+    return out
 
 
 def gelu_grad(
     x: np.ndarray, tanh_u: np.ndarray | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """d GELU / dx, block by block into the C-contiguous ``out`` (or a fresh
-    array), in the operation order of the formula
+    """d GELU / dx, block by block into the C-contiguous ``out`` (a fresh
+    array, or tanh_u itself), in the operation order of the formula
 
     0.5 * (1 + t) + 0.5 * x * (1 - t * t) * (C0 * (1 + 3 * C1 * x * x)).
     """
@@ -203,21 +212,20 @@ def gelu_grad(
     for xb, ob, *given in blocks:
         s1b, s2b = s1[: xb.size], s2[: xb.size]
         tb = given[0] if given else _gelu_tanh(xb, s2b)
-        # ob = 0.5 * x * (1 - t * t)
-        np.multiply(tb, tb, out=s1b)
-        np.subtract(1.0, s1b, out=s1b)
-        np.multiply(0.5, xb, out=ob)
-        np.multiply(ob, s1b, out=ob)
-        # s1 = C0 * (1 + 3 * C1 * (x * x)); ob *= s1
-        np.multiply(xb, xb, out=s1b)
-        np.multiply(3.0 * _GELU_C1, s1b, out=s1b)
-        np.add(1.0, s1b, out=s1b)
-        np.multiply(_GELU_C0, s1b, out=s1b)
-        np.multiply(ob, s1b, out=ob)
-        # ob = 0.5 * (1 + t) + ob
+        # s1 = 0.5 * (1 + t) and ob = 0.5 * x * (1 - t * t), reading t first
         np.add(1.0, tb, out=s1b)
         np.multiply(0.5, s1b, out=s1b)
-        np.add(s1b, ob, out=ob)
+        np.multiply(tb, tb, out=s2b)
+        np.subtract(1.0, s2b, out=s2b)
+        np.multiply(0.5, xb, out=ob)
+        np.multiply(ob, s2b, out=ob)
+        # s2 = C0 * (1 + 3 * C1 * (x * x)); ob *= s2
+        np.multiply(xb, xb, out=s2b)
+        np.multiply(3.0 * _GELU_C1, s2b, out=s2b)
+        np.add(1.0, s2b, out=s2b)
+        np.multiply(_GELU_C0, s2b, out=s2b)
+        np.multiply(ob, s2b, out=ob)
+        np.add(s1b, ob, out=ob)  # ob = 0.5 * (1 + t) + ob
     return out
 
 

@@ -73,10 +73,10 @@ def fit_quantile(
 ) -> tuple[ForecastModel, list[EpochLog]]:
     """Mini-batch AdamW on summed pinball losses at the QUANTILES levels;
     early stopping on the validation pinball loss with cfg.patience."""
-    Xva3, yva = validation_set(train_windows, val_windows)
+    yva = validation_set(train_windows, val_windows)
     w, d = train_windows.shape
     # one GEMM over all validation windows: row blocks could round differently
-    Xva = Xva3.reshape(len(yva), -1)
+    Xva = val_windows.take(slice(None)).reshape(len(yva), -1)
 
     def val_pinball(params):
         val_out, _ = quantile_forward_batch(Xva, params, check=False)

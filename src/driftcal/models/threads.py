@@ -72,15 +72,15 @@ _pool_lock = threading.Lock()
 _pool = None  # (pid of its process, ThreadPoolExecutor)
 
 
-def run_tasks(tasks) -> list:
+def run_tasks(tasks, max_threads: int | None = None) -> list:
     """Results of the no-argument callables ``tasks``, in order.
 
-    This thread and up to n_slices() - 1 threads of a pool, made on first
-    use, take the tasks in turn until none is left; a pool thread runs in a
-    copy of the caller's context, so numpy's error state holds in it. No
-    task is still running when a failure is raised.
+    This thread and up to n_slices() - 1 threads of a pool (max_threads - 1
+    at most), made on first use, take the tasks in turn until none is left;
+    a pool thread runs in a copy of the caller's context, so numpy's error
+    state holds in it. No task is still running when a failure is raised.
     """
-    n_threads = min(len(tasks), n_slices())
+    n_threads = min(len(tasks), n_slices(), max_threads or len(tasks))
     if n_threads <= 1:
         return [task() for task in tasks]
     global _pool
@@ -109,9 +109,14 @@ def run_tasks(tasks) -> list:
     return outcomes
 
 
-def row_slices(B: int, w: int) -> list[slice]:
-    """At most n_slices() near-equal runs of the windows 0..B-1 (one when B
-    is 0), each of at least two GEMM rows: numpy runs a one-row product as
-    a matrix-vector product, which rounds differently."""
-    n = max(1, min(B, B * w // 2, n_slices()))
+# B * w * d_model below which two row slices took longer than one on a 2-CPU
+# host, the pool's hand-offs outweighing the work (a default batch: 163,840)
+MIN_SLICE_WORK = 16384
+
+
+def row_slices(B: int, w: int, width: int) -> list[slice]:
+    """At most n_slices() near-equal runs of the windows 0..B-1 (one for work
+    B * w * width below MIN_SLICE_WORK), each of at least two GEMM rows:
+    numpy runs a one-row product as a matrix-vector product, which rounds differently."""
+    n = max(1, min(B, B * w // 2, n_slices() if B * w * width >= MIN_SLICE_WORK else 1))
     return [slice(B * k // n, B * (k + 1) // n) for k in range(n)]

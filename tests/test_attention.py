@@ -228,7 +228,36 @@ def test_step_with_a_warm_workspace_allocates_little():
     for _ in range(2):
         attention_loss_and_grads(X, y, params, 4, "mean", 1.0, ws)
     peak = _traced_peak(lambda: attention_loss_and_grads(X, y, params, 4, "mean", 1.0, ws))
-    assert peak < 10 * 2**20  # a step without a workspace allocates ~92 MB
+    assert peak < 10 * 2**20  # a step without a workspace allocates ~80 MB
+
+
+def test_step_with_a_fresh_workspace_stays_below_85_mb():
+    # every layer shares one GELU output buffer, and the feed-forward backward
+    # reuses u and tanh_u: 80 MB, against 95 MB with per-layer g, dg and du
+    params = _default_size_params()
+    rng = np.random.default_rng(6)
+    X, y = rng.normal(size=(64, 40, 24)), rng.normal(loc=20.0, scale=5.0, size=64)
+    peak = _traced_peak(lambda: attention_loss_and_grads(X, y, params, 4, "mean", 1.0,
+                                                         Workspace(64)))
+    assert peak < 85 * 2**20
+
+
+def test_fit_memory_does_not_grow_with_the_validation_set():
+    # validation forwards gather one workspace of windows at a time; one
+    # stack of 8n windows of 40 x 24 would add 7n windows' 7.5 kB each
+    rng = np.random.default_rng(11)
+
+    def windows(n):
+        return windows_of(rng.normal(size=(n, 40, 24)), rng.integers(0, 60, size=n).tolist())
+
+    train, small, large = windows(32), windows(64), windows(8 * 64)
+    cfg = TrainConfig(max_epochs=1, batch_size=16, **TINY)
+
+    def fit_peak(val):
+        return _traced_peak(lambda: train_attention(train, val, cfg))
+
+    fit_peak(small)  # warm: one-time caches and the thread pool
+    assert fit_peak(large) < 1.15 * fit_peak(small)
 
 
 def _assert_same_grads(a, b):
@@ -267,4 +296,7 @@ def test_chunked_forwards_through_one_workspace_equal_one_forward(pool):
     for n in (17, 3, 15, 17):  # partial and whole last chunks, one workspace throughout
         X = rng.normal(size=(n, 6, 3))
         whole, _ = attention_forward_batch(X, params, TINY["heads"], pool, check=False)
-        assert np.array_equal(_forward_chunks(X, params, TINY["heads"], pool, ws), whole)
+        # chunks of an array, as inference takes them, and of a window set, as a fit does
+        for take in (X.__getitem__, windows_of(X, np.zeros(n, dtype=int)).take):
+            assert np.array_equal(_forward_chunks(take, n, params, TINY["heads"], pool, ws),
+                                  whole)

@@ -7,6 +7,7 @@ equal the one-slice pass bit for bit whatever the slice count.
 """
 
 import sys
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -34,9 +35,11 @@ def _params(seed: int, d: int = 3) -> dict[str, np.ndarray]:
 
 @contextmanager
 def _cpus(n: int):
-    """A context in which attention sees ``n`` usable CPUs."""
+    """A context in which attention sees ``n`` usable CPUs and slices every
+    batch, however small."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(threads, "usable_cpus", lambda: n)
+        patch.setattr(threads, "MIN_SLICE_WORK", 0)
         yield
 
 
@@ -81,6 +84,37 @@ def test_sliced_step_equals_one_slice(B, n_cpus, pool, w, seed):
         rows = len(batch)
         expected = _step(1, batch, y[:rows], params, pool)
         _assert_same_step(_step(n_cpus, batch, y[:rows], params, pool, ws), expected)
+
+
+@pytest.mark.skipif(threads.openblas_threads() is None,
+                    reason="numpy's bundled OpenBLAS not found")
+def test_only_batches_with_enough_work_are_sliced(monkeypatch):
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
+    assert len(threads.row_slices(64, 40, 64)) == 2  # the default training batch
+    B = threads.MIN_SLICE_WORK // (40 * 8)  # a d_model of 8 and windows of 40
+    assert threads.row_slices(B, 40, 8) == [slice(0, B)]
+    assert len(threads.row_slices(B + 1, 40, 8)) == 2
+
+
+def test_a_fresh_workspace_allocates_on_the_calling_thread(monkeypatch):
+    # a pool thread's malloc arena would keep the buffers' memory after the
+    # workspace is gone, so a fresh workspace's first batch runs as one slice
+    allocating = []
+    get = Workspace.get
+
+    def watched(self, name, B, *shape):
+        new = name not in self._buffers
+        buf = get(self, name, B, *shape)
+        if new:
+            allocating.append(threading.current_thread())
+        return buf
+
+    monkeypatch.setattr(Workspace, "get", watched)
+    rng = np.random.default_rng(5)
+    X, y = rng.normal(size=(40, 6, 3)), rng.normal(loc=5.0, scale=3.0, size=40)
+    with _cpus(2):
+        attention_loss_and_grads(X, y, _params(4), HEADS, "mean", 1.0, Workspace(len(X)))
+    assert allocating and set(allocating) == {threading.main_thread()}
 
 
 def test_slices_allocating_together_lose_no_buffer(monkeypatch):

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftcal.models.nn import (
+    _GELU_BLOCK,
     gelu_forward,
+    gelu_from_tanh,
     gelu_grad,
     layer_norm,
     layer_norm_backward,
@@ -123,3 +125,22 @@ def test_gelu_into_reused_buffers_equals_formula(x):
             assert _same(g, expected_g)
             assert gelu_grad(x, t, out=dg) is dg
             assert _same(dg, expected_grad)
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=st.sampled_from([(4275, 23), (385, 256), (3, 20, 1640)]),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from(SCALES))
+def test_gelu_backward_in_place_equals_formula(shape, seed, scale):
+    # shapes spanning three whole GELU blocks and a partial one, in the order
+    # the attention backward runs: g is refilled from x and tanh_u, then
+    # gelu' overwrites tanh_u
+    x = np.random.default_rng(seed).normal(scale=scale, size=shape)
+    assert x.size > 3 * _GELU_BLOCK and x.size % _GELU_BLOCK
+    with np.errstate(all="ignore"):
+        g, t = gelu_forward(x)
+        assert _same(gelu_from_tanh(x, t, _stale(x.shape)), g)
+        assert _same(g, gelu(x))
+        fresh = gelu_grad(x, t, out=_stale(x.shape, 1))
+        assert gelu_grad(x, t, out=t) is t
+        assert _same(t, fresh)
+        assert _same(t, gelu_grad_reference(x))
