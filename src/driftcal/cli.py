@@ -1,7 +1,7 @@
 """Command-line front end: adapt -> train -> evaluate -> simulate -> report.
 
 Configuration comes from an INI-style file (section headers, key = value)
-with every key overridable by the CLI flag of the same name. All output
+with each key in FLAGS overridable by the CLI flag of the same name. All output
 CSVs carry a comment line with the seed and config digest so any artifact
 can be re-derived exactly.
 """
@@ -12,7 +12,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,7 @@ from .synthetic import synthetic_trajectories
 from .util import canonical_json, fmt_float, read_csv, sha256_bytes, sha256_file, write_csv
 
 SPLIT_TAGS = ("FD001", "FD002", "FD003", "FD004", "synthetic")
+CHOICES = {"split": SPLIT_TAGS, "model": tuple(KINDS)}  # also the choices of their flags
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,9 @@ class RunConfig(TrainConfig, AdaptationConfig):
         TrainConfig.__post_init__(self)
         AdaptationConfig.__post_init__(self)
         CostSpec(c_cal=self.cost_cal, c_vio=self.cost_vio)
-        if self.split not in SPLIT_TAGS:
-            raise ValueError(f"split must be one of {SPLIT_TAGS}, got {self.split!r}")
-        if self.model not in KINDS:
-            raise ValueError(f"model must be one of {tuple(KINDS)}, got {self.model!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         for name, ok, rule in (
             ("window", self.window >= 1, ">= 1"),
             ("stride", self.stride >= 1, ">= 1"),
@@ -126,55 +126,52 @@ class RunConfig(TrainConfig, AdaptationConfig):
         """The comma-separated ``policies``, in order."""
         return [k.strip() for k in self.policies.split(",") if k.strip()]
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     def digest(self) -> str:
         """Hash of the computation-relevant settings; filesystem locations
         (out, data_dir) are excluded so artifacts re-derive anywhere."""
-        snapshot = {k: v for k, v in self.to_dict().items() if k not in ("out", "data_dir")}
+        snapshot = {k: v for k, v in asdict(self).items() if k not in ("out", "data_dir")}
         return sha256_bytes(canonical_json(snapshot).encode("utf-8"))
 
 
-def load_config_file(path: str | Path) -> dict:
-    """Flat key = value pairs from an INI file; section names are ignored
-    (keys are globally unique)."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
-    values: dict[str, str] = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            if key in values:
-                raise ValueError(f"duplicate config key {key!r} (sections share a namespace)")
-            values[key] = value
-    return values
+# The RunConfig fields that are also flags: --data-dir sets data_dir
+FLAGS = ("data_dir", "split", "seed", "window", "stride", "model", "margin", "period",
+         "capacity_k", "cost_cal", "cost_vio", "oracle_scorer", "svg", "out")
+BOOLS = {"1": True, "0": False, "true": True, "false": False,
+         "yes": True, "no": False, "on": True, "off": False}
+TYPE_NAMES = {int: "an int", float: "a float", bool: f"one of {'/'.join(BOOLS)}"}
 
 
-def _coerce(value: str, target_type):
-    if target_type is bool:
-        lowered = value.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {value!r}")
-    return target_type(value)
+def _coerce(key: str, value, default):
+    """A flag or INI value (text, or a bool flag's True) as the type of ``default``."""
+    kind = type(default)
+    try:
+        return BOOLS[str(value).strip().lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
+        raise ValueError(f"{key} must be {TYPE_NAMES[kind]}, got {value!r}") from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """The defaults, overridden by the INI file, overridden by the flags."""
+    """The defaults, overridden by the INI file (literal text, with no %
+    interpolation), overridden by the flags."""
     defaults = {f.name: f.default for f in fields(RunConfig)}
     values = {}
     if args.config:
-        for key, raw in load_config_file(args.config).items():
-            if key not in defaults:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = _coerce(raw, type(defaults[key]))
-    for name in defaults:  # flags whose dest is a config field override the file
-        if getattr(args, name, None) is not None:
-            values[name] = getattr(args, name)
+        ini = configparser.ConfigParser(interpolation=None)
+        try:
+            if not ini.read(args.config):
+                raise FileNotFoundError(f"config file not found: {args.config}")
+        except configparser.Error as exc:  # its messages name the file, most the line
+            raise ValueError(" ".join(str(exc).split())) from None
+        for section in ini.sections():
+            for key, value in ini.items(section):
+                if key not in defaults:
+                    raise ValueError(f"unknown config key {key!r}")
+                if key in values:
+                    raise ValueError(f"duplicate config key {key!r} (sections share a namespace)")
+                values[key] = _coerce(key, value, defaults[key])
+    for name in FLAGS:
+        if getattr(args, name) is not None:
+            values[name] = _coerce(name, getattr(args, name), defaults[name])
     return RunConfig(**values)
 
 
@@ -441,7 +438,7 @@ def cmd_report(cfg: RunConfig) -> int:
 
     report = {
         "version": __version__,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "config_digest": cfg.digest(),
         "sections": sections,
         "digests": digests,
@@ -462,8 +459,14 @@ def cmd_report(cfg: RunConfig) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is a ValueError, which main reports as one line."""
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="driftcal",
         description="Calibration-drift forecasting and scheduling pipeline",
     )
@@ -478,21 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--data-dir", dest="data_dir", default=None)
-        p.add_argument("--split", default=None, choices=SPLIT_TAGS)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--window", type=int, default=None)
-        p.add_argument("--stride", type=int, default=None)
-        p.add_argument("--model", default=None, choices=tuple(KINDS))
-        p.add_argument("--margin", type=int, default=None)
-        p.add_argument("--period", type=int, default=None)
-        p.add_argument("--capacity-k", dest="capacity_k", type=int, default=None)
-        p.add_argument("--cost-cal", dest="cost_cal", type=float, default=None)
-        p.add_argument("--cost-vio", dest="cost_vio", type=float, default=None)
-        p.add_argument("--oracle-scorer", dest="oracle_scorer", action="store_true",
-                       default=None)
-        p.add_argument("--svg", action="store_true", default=None)
-        p.add_argument("--out", default=None)
+        for field in FLAGS:
+            flag = "--" + field.replace("_", "-")
+            if isinstance(getattr(RunConfig, field), bool):
+                p.add_argument(flag, action="store_true", default=None)
+            else:
+                p.add_argument(flag, choices=CHOICES.get(field))
     return parser
 
 
@@ -506,8 +500,8 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = build_config(args)
         Path(cfg.out).mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg)

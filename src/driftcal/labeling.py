@@ -32,8 +32,8 @@ def compute_ttd(run: AdaptedRun) -> np.ndarray:
 
 
 # One window of a Windows set, as indexing and iteration give it
-Window = namedtuple("Window", "features label engine_id segment_id end_cycle")
-PER_WINDOW = ("start", "label", "engine_id", "segment_id", "end_cycle")
+Window = namedtuple("Window", "features label engine_id end_cycle")
+PER_WINDOW = ("start", "label", "engine_id", "end_cycle")
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,9 @@ class Windows:
     """Sliding windows over one channel matrix, in order.
 
     Window i is rows ``start[i] .. start[i] + w - 1`` of ``channels``; it
-    ends at cycle ``end_cycle[i]`` of engine ``engine_id[i]``, in segment
-    ``segment_id[i]``, and is labelled with the TTD at that cycle. No
-    window is copied until ``take`` gathers a batch.
+    ends at cycle ``end_cycle[i]`` of engine ``engine_id[i]`` and is
+    labelled with the TTD at that cycle. No window is copied until ``take``
+    gathers a batch.
     """
 
     channels: np.ndarray  # (rows, d) float64
@@ -51,7 +51,6 @@ class Windows:
     start: np.ndarray  # (n,) int64, as are the arrays below
     label: np.ndarray
     engine_id: np.ndarray
-    segment_id: np.ndarray
     end_cycle: np.ndarray
 
     def __len__(self) -> int:
@@ -103,7 +102,7 @@ def window_runs(runs, w: int = 40, stride: int = 1, allow_cross_reset: bool = Tr
             cycle = ends[bad.argmax()]
             raise ValueError(f"engine {run.engine_id}: non-finite features at cycle {cycle}")
         columns.append((offset + ends - w, compute_ttd(run)[ends - 1],
-                        np.full(len(ends), run.engine_id), seg_ids[ends - 1], ends))
+                        np.full(len(ends), run.engine_id), ends))
         offset += run.length
     per_window = (np.concatenate(column).astype(np.int64, copy=False) for column in zip(*columns))
     return Windows(np.concatenate([run.channels for run in runs]), w, *per_window)

@@ -197,21 +197,18 @@ def gelu_from_tanh(x: np.ndarray, tanh_u: np.ndarray, out: np.ndarray,
     return out
 
 
-def gelu_grad(
-    x: np.ndarray, tanh_u: np.ndarray | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """d GELU / dx, block by block into the C-contiguous ``out`` (a fresh
-    array, or tanh_u itself), in the operation order of the formula
+def gelu_grad(x: np.ndarray, tanh_u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """d GELU / dx from gelu_forward's t = tanh_u, block by block into the
+    C-contiguous ``out`` (a fresh array, or tanh_u itself), in the operation
+    order of the formula
 
     0.5 * (1 + t) + 0.5 * x * (1 - t * t) * (C0 * (1 + 3 * C1 * x * x)).
     """
     out = np.empty(np.shape(x)) if out is None else out
     n = min(out.size, _GELU_BLOCK)
     s1, s2 = np.empty(n), np.empty(n)
-    blocks = _gelu_blocks(x, out) if tanh_u is None else _gelu_blocks(x, out, tanh_u)
-    for xb, ob, *given in blocks:
+    for xb, ob, tb in _gelu_blocks(x, out, tanh_u):
         s1b, s2b = s1[: xb.size], s2[: xb.size]
-        tb = given[0] if given else _gelu_tanh(xb, s2b)
         # s1 = 0.5 * (1 + t) and ob = 0.5 * x * (1 - t * t), reading t first
         np.add(1.0, tb, out=s1b)
         np.multiply(0.5, s1b, out=s1b)

@@ -109,7 +109,6 @@ class OracleWindow(NamedTuple):
     features: np.ndarray  # (w, d) copy
     label: int
     engine_id: int
-    segment_id: int
     end_cycle: int
 
 
@@ -122,14 +121,12 @@ def oracle_windows(run, ttd_values, w=40, stride=1, allow_cross_reset=True) -> l
     out = []
     for end in range(w, run.length + 1, stride):
         start = end - w + 1
-        segment_id = int(seg_ids[end - 1])
-        if not allow_cross_reset and seg_ids[start - 1] != segment_id:
+        if not allow_cross_reset and seg_ids[start - 1] != seg_ids[end - 1]:
             continue
         features = run.channels[start - 1 : end]
         if not np.all(np.isfinite(features)):
             raise ValueError(f"engine {run.engine_id}: non-finite features at cycle {end}")
-        out.append(OracleWindow(features.copy(), int(ttd_values[end - 1]), run.engine_id,
-                                segment_id, end))
+        out.append(OracleWindow(features.copy(), int(ttd_values[end - 1]), run.engine_id, end))
     return out
 
 
@@ -140,7 +137,7 @@ def windows_of(features, labels) -> Windows:
     ids = np.arange(n, dtype=np.int64)
     return Windows(channels=features.reshape(n * w, d), w=w, start=ids * w,
                    label=np.asarray(labels).astype(np.int64), engine_id=np.ones(n, np.int64),
-                   segment_id=np.zeros(n, np.int64), end_cycle=ids * w + w)
+                   end_cycle=ids * w + w)
 
 
 def oracle_forecast_scorer(model, dataset, use_quantile=False) -> CycleScorer:

@@ -2,9 +2,13 @@
 
 import argparse
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -463,6 +467,65 @@ def test_invalid_settings_print_one_error_line(tmp_path, capsys, argv, lines, me
     assert main([*argv, "--config", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()  # failed before any data was read or written
+
+
+# (test id, command and flags, INI text or None, what the error line names;
+# None names the INI file)
+MALFORMED_INPUTS = [
+    ("seed_flag", ["adapt", "--seed", "abc"], None, "seed must be an int, got 'abc'"),
+    ("cost_cal_flag", ["simulate", "--cost-cal", "x"], None, "cost_cal must be a float, got 'x'"),
+    ("split_choice", ["adapt", "--split", "bogus"], None, "--split"),
+    ("unknown_flag", ["train", "--bogus", "1"], None, "--bogus"),
+    ("no_command", [], None, "command"),
+    ("max_epochs", ["train"], "[train]\nmax_epochs = 2.5\n", "max_epochs must be an int, got '2.5'"),
+    ("svg", ["evaluate"], "[output]\nsvg = maybe\n", "svg must be one of "),
+    ("no_section_header", ["adapt"], "seed = 3\n", None),
+    ("key_twice", ["adapt"], "[run]\nseed = 1\nseed = 2\n", None),
+    ("section_twice", ["adapt"], "[run]\nseed = 1\n[run]\nwindow = 30\n", None),
+    ("line_without_equals", ["adapt"], "[run]\nseed = 1\ngarbage\n", None),
+]
+
+
+@pytest.mark.parametrize(("argv", "ini", "names"), [row[1:] for row in MALFORMED_INPUTS],
+                         ids=[row[0] for row in MALFORMED_INPUTS])
+def test_malformed_input_prints_one_error_line(tmp_path, capsys, argv, ini, names):
+    path = tmp_path / "bad.ini"
+    if ini is not None:
+        path.write_text(ini, encoding="utf-8")
+        argv = [*argv, "--config", str(path)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)] if argv else []) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert (str(path) if names is None else names) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_ini_values_are_literal(tmp_path):
+    ini = tmp_path / "percent.ini"
+    ini.write_text("[run]\ndata_dir = /data/100%\nout = a%%b\n", encoding="utf-8")
+    cfg = build_config(build_parser().parse_args(["adapt", "--config", str(ini)]))
+    assert (cfg.data_dir, cfg.out) == ("/data/100%", "a%%b")
+
+
+def test_entry_point_exit_codes(tmp_path):
+    """python -m driftcal.cli runs sys.exit(main()), as the console script does."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "driftcal.cli", *argv], env=env,
+                              capture_output=True, text=True)
+
+    bad = run("adapt", "--seed", "abc", "--out", str(tmp_path / "out"))
+    assert (bad.returncode, bad.stderr) == (1, "error: seed must be an int, got 'abc'\n")
+    assert not (tmp_path / "out").exists()
+    helped = run("--help")
+    assert (helped.returncode, helped.stderr) == (0, "")
+    assert helped.stdout.startswith("usage: driftcal")
 
 
 @pytest.mark.parametrize(

@@ -321,7 +321,7 @@ def test_streamed_standardizer_equals_whole_stack_formula(n, w, d, constant, see
         channels[:, constant] = rng.normal()
     start = rng.integers(0, rows - w + 1, size=n)  # overlapping, in any order
     ids = np.zeros(n, dtype=np.int64)
-    windows = Windows(channels, w, start, ids, ids, ids, ids)
+    windows = Windows(channels, w, start, ids, ids, ids)
 
     got = fit_standardizer(windows)
 
