@@ -156,12 +156,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     defaults = {f.name: f.default for f in fields(RunConfig)}
     values = {}
     if args.config:
-        ini = configparser.ConfigParser(interpolation=None)
+        # no default section: [DEFAULT] is read like any other, not copied into each
+        ini = configparser.ConfigParser(interpolation=None, default_section="")
         try:
-            if not ini.read(args.config):
+            if not ini.read(args.config, encoding="utf-8"):
                 raise FileNotFoundError(f"config file not found: {args.config}")
         except configparser.Error as exc:  # its messages name the file, most the line
             raise ValueError(" ".join(str(exc).split())) from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
         for section in ini.sections():
             for key, value in ini.items(section):
                 if key not in defaults:

@@ -471,7 +471,7 @@ def _forward_chunks(take, n: int, params: dict[str, np.ndarray], heads: int,
     attention_forward_batch call over all of them.
 
     ``take(rows)`` gathers a slice of the windows (from a fit's window set,
-    or an inference array); the encoder runs on one workspace of them at a
+    or a forecast's); the encoder runs on one workspace of them at a
     time, and a window's pooled features depend on that window alone. The
     read-out runs once over all of them: numpy computes a one-row read-out
     (a last chunk of one window) as a dot product, which rounds differently.
@@ -485,10 +485,11 @@ def _forward_chunks(take, n: int, params: dict[str, np.ndarray], heads: int,
     return _head(z, params)
 
 
-def attention_raw_batch(model: ForecastModel, X: np.ndarray) -> np.ndarray:
-    """Raw predictions for standardized windows (B, w, d), INFERENCE_CHUNK
-    windows at a time through one workspace, at one BLAS thread."""
-    ws = Workspace(max(1, min(len(X), INFERENCE_CHUNK)))
+def attention_raw(model: ForecastModel, take, n: int) -> np.ndarray:
+    """Raw predictions for the n standardized windows that ``take(rows)``
+    gathers, INFERENCE_CHUNK at a time through one workspace, at one BLAS
+    thread."""
+    ws = Workspace(max(1, min(n, INFERENCE_CHUNK)))
     with one_blas_thread():
-        return _forward_chunks(X.__getitem__, len(X), model.params, model.meta["heads"],
+        return _forward_chunks(take, n, model.params, model.meta["heads"],
                                model.meta.get("pool", "mean"), ws)

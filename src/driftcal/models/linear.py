@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..labeling import WINDOW_CHUNK, Standardizer, Windows
+from ..labeling import WINDOW_CHUNK, Standardizer, Windows, window_chunks
 from .base import ForecastModel
 from .threads import one_blas_thread
 
@@ -58,9 +58,12 @@ def fit_linear(
     )
 
 
-def linear_raw_batch(model: ForecastModel, X: np.ndarray) -> np.ndarray:
-    """Raw (unclipped) predictions for standardized windows (B, w, d), at
-    one BLAS thread: the product's bits depend on the thread count."""
-    flat = X.reshape(X.shape[0], -1)
+def linear_raw(model: ForecastModel, take, n: int) -> np.ndarray:
+    """Raw (unclipped) predictions for the n standardized windows that
+    ``take(rows)`` gathers, one product per window_chunks slice, at one
+    BLAS thread: the product's bits depend on the thread count."""
+    coef, out = model.params["coef"], np.empty(n)
     with one_blas_thread():
-        return flat @ model.params["coef"] + model.params["intercept"][0]
+        for rows in window_chunks(n):
+            out[rows] = take(rows).reshape(-1, len(coef)) @ coef
+    return out + model.params["intercept"][0]

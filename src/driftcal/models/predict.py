@@ -10,17 +10,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..labeling import WINDOW_CHUNK, Windows
-from .attention import attention_raw_batch, train_attention
+from ..labeling import Windows
+from .attention import attention_raw, train_attention
 from .base import ForecastModel, ShapeMismatchError
-from .linear import fit_linear, linear_raw_batch
-from .quantile import QUANTILES, fit_quantile, quantile_raw_batch
+from .linear import fit_linear, linear_raw
+from .quantile import QUANTILES, fit_quantile, quantile_raw
 
 
 class Kind(NamedTuple):
     """One forecaster kind: its fit, called as (train, val, cfg,
-    standardizer) -> (model, epoch logs); its raw point forecasts for
-    standardized windows (B, w, d); and the metric its epoch logs record."""
+    standardizer) -> (model, epoch logs); its raw point forecasts, called as
+    (model, take, n) for the n standardized windows (k, w, d) that
+    take(rows) gathers; and the metric its epoch logs record."""
 
     fit: Callable
     raw_point: Callable
@@ -30,11 +31,11 @@ class Kind(NamedTuple):
 # each fit looks its function up when called, so a wrapped module attribute runs
 KINDS = {
     "linear": Kind(lambda train, val, cfg, std: (fit_linear(train, cfg.ridge, std), []),
-                   linear_raw_batch, "none"),
+                   linear_raw, "none"),
     "quantile": Kind(lambda *args: fit_quantile(*args),
-                     lambda model, X: quantile_raw_batch(model, X)[:, QUANTILES.index(0.5)],
+                     lambda *args: quantile_raw(*args)[:, QUANTILES.index(0.5)],
                      "pinball"),
-    "attention": Kind(lambda *args: train_attention(*args), attention_raw_batch, "mae"),
+    "attention": Kind(lambda *args: train_attention(*args), attention_raw, "mae"),
 }
 
 
@@ -45,44 +46,32 @@ def kind_of(name: str) -> Kind:
     return KINDS[name]
 
 
-def _check_shape(model: ForecastModel, shape: tuple[int, ...]) -> None:
+def _standardizing(model: ForecastModel, gather, shape: tuple[int, ...]):
+    """take(rows) for a raw forecast, after a check of the windows' shape:
+    the raw windows gather(rows) returns, standardized chunk by chunk."""
     if len(shape) != 3 or shape[1:] != (model.window, model.n_channels):
         raise ShapeMismatchError(
             f"expected (B, {model.window}, {model.n_channels}) windows, got {shape}"
         )
-
-
-def _standardized(model: ForecastModel, windows: np.ndarray) -> np.ndarray:
-    _check_shape(model, windows.shape)
-    return model.standardize(windows)
+    return lambda rows: model.standardize(gather(rows))
 
 
 def predict_ttd_batch(model: ForecastModel, windows: np.ndarray) -> np.ndarray:
     """Clipped point forecasts for raw windows of shape (B, w, d)."""
-    raw = kind_of(model.kind).raw_point(model, _standardized(model, windows))
-    return np.maximum(raw, 0.0)
+    take = _standardizing(model, windows.__getitem__, windows.shape)
+    return np.maximum(kind_of(model.kind).raw_point(model, take, len(windows)), 0.0)
 
 
 def predict_ttd_windows(model: ForecastModel, windows: Windows) -> np.ndarray:
-    """Clipped point forecasts for every window of a raw window set.
-
-    The windows are gathered and standardized WINDOW_CHUNK at a time into
-    the one array the model reads, so no raw copy of the whole set exists;
-    the model then forecasts them in one call, as predict_ttd_batch would.
-    """
-    raw_point = kind_of(model.kind).raw_point
-    shape = (len(windows), *windows.shape)
-    _check_shape(model, shape)
-    X = np.empty(shape)
-    for lo in range(0, len(windows), WINDOW_CHUNK):
-        rows = slice(lo, lo + WINDOW_CHUNK)
-        X[rows] = model.standardize(windows.take(rows))
-    return np.maximum(raw_point(model, X), 0.0)
+    """Clipped point forecasts for every window of a raw window set, gathered
+    a chunk at a time: predict_ttd_batch on their stack, bit for bit."""
+    take = _standardizing(model, windows.take, (len(windows), *windows.shape))
+    return np.maximum(kind_of(model.kind).raw_point(model, take, len(windows)), 0.0)
 
 
 def predict_quantiles_batch(model: ForecastModel, windows: np.ndarray) -> np.ndarray:
     """Rectified, zero-clipped quantile forecasts (B, n_levels), ascending."""
     if model.kind != "quantile":
         raise ValueError(f"model kind {model.kind!r} has no quantile heads")
-    rectified = quantile_raw_batch(model, _standardized(model, windows))
-    return np.maximum(rectified, 0.0)
+    take = _standardizing(model, windows.__getitem__, windows.shape)
+    return np.maximum(quantile_raw(model, take, len(windows)), 0.0)

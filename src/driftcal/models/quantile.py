@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..labeling import Standardizer, Windows
+from ..labeling import Standardizer, Windows, window_chunks
 from .base import EpochLog, ForecastModel, TrainConfig, validation_set
 from .nn import check_finite, pinball_grad, pinball_loss, tanh_grad, xavier_uniform
 from .optim import fit_minibatch
@@ -30,10 +30,14 @@ def init_quantile_params(
     }
 
 
+def _hidden(Xf: np.ndarray, params: dict[str, np.ndarray]):
+    h1 = np.tanh(Xf @ params["l1.w"] + params["l1.b"])
+    return h1, np.tanh(h1 @ params["l2.w"] + params["l2.b"])
+
+
 def quantile_forward_batch(Xf: np.ndarray, params: dict[str, np.ndarray], check: bool = True):
     """Raw head outputs (B, n_quantiles) for flattened windows (B, p)."""
-    h1 = np.tanh(Xf @ params["l1.w"] + params["l1.b"])
-    h2 = np.tanh(h1 @ params["l2.w"] + params["l2.b"])
+    h1, h2 = _hidden(Xf, params)
     out = h2 @ params["head.w"] + params["head.b"]
     if check:
         check_finite(out, "quantile head")
@@ -75,11 +79,9 @@ def fit_quantile(
     early stopping on the validation pinball loss with cfg.patience."""
     yva = validation_set(train_windows, val_windows)
     w, d = train_windows.shape
-    # one GEMM over all validation windows: row blocks could round differently
-    Xva = val_windows.take(slice(None)).reshape(len(yva), -1)
 
     def val_pinball(params):
-        val_out, _ = quantile_forward_batch(Xva, params, check=False)
+        val_out = _heads(val_windows.take, len(yva), params)
         return sum(
             float(np.mean(pinball_loss(yva, val_out[:, j], q)))
             for j, q in enumerate(QUANTILES)
@@ -106,7 +108,18 @@ def fit_quantile(
     return model, logs
 
 
-def quantile_raw_batch(model: ForecastModel, X: np.ndarray) -> np.ndarray:
-    """Rectified (sorted ascending) head outputs for standardized windows."""
-    out, _ = quantile_forward_batch(X.reshape(X.shape[0], -1), model.params, check=False)
-    return np.sort(out, axis=1)
+def _heads(take, n: int, params: dict[str, np.ndarray]) -> np.ndarray:
+    """Raw head outputs (n, n_quantiles) for the n windows take(rows)
+    gathers, equal bit for bit to one quantile_forward_batch at the default
+    sizes: the hidden layers run per window_chunks slice, the 3-column head
+    once over all rows, as a slice of up to 5,208 rows would put it on
+    OpenBLAS's small-matrix kernel, which rounds differently."""
+    h2 = np.empty((n, params["l2.w"].shape[1]))
+    for rows in window_chunks(n):
+        h2[rows] = _hidden(take(rows).reshape(-1, len(params["l1.w"])), params)[1]
+    return h2 @ params["head.w"] + params["head.b"]
+
+
+def quantile_raw(model: ForecastModel, take, n: int) -> np.ndarray:
+    """Rectified (sorted ascending) head outputs for n standardized windows."""
+    return np.sort(_heads(take, n, model.params), axis=1)

@@ -7,6 +7,9 @@ straightforward per-segment replay and by a global-clock replay,
 forecast scores by cutting each run's windows with sliding_window_view,
 and softmax, layer norm and GELU as whole-array expressions.
 
+Linear and quantile forecasts are computed as one product over all
+windows, as the library did before it read windows in chunks.
+
 Helpers that only tests use live here too: a trajectory summary, an
 intercept-only pinball fit, which does run the library's training loop,
 parameter flattening for the finite-difference checks, and a window set
@@ -27,6 +30,8 @@ from driftcal.cmapss_io import SensorTrajectory, sensor_column
 from driftcal.labeling import Windows
 from driftcal.models import TrainConfig, predict_quantiles_batch, predict_ttd_batch
 from driftcal.models.attention import attention_forward_batch
+from driftcal.models.quantile import quantile_forward_batch
+from driftcal.models.threads import one_blas_thread
 from driftcal.models.nn import pinball_grad, pinball_loss
 from driftcal.models.optim import fit_minibatch
 from driftcal.scheduler import (
@@ -455,3 +460,22 @@ def fit_quantile_constants(
     best, _ = fit_minibatch(loss_and_grads, lambda p: summed_pinball(y, p["c"]), params,
                             lambda idx: None, y, cfg, np.random.default_rng(0))
     return best["c"]
+
+
+def _flat(X) -> np.ndarray:
+    """(B, w * d) rows of windows (B, w, d), also for B = 0."""
+    return X.reshape(len(X), X.shape[1] * X.shape[2])
+
+
+def linear_raw_batch(model, X) -> np.ndarray:
+    """Raw linear forecasts for standardized windows (B, w, d): one
+    matrix-vector product at one BLAS thread."""
+    with one_blas_thread():
+        return _flat(X) @ model.params["coef"] + model.params["intercept"][0]
+
+
+def quantile_raw_batch(model, X) -> np.ndarray:
+    """Sorted quantile head outputs (B, n_levels) for standardized windows
+    (B, w, d): one forward over all of them."""
+    out, _ = quantile_forward_batch(_flat(X), model.params, check=False)
+    return np.sort(out, axis=1)

@@ -18,7 +18,7 @@ from driftcal.models.attention import (
     _forward_chunks,
     attention_forward_batch,
     attention_loss_and_grads,
-    attention_raw_batch,
+    attention_raw,
     init_attention_params,
     mha_forward,
 )
@@ -192,7 +192,7 @@ def test_chunked_inference_equals_one_forward(n, pool):
     model = _tiny_model(pool=pool)
     X = np.random.default_rng(n).normal(size=(n, 6, 3))
     whole, _ = attention_forward_batch(X, model.params, TINY["heads"], pool, check=False)
-    chunked = attention_raw_batch(model, X)
+    chunked = attention_raw(model, X.__getitem__, n)
     assert chunked.shape == (n,)
     assert np.array_equal(chunked, whole)
 
@@ -210,8 +210,8 @@ def test_inference_memory_does_not_grow_with_window_count():
     n = 512
     model = _tiny_model(w=40)
     X = np.random.default_rng(0).normal(size=(4 * n, 40, 3))
-    small = _traced_peak(lambda: attention_raw_batch(model, X[:n]))
-    large = _traced_peak(lambda: attention_raw_batch(model, X))
+    small = _traced_peak(lambda: attention_raw(model, X.__getitem__, n))
+    large = _traced_peak(lambda: attention_raw(model, X.__getitem__, len(X)))
     assert large < 1.5 * small
 
 

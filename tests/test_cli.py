@@ -483,6 +483,9 @@ MALFORMED_INPUTS = [
     ("key_twice", ["adapt"], "[run]\nseed = 1\nseed = 2\n", None),
     ("section_twice", ["adapt"], "[run]\nseed = 1\n[run]\nwindow = 30\n", None),
     ("line_without_equals", ["adapt"], "[run]\nseed = 1\ngarbage\n", None),
+    ("default_and_section", ["adapt"], "[DEFAULT]\nseed = 1\n[run]\nseed = 2\n",
+     "duplicate config key 'seed'"),
+    ("not_utf8", ["adapt"], b"[run]\n\xff\xfe = 1\n", None),
 ]
 
 
@@ -491,7 +494,7 @@ MALFORMED_INPUTS = [
 def test_malformed_input_prints_one_error_line(tmp_path, capsys, argv, ini, names):
     path = tmp_path / "bad.ini"
     if ini is not None:
-        path.write_text(ini, encoding="utf-8")
+        path.write_bytes(ini if isinstance(ini, bytes) else ini.encode("utf-8"))
         argv = [*argv, "--config", str(path)]
     out = tmp_path / "out"
     capsys.readouterr()
@@ -501,6 +504,15 @@ def test_malformed_input_prints_one_error_line(tmp_path, capsys, argv, ini, name
     assert (str(path) if names is None else names) in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n",
+                                  "[DEFAULT]\nseed = 3\n[run]\nwindow = 30\n[train]\nlayers = 1\n"],
+                         ids=["alone", "with_two_sections"])
+def test_default_section_keys_apply_once(tmp_path, text):
+    ini = tmp_path / "c.ini"
+    ini.write_text(text, encoding="utf-8")
+    assert build_config(build_parser().parse_args(["report", "--config", str(ini)])).seed == 3
 
 
 def test_ini_values_are_literal(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from driftcal.labeling import WINDOW_CHUNK
 from driftcal.models.base import ShapeMismatchError
-from driftcal.models.linear import SingularSystemError, fit_linear, linear_raw_batch
+from driftcal.models.linear import SingularSystemError, fit_linear, linear_raw
 from driftcal.models.predict import predict_ttd_batch
 
 from oracles import windows_of
@@ -28,7 +28,7 @@ def test_exact_fit_single_feature():
     y = 2.0 * X3[:, 0, 0]
     model = fit_linear(_windows_from(X3, y), ridge=1e-9)
     assert model.params["coef"][0] == pytest.approx(2.0, abs=1e-6)
-    pred = linear_raw_batch(model, X3)
+    pred = linear_raw(model, X3.__getitem__, len(X3))
     ss_res = np.sum((pred - y) ** 2)
     ss_tot = np.sum((y - y.mean()) ** 2)
     assert 1.0 - ss_res / ss_tot >= 1.0 - 1e-9
@@ -40,7 +40,7 @@ def test_constant_targets():
     model = fit_linear(_windows_from(X3, y))
     assert model.params["intercept"][0] == pytest.approx(7.0, abs=1e-6)
     assert np.abs(model.params["coef"]).max() < 1e-6
-    assert np.allclose(linear_raw_batch(model, X3), 7.0, atol=1e-6)
+    assert np.allclose(linear_raw(model, X3.__getitem__, len(X3)), 7.0, atol=1e-6)
 
 
 def test_matches_normal_equation_oracle():

@@ -55,7 +55,7 @@ from driftcal.models import (
     predict_ttd_windows,
     save_model,
 )
-from driftcal.models.attention import INFERENCE_CHUNK, attention_raw_batch, init_attention_params
+from driftcal.models.attention import INFERENCE_CHUNK, attention_raw, init_attention_params
 from driftcal.models.base import ForecastModel
 from driftcal.pipeline import (
     forecast_scorer,
@@ -270,7 +270,8 @@ def test_attention_inference_bytes_hash(bundle):
                           meta={"heads": 4, "pool": "mean"})
     X = bundle.val_std.take(slice(None))
     assert len(X) > 2 * INFERENCE_CHUNK and len(X) % INFERENCE_CHUNK  # ends on a partial chunk
-    assert _sha(attention_raw_batch(model, X).tobytes()) == PINS["attention_init_inference"]
+    yhat = attention_raw(model, X.__getitem__, len(X))
+    assert _sha(yhat.tobytes()) == PINS["attention_init_inference"]
 
 
 def test_attention_model_and_prediction_bytes_hash(bundle, tmp_path):

@@ -63,7 +63,9 @@ def test_evaluate_equals_one_forecast_over_the_gathered_windows(models, small_da
                                                                 monkeypatch, kind):
     val = label_and_window(small_dataset, w=W, seed=4).val_raw
     expected = predict_ttd_batch(models[kind], val.take(slice(None)))
-    monkeypatch.setattr("driftcal.models.predict.WINDOW_CHUNK", 7)  # many chunk edges
+    # chunk edges in 166 windows; chunks and tails of 32 or more rows keep
+    # every product on the BLAS kernel one product over all of them uses
+    monkeypatch.setattr("driftcal.labeling.WINDOW_CHUNK", 64)
     report, y, yhat = evaluate_forecaster(models[kind], val)
     assert yhat.tobytes() == expected.tobytes()
     assert y.tolist() == val.label.tolist() and report.n == len(val)
