@@ -6,16 +6,15 @@ passed through pre-norm encoder layers (multi-head self-attention and a
 time, and read out by a linear head. Forward and backward passes are
 explicit so gradients can be verified against finite differences.
 
-A batch's per-window work runs in row slices on several threads, at one
-BLAS thread; models/threads.py says how.
+Batches run in micro-batches of MICRO_BATCH windows on several threads,
+each in its own workspace, at one BLAS thread; models/threads.py says how.
 """
 
 from __future__ import annotations
 
-import copy
+import collections
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .nn import (
     xavier_uniform,
 )
 from .optim import fit_minibatch
-from .threads import one_blas_thread, row_slices, run_tasks
+from .threads import n_threads, one_blas_thread, run_tasks
 
 
 def init_attention_params(
@@ -74,11 +73,13 @@ def n_encoder_layers(params: dict[str, np.ndarray]) -> int:
     return max(layers) + 1 if layers else 0
 
 
-# Windows per inference forward outside training (a fit's validation
-# forwards run in chunks of its batch, through its workspace). It equals the
-# default batch, so inference holds no more activations than a training
-# step, and fixed chunks keep memory flat however many windows there are.
-INFERENCE_CHUNK = 64
+# Windows per micro-batch. Training batches, and the windows of validation
+# and inference forwards, are cut into micro-batches this size; each runs
+# whole on one thread in that thread's workspace, so activations take
+# threads x MICRO_BATCH windows however large the batch. A default step
+# (64 windows, 2 threads on a 2-CPU host) took 79-80 ms and 47 MB at 16,
+# 70-79 ms and 86 MB at 32, and 84 ms and 30 MB at 8.
+MICRO_BATCH = 16
 
 
 # -- workspace ---------------------------------------------------------------
@@ -88,47 +89,65 @@ class Workspace:
 
     Each named buffer is allocated on first use, for ``capacity`` windows;
     a batch of B <= capacity windows works in its leading B rows, which are
-    C-contiguous. A row slice of the batch works in ``rows(start)``, which
-    shares the buffers. A forward's cache reads the workspace, so a
-    workspace serves one batch at a time: its backward must run before the
-    next forward into the same workspace. Dead values share buffers: all
+    C-contiguous. A forward's cache reads the workspace, so a workspace
+    serves one batch at a time: its backward must run before the next
+    forward into the same workspace. Dead values share buffers: all
     layers write their GELU output into one, and the feed-forward backward
     writes dg into the layer's u and du into its tanh_u.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.start = 0
         self._buffers: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()  # slices of one batch allocate a buffer once
 
     def allocated(self) -> bool:
         """Whether any buffer has been allocated."""
         return bool(self._buffers)
 
-    def rows(self, start: int) -> Workspace:
-        """This workspace, with batches from row ``start`` on."""
-        view = copy.copy(self)
-        view.start = start
-        return view
-
     def get(self, name: str, B: int, *shape: int) -> np.ndarray:
-        """The (B, *shape) rows of buffer ``name`` from this view's start."""
-        stop = self.start + B
-        if stop > self.capacity:
-            raise ValueError(f"batch of {stop} windows exceeds the workspace's {self.capacity}")
+        """The leading (B, *shape) rows of buffer ``name``."""
+        if B > self.capacity:
+            raise ValueError(f"batch of {B} windows exceeds the workspace's {self.capacity}")
         buf = self._buffers.get(name)
         if buf is None or buf.shape[1:] != shape:
-            with self._lock:
-                buf = self._buffers.get(name)
-                if buf is None or buf.shape[1:] != shape:
-                    buf = self._buffers[name] = np.empty((self.capacity, *shape))
-        return buf[self.start : stop]
+            buf = self._buffers[name] = np.empty((self.capacity, *shape))
+        return buf[:B]
 
     def layer_norm(self, name: str, B: int, w: int, dm: int):
         """The (y, xhat, inv) buffers of one layer norm."""
         return (self.get(name + ".y", B, w, dm), self.get(name + ".xhat", B, w, dm),
                 self.get(name + ".inv", B, w, 1))
+
+
+def micro_workspaces(batch: int) -> list[Workspace]:
+    """Workspaces for batches of up to ``batch`` windows: one per thread
+    that runs their micro-batches, each for one micro-batch."""
+    batch = max(1, batch)
+    return [Workspace(min(batch, MICRO_BATCH))
+            for _ in range(min(n_threads(), math.ceil(batch / MICRO_BATCH)))]
+
+
+def _micro_batches(n: int, work, workspaces: list[Workspace]):
+    """work(rows, ws) for each micro-batch ``rows`` of the windows 0..n-1,
+    yielded in micro-batch order.
+
+    A micro-batch holds as many windows as a workspace (MICRO_BATCH, or a
+    whole smaller batch). They run in rounds of one micro-batch per
+    workspace, side by side on as many threads (run_tasks). A round whose
+    workspaces are not all allocated runs on this thread, so that their
+    buffers come from this thread's malloc arena: a pool thread's arena
+    would keep their memory after the workspaces are gone (+16% peak RSS
+    on the default benchmark when pool threads allocated them).
+    """
+    size = workspaces[0].capacity
+    batches = [slice(start, min(start + size, n)) for start in range(0, n, size)]
+    for first in range(0, len(batches), len(workspaces)):
+        tasks = [functools.partial(work, rows, ws)
+                 for rows, ws in zip(batches[first:], workspaces)]
+        if all(ws.allocated() for ws in workspaces[: len(tasks)]):
+            yield from run_tasks(tasks)
+        else:
+            yield from [task() for task in tasks]
 
 
 def _mm(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -137,7 +156,7 @@ def _mm(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     A transposed w is copied first: OpenBLAS's small-matrix kernel for a
     transposed operand rounds a row differently with the number of rows, so
-    a row slice would not equal its rows of the whole batch.
+    a micro-batch would not equal its rows of the whole batch.
     """
     np.matmul(x.reshape(-1, x.shape[-1]), np.ascontiguousarray(w),
               out=out.reshape(-1, w.shape[1]))
@@ -147,6 +166,11 @@ def _mm(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _gram(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Weight gradient sum_bw x^T dy as one 2-d GEMM."""
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum over the windows and positions of (B, w, n) values."""
+    return np.add.reduce(a, axis=(0, 1))
 
 
 def _merge_heads(xh: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -191,14 +215,16 @@ def mha_forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str, heads
     return out, cache
 
 
-def mha_backward(dout: np.ndarray, params: dict[str, np.ndarray], cache) -> np.ndarray:
-    """dx for dout of mha_forward's output. The packed Q|K|V gradient stays
-    in buffer d_qkv: with dout, x and the merged heads it gives the weight
-    gradients, which _layer_grads sums over the whole batch."""
+def mha_backward(dout: np.ndarray, params: dict[str, np.ndarray], cache,
+                 grads: dict) -> np.ndarray:
+    """dx for dout of mha_forward's output; the weight and bias gradients
+    go into ``grads``."""
     x, ws = cache["x"], cache["ws"]
     B, w, dm = x.shape
     heads, dh = cache["heads"], dm // cache["heads"]
     prefix = cache["prefix"]
+    grads[prefix + "wo"] = _gram(cache["merged"], dout)
+    grads[prefix + "bo"] = _sum_rows(dout)
     dmerged = _mm(dout, params[prefix + "wo"].T, ws.get("d_merged", B, w, dm))
     doh = _split_heads(dmerged, heads)
     dattn = np.matmul(doh, cache["vh"].transpose(0, 1, 3, 2),
@@ -211,6 +237,8 @@ def mha_backward(dout: np.ndarray, params: dict[str, np.ndarray], cache) -> np.n
     dscores *= cache["scale"]
     _merge_heads(np.matmul(dscores, cache["kh"], out=dheads), dq)
     _merge_heads(np.matmul(dscores.transpose(0, 1, 3, 2), cache["qh"], out=dheads), dk)
+    grads[prefix + "wqkv"] = _gram(x, dqkv)
+    grads[prefix + "bqkv"] = _sum_rows(dqkv)
     return _mm(dqkv, params[prefix + "wqkv"].T, ws.get("d_x", B, w, dm))
 
 
@@ -219,12 +247,31 @@ def _head(z: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
     return z @ params["head.w"][:, 0] + params["head.b"][0]
 
 
-def _encode(X: np.ndarray, params: dict[str, np.ndarray], heads: int, pool: str, check: bool,
-            ws: Workspace, z: np.ndarray) -> list[dict]:
-    """The encoder over windows X (B, w, d) in workspace ``ws``, their
-    pooled features written to z; returns the layer caches."""
+def _check_order(params: dict[str, np.ndarray]) -> list[str]:
+    """The layers a checked forward tests for non-finite values, in pass order."""
+    return ["in_proj", *(f"enc{i}.{part}" for i in range(n_encoder_layers(params))
+                         for part in ("attn", "ffn")), "head"]
+
+
+def attention_forward_batch(
+    X: np.ndarray,
+    params: dict[str, np.ndarray],
+    heads: int,
+    pool: str = "mean",
+    check: bool = True,
+    workspace: Workspace | None = None,
+):
+    """Raw (unclipped) forecasts for a batch of windows (B, w, d).
+
+    Activations go into ``workspace``, or a fresh one for this batch; the
+    returned cache reads them, and holds the workspace for the backward.
+    A window that turns non-finite raises NonFiniteError naming the first
+    layer where any window did.
+    """
     B, w, _ = X.shape
+    ws = Workspace(B) if workspace is None else workspace
     d_model = params["in_proj.w"].shape[1]
+    z = ws.get("z", B, d_model)
     # h is the residual stream, updated in place: h += a is h + a, bit for bit
     h = _mm(X, params["in_proj.w"], ws.get("h", B, w, d_model))
     h += params["in_proj.b"]
@@ -251,130 +298,55 @@ def _encode(X: np.ndarray, params: dict[str, np.ndarray], heads: int, pool: str,
         f += params[pfx + "ffn.b2"]
         if check:
             check_finite(f, f"enc{i}.ffn")
-        layer_caches.append({"ln1c": ln1c, "attnc": attnc, "ln2c": ln2c, "u": u,
+        layer_caches.append({"ln1c": ln1c, "attnc": attnc, "ln2c": ln2c, "n2": n2, "u": u,
                              "tanh_u": tanh_u})
         h += f
     if pool == "mean":
         np.mean(h, axis=1, out=z)
     else:
         z[...] = h[:, -1, :]
-    return layer_caches
-
-
-def _check_order(params: dict[str, np.ndarray]) -> list[str]:
-    """The layers _encode checks for non-finite values, in pass order."""
-    return ["in_proj", *(f"enc{i}.{part}" for i in range(n_encoder_layers(params))
-                         for part in ("attn", "ffn"))]
-
-
-def attention_forward_batch(
-    X: np.ndarray,
-    params: dict[str, np.ndarray],
-    heads: int,
-    pool: str = "mean",
-    check: bool = True,
-    workspace: Workspace | None = None,
-):
-    """Raw (unclipped) forecasts for a batch of windows (B, w, d).
-
-    Activations go into ``workspace``, or a fresh one for this batch; the
-    returned cache reads them, and holds the workspace for the backward.
-    A window that turns non-finite raises NonFiniteError naming the first
-    layer, in pass order, where any window did.
-    """
-    B, w, _ = X.shape
-    ws = Workspace(B) if workspace is None else workspace
-    # A fresh workspace's first batch (told before z is allocated) runs as one
-    # slice, so its buffers come from this thread's malloc arena: a pool
-    # thread's arena would keep their memory after the workspace is gone
-    # (+16% peak RSS on the default benchmark when slices allocated them).
-    d_model = params["in_proj.w"].shape[1]
-    slices = row_slices(B, w, d_model) if ws.allocated() else [slice(0, B)]
-    z = ws.get("z", B, d_model)
-
-    def encode(rows: slice):
-        try:
-            return _encode(X[rows], params, heads, pool, check, ws.rows(rows.start), z[rows])
-        except NonFiniteError as exc:
-            return exc
-
-    caches = run_tasks([functools.partial(encode, rows) for rows in slices])
-    failed = [c for c in caches if isinstance(c, NonFiniteError)]
-    if failed:
-        order = _check_order(params)
-        raise min(failed, key=lambda exc: order.index(exc.layer))
     yhat = _head(z, params)
     if check:
         check_finite(yhat, "head")
-    cache = {"X": X, "slices": list(zip(slices, caches)), "z": z, "pool": pool, "ws": ws}
-    return yhat, cache
+    return yhat, {"X": X, "layers": layer_caches, "z": z, "pool": pool, "ws": ws}
 
 
-def _backward_rows(i: int, c: dict, params: dict[str, np.ndarray], ws: Workspace) -> None:
-    """Encoder layer i's backward over one row slice: the gradient of the
-    residual stream below the layer, into buffer d_stream{i}, from the one
-    above it in d_stream{i+1}. The inputs of the layer's weight, bias and gain
-    gradients stay in the workspace for _layer_grads."""
+def _layer_backward(i: int, c: dict, params: dict[str, np.ndarray], ws: Workspace,
+                    grads: dict) -> None:
+    """Encoder layer i's backward: its parameter gradients into ``grads``,
+    and the gradient of the residual stream below the layer into buffer
+    d_stream, over the one above it there."""
     B, w, dff = c["u"].shape
     dm = params["in_proj.w"].shape[1]
     pfx = f"enc{i}."
     # h_out = h1 + ffn(ln2(h1)); the residual passes dh straight through
-    dh = ws.get(f"d_stream{i + 1}", B, w, dm)
+    dh = ws.get("d_stream", B, w, dm)
     # g back into the shared buffer, then gelu' over tanh_u and dg over the dead u
-    gelu_from_tanh(c["u"], c["tanh_u"], ws.get("g", B, w, dff))
+    g = gelu_from_tanh(c["u"], c["tanh_u"], ws.get("g", B, w, dff))
+    grads[pfx + "ffn.w2"] = _gram(g, dh)
+    grads[pfx + "ffn.b2"] = _sum_rows(dh)
     du = gelu_grad(c["u"], c["tanh_u"], out=c["tanh_u"])
     du *= _mm(dh, params[pfx + "ffn.w2"].T, c["u"])
+    grads[pfx + "ffn.w1"] = _gram(c["n2"], du)
+    grads[pfx + "ffn.b1"] = _sum_rows(du)
     dn2 = _mm(du, params[pfx + "ffn.w1"].T, ws.get("d_n2", B, w, dm))
-    dh1_ln, _ = layer_norm_backward(dn2, c["ln2c"], out=ws.get("d_ln", B, w, dm),
-                                    scratch=ws.get("d_ln2_xhat", B, w, dm))
+    dh1_ln, dgain = layer_norm_backward(dn2, c["ln2c"], out=ws.get("d_ln", B, w, dm),
+                                        scratch=ws.get("d_ln_xhat", B, w, dm))
+    grads[pfx + "ln2.g"] = _sum_rows(dgain)
+    grads[pfx + "ln2.b"] = _sum_rows(dn2)
     dh1 = np.add(dh, dh1_ln, out=ws.get("d_h1", B, w, dm))
-    # h1 = h + attn(ln1(h))
-    dn1 = mha_backward(dh1, params, c["attnc"])
-    dh_ln, _ = layer_norm_backward(dn1, c["ln1c"], out=ws.get("d_ln", B, w, dm),
-                                   scratch=ws.get("d_ln1_xhat", B, w, dm))
-    np.add(dh1, dh_ln, out=ws.get(f"d_stream{i}", B, w, dm))
-
-
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """Sum over the windows and positions of (B, w, n) values."""
-    return np.add.reduce(a, axis=(0, 1))
-
-
-def _layer_grads(i: int, params: dict[str, np.ndarray], ws: Workspace, B: int, w: int):
-    """Parameter name -> no-argument task computing that gradient of encoder
-    layer i from the whole batch's buffers _backward_rows left; GEMMs first."""
-    pfx = f"enc{i}."
-    dm, dff = params[pfx + "ffn.w1"].shape
-
-    def buf(name: str, n: int = dm) -> np.ndarray:
-        return ws.get(name, B, w, n)
-
-    dh, du, dh1 = buf(f"d_stream{i + 1}"), buf(pfx + "tanh_u", dff), buf("d_h1")
-    dqkv = buf("d_qkv", 3 * dm)
-    tasks = {
-        "ffn.w1": (_gram, buf(pfx + "ln2.y"), du),
-        "ffn.w2": (_gram, buf("g", dff), dh),
-        "attn.wqkv": (_gram, buf(pfx + "ln1.y"), dqkv),
-        "attn.wo": (_gram, buf(pfx + "attn.merged"), dh1),
-        "ffn.b1": (_sum_rows, du),
-        "ffn.b2": (_sum_rows, dh),
-        "attn.bqkv": (_sum_rows, dqkv),
-        "attn.bo": (_sum_rows, dh1),
-        "ln2.g": (_sum_rows, buf("d_ln2_xhat")),
-        "ln2.b": (_sum_rows, buf("d_n2")),
-        "ln1.g": (_sum_rows, buf("d_ln1_xhat")),
-        "ln1.b": (_sum_rows, buf("d_x")),
-    }
-    return {pfx + name: functools.partial(*task) for name, task in tasks.items()}
+    # h1 = h + attn(ln1(h)); dh is dead, and d_stream takes the gradient of h
+    dn1 = mha_backward(dh1, params, c["attnc"], grads)
+    dh_ln, dgain = layer_norm_backward(dn1, c["ln1c"], out=ws.get("d_ln", B, w, dm),
+                                       scratch=ws.get("d_ln_xhat", B, w, dm))
+    grads[pfx + "ln1.g"] = _sum_rows(dgain)
+    grads[pfx + "ln1.b"] = _sum_rows(dn1)
+    np.add(dh1, dh_ln, out=dh)
 
 
 def attention_backward_batch(dyhat: np.ndarray, params: dict[str, np.ndarray], cache):
-    """Gradients of every parameter for dyhat of the forward's forecasts.
-
-    Each layer's per-window chain runs on the forward's row slices; then
-    its gradients, each one sum over the whole batch, run as tasks side by
-    side, before the next layer's chain overwrites their inputs.
-    """
+    """Gradients of every parameter for dyhat of the forward's forecasts,
+    each one sum over the forward's windows."""
     X, ws = cache["X"], cache["ws"]
     B, w, _ = X.shape
     d_model = params["in_proj.w"].shape[1]
@@ -382,32 +354,54 @@ def attention_backward_batch(dyhat: np.ndarray, params: dict[str, np.ndarray], c
     grads["head.w"] = (cache["z"].T @ dyhat)[:, None]
     grads["head.b"] = np.array([dyhat.sum()])
     dz = dyhat[:, None] * params["head.w"][:, 0][None, :]
-    n_layers = n_encoder_layers(params)
-    dh = ws.get(f"d_stream{n_layers}", B, w, d_model)
+    dh = ws.get("d_stream", B, w, d_model)
     if cache["pool"] == "mean":
         np.divide(dz[:, None, :], w, out=dh)
     else:
         dh.fill(0.0)
         dh[:, -1, :] = dz
-    for i in reversed(range(n_layers)):
-        run_tasks([functools.partial(_backward_rows, i, caches[i], params, ws.rows(rows.start))
-                   for rows, caches in cache["slices"]])
-        tasks = _layer_grads(i, params, ws, B, w)  # one thread for one slice
-        grads.update(zip(tasks, run_tasks(list(tasks.values()), len(cache["slices"]))))
-    dh = ws.get("d_stream0", B, w, d_model)
+    for i, layer_cache in reversed(list(enumerate(cache["layers"]))):
+        _layer_backward(i, layer_cache, params, ws, grads)
     grads["in_proj.w"] = _gram(X, dh)
     grads["in_proj.b"] = _sum_rows(dh)
     return grads
 
 
 def attention_loss_and_grads(X, y, params, heads, pool="mean", beta: float = 1.0,
-                             workspace: Workspace | None = None):
-    """Mean SmoothL1 over the batch plus gradients for every parameter."""
-    yhat, cache = attention_forward_batch(X, params, heads, pool, workspace=workspace)
-    err = yhat - y
-    loss = float(np.mean(smooth_l1(err, beta)))
-    dyhat = smooth_l1_grad(err, beta) / len(y)
-    return loss, attention_backward_batch(dyhat, params, cache)
+                             workspaces: list[Workspace] | None = None):
+    """Mean SmoothL1 over the batch plus gradients for every parameter.
+
+    Each micro-batch runs its forward and backward whole, in one of
+    ``workspaces`` (fresh ones when None); the loss is taken once over all
+    the forecasts, and the gradients are summed in micro-batch order, so
+    no bit depends on the thread count. A NonFiniteError names the first
+    layer, in pass order, where any micro-batch's forward failed.
+    """
+    B = len(y)
+    yhat = np.empty(B)
+
+    def step(rows: slice, ws: Workspace):
+        try:
+            yhat[rows], cache = attention_forward_batch(X[rows], params, heads, pool,
+                                                        workspace=ws)
+        except NonFiniteError as exc:
+            return exc
+        return attention_backward_batch(smooth_l1_grad(yhat[rows] - y[rows], beta) / B,
+                                        params, cache)
+
+    grads, failed = None, []
+    for outcome in _micro_batches(B, step, workspaces or micro_workspaces(B)):
+        if isinstance(outcome, NonFiniteError):
+            failed.append(outcome)
+        elif grads is None:
+            grads = outcome
+        else:
+            for name, g in outcome.items():
+                grads[name] += g
+    if failed:
+        order = _check_order(params)
+        raise min(failed, key=lambda exc: order.index(exc.layer))
+    return float(np.mean(smooth_l1(yhat - y, beta))), grads
 
 
 def train_attention(
@@ -420,16 +414,17 @@ def train_attention(
 
     Deterministic for a fixed cfg.seed: init, shuffling, and the batch
     reduction order are all derived from it, and the bits are the same at
-    every BLAS thread count: the fit holds numpy's OpenBLAS at one thread.
-    The training steps and the validation forwards share one workspace,
-    sized for one batch.
+    every thread count: the fit holds numpy's OpenBLAS at one thread.
+    The training steps and the validation forwards share one set of
+    micro-batch workspaces.
     """
     yva = validation_set(train_windows, val_windows)
     w, d = train_windows.shape
-    ws = Workspace(min(cfg.batch_size, len(train_windows)))
+    workspaces = micro_workspaces(min(cfg.batch_size, len(train_windows)))
 
     def val_mae(params):
-        val_pred = _forward_chunks(val_windows.take, len(yva), params, cfg.heads, cfg.pool, ws)
+        val_pred = _forward_chunks(val_windows.take, len(yva), params, cfg.heads, cfg.pool,
+                                   workspaces)
         return float(np.mean(np.abs(np.maximum(val_pred, 0.0) - yva)))
 
     params = init_attention_params(
@@ -438,7 +433,7 @@ def train_attention(
     with one_blas_thread():
         best_params, logs = fit_minibatch(
             lambda Xb, yb, p: attention_loss_and_grads(
-                Xb, yb, p, cfg.heads, cfg.pool, cfg.smooth_l1_beta, ws
+                Xb, yb, p, cfg.heads, cfg.pool, cfg.smooth_l1_beta, workspaces
             ),
             val_mae,
             params,
@@ -466,30 +461,29 @@ def train_attention(
 
 
 def _forward_chunks(take, n: int, params: dict[str, np.ndarray], heads: int,
-                    pool: str, ws: Workspace) -> np.ndarray:
+                    pool: str, workspaces: list[Workspace]) -> np.ndarray:
     """Raw forecasts for n windows, equal bit for bit to one
     attention_forward_batch call over all of them.
 
-    ``take(rows)`` gathers a slice of the windows (from a fit's window set,
-    or a forecast's); the encoder runs on one workspace of them at a
-    time, and a window's pooled features depend on that window alone. The
-    read-out runs once over all of them: numpy computes a one-row read-out
-    (a last chunk of one window) as a dot product, which rounds differently.
+    ``take(rows)`` gathers a micro-batch of the windows (from a fit's
+    window set, or a forecast's); a window's pooled features depend on
+    that window alone. The read-out runs once over all of them: numpy
+    computes a one-row read-out (a last micro-batch of one window) as a dot
+    product, which rounds differently.
     """
     z = np.empty((n, params["in_proj.w"].shape[1]))
-    for start in range(0, n, ws.capacity):
-        rows = slice(start, start + ws.capacity)
-        z[rows] = attention_forward_batch(
-            take(rows), params, heads, pool, check=False, workspace=ws
-        )[1]["z"]
+
+    def encode(rows: slice, ws: Workspace) -> None:
+        z[rows] = attention_forward_batch(take(rows), params, heads, pool, check=False,
+                                          workspace=ws)[1]["z"]
+
+    collections.deque(_micro_batches(n, encode, workspaces), maxlen=0)
     return _head(z, params)
 
 
 def attention_raw(model: ForecastModel, take, n: int) -> np.ndarray:
     """Raw predictions for the n standardized windows that ``take(rows)``
-    gathers, INFERENCE_CHUNK at a time through one workspace, at one BLAS
-    thread."""
-    ws = Workspace(max(1, min(n, INFERENCE_CHUNK)))
+    gathers, a micro-batch at a time, at one BLAS thread."""
     with one_blas_thread():
         return _forward_chunks(take, n, model.params, model.meta["heads"],
-                               model.meta.get("pool", "mean"), ws)
+                               model.meta.get("pool", "mean"), micro_workspaces(n))

@@ -123,8 +123,7 @@ def layer_norm_backward(
     """(dx, dy * xhat) for dy of layer_norm's output, into ``out`` and the
     work buffer ``scratch`` of dy's shape (fresh ones when not given);
     neither may be dy. Summed over the leading axes, dy * xhat is the gain
-    gradient and dy the bias gradient: the caller sums them, so that a
-    batch worked on in parts is summed whole."""
+    gradient and dy the bias gradient; the caller sums them."""
     xhat, inv, gain = cache
     dx = np.empty(dy.shape) if out is None else out
     tmp = np.empty(dy.shape) if scratch is None else scratch

@@ -13,6 +13,7 @@ from ..labeling import Standardizer, Windows, window_chunks
 from .base import EpochLog, ForecastModel, TrainConfig, validation_set
 from .nn import check_finite, pinball_grad, pinball_loss, tanh_grad, xavier_uniform
 from .optim import fit_minibatch
+from .threads import one_blas_thread
 
 QUANTILES = (0.1, 0.5, 0.9)  # ascending
 
@@ -88,15 +89,16 @@ def fit_quantile(
         )
 
     params = init_quantile_params(np.random.default_rng([cfg.seed, 3]), w * d, cfg.hidden_width)
-    best_params, logs = fit_minibatch(
-        quantile_loss_and_grads,
-        val_pinball,
-        params,
-        lambda idx: train_windows.take(idx).reshape(len(idx), -1),
-        train_windows.label.astype(np.float64),
-        cfg,
-        np.random.default_rng([cfg.seed, 4]),
-    )
+    with one_blas_thread():
+        best_params, logs = fit_minibatch(
+            quantile_loss_and_grads,
+            val_pinball,
+            params,
+            lambda idx: train_windows.take(idx).reshape(len(idx), -1),
+            train_windows.label.astype(np.float64),
+            cfg,
+            np.random.default_rng([cfg.seed, 4]),
+        )
     model = ForecastModel(
         kind="quantile",
         params=best_params,
@@ -121,5 +123,6 @@ def _heads(take, n: int, params: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def quantile_raw(model: ForecastModel, take, n: int) -> np.ndarray:
-    """Rectified (sorted ascending) head outputs for n standardized windows."""
-    return np.sort(_heads(take, n, model.params), axis=1)
+    """Rectified (sorted) head outputs for n standardized windows, at one BLAS thread."""
+    with one_blas_thread():
+        return np.sort(_heads(take, n, model.params), axis=1)

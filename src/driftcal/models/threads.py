@@ -1,13 +1,13 @@
 """How the fits use the CPUs and numpy's BLAS threads.
 
 Every product whose bits would depend on OpenBLAS's thread count runs
-inside ``one_blas_thread``: attention training and inference, and the
-linear fit and forecasts. Attention cuts each batch into row slices, one
-per usable CPU, which ``run_tasks`` runs side by side on a small thread
-pool; every sum over windows stays one call over the whole batch, so no
-result depends on the slice count either. The quantile model runs at
-numpy's default threads: its bytes are the same at every thread count, and
-at one thread its fit takes longer.
+inside ``one_blas_thread``: every fit and every forecast. Attention cuts
+each batch into fixed micro-batches, which ``run_tasks`` runs side by side
+on a small thread pool, one per usable CPU; the micro-batch gradients are
+summed in micro-batch order, so no result depends on the thread count
+either. ``blas_kernel`` names the OpenBLAS kernel the CPU selected at run
+time: the bits of a product depend on it, so the pinned hashes hold on
+one kernel only.
 """
 
 from __future__ import annotations
@@ -25,29 +25,44 @@ import numpy as np
 
 
 @functools.cache
-def openblas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
-    when numpy has no such library."""
+def _openblas():
+    """(get threads, set threads, kernel name) of numpy's bundled OpenBLAS,
+    or None when numpy has no such library."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get, set_, core = (lib.scipy_openblas_get_num_threads64_,
+                               lib.scipy_openblas_set_num_threads64_,
+                               lib.scipy_openblas_get_corename64_)
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        core.argtypes, core.restype = [], ctypes.c_char_p
+        return get, set_, core
     return None
+
+
+def openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    return _openblas() and _openblas()[:2]
+
+
+def blas_kernel() -> str | None:
+    """The kernel numpy's bundled OpenBLAS runs on this CPU ("SkylakeX",
+    "Haswell", ...; OPENBLAS_CORETYPE can force one), or None without it."""
+    return _openblas() and _openblas()[2]().decode()
 
 
 def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def n_slices() -> int:
-    """Row slices per batch: one per usable CPU, or one when BLAS cannot be
-    held at one thread (two slices at BLAS's default threads run slower)."""
+def n_threads() -> int:
+    """Threads that run micro-batches: one per usable CPU, or one when BLAS
+    cannot be held at one thread (two threads at BLAS's default threads
+    run slower)."""
     return usable_cpus() if openblas_threads() else 1
 
 
@@ -72,23 +87,23 @@ _pool_lock = threading.Lock()
 _pool = None  # (pid of its process, ThreadPoolExecutor)
 
 
-def run_tasks(tasks, max_threads: int | None = None) -> list:
+def run_tasks(tasks) -> list:
     """Results of the no-argument callables ``tasks``, in order.
 
-    This thread and up to n_slices() - 1 threads of a pool (max_threads - 1
-    at most), made on first use, take the tasks in turn until none is left;
-    a pool thread runs in a copy of the caller's context, so numpy's error
-    state holds in it. No task is still running when a failure is raised.
+    This thread and up to n_threads() - 1 threads of a pool, made on first
+    use, take the tasks in turn until none is left; a pool thread runs in
+    a copy of the caller's context, so numpy's error state holds in it. No
+    task is still running when a failure is raised.
     """
-    n_threads = min(len(tasks), n_slices(), max_threads or len(tasks))
-    if n_threads <= 1:
+    n = min(len(tasks), n_threads())
+    if n <= 1:
         return [task() for task in tasks]
     global _pool
     with _pool_lock:
         if _pool is None or _pool[0] != os.getpid():  # a forked child has no pool threads
             # imported here, not with the module: it adds ~10 ms to every start-up
             from concurrent.futures import ThreadPoolExecutor
-            _pool = os.getpid(), ThreadPoolExecutor(n_threads - 1, "driftcal-slices")
+            _pool = os.getpid(), ThreadPoolExecutor(n - 1, "driftcal-micro-batches")
         pool = _pool[1]
     outcomes: list = [None] * len(tasks)
     turns = itertools.count()  # next() on it is atomic
@@ -97,8 +112,7 @@ def run_tasks(tasks, max_threads: int | None = None) -> list:
         while (k := next(turns)) < len(tasks):
             outcomes[k] = tasks[k]()
 
-    helpers = [pool.submit(contextvars.copy_context().run, take_turns)
-               for _ in range(n_threads - 1)]
+    helpers = [pool.submit(contextvars.copy_context().run, take_turns) for _ in range(n - 1)]
     try:
         take_turns()
     finally:
@@ -107,16 +121,3 @@ def run_tasks(tasks, max_threads: int | None = None) -> list:
     for helper in helpers:
         helper.result()
     return outcomes
-
-
-# B * w * d_model below which two row slices took longer than one on a 2-CPU
-# host, the pool's hand-offs outweighing the work (a default batch: 163,840)
-MIN_SLICE_WORK = 16384
-
-
-def row_slices(B: int, w: int, width: int) -> list[slice]:
-    """At most n_slices() near-equal runs of the windows 0..B-1 (one for work
-    B * w * width below MIN_SLICE_WORK), each of at least two GEMM rows:
-    numpy runs a one-row product as a matrix-vector product, which rounds differently."""
-    n = max(1, min(B, B * w // 2, n_slices() if B * w * width >= MIN_SLICE_WORK else 1))
-    return [slice(B * k // n, B * (k + 1) // n) for k in range(n)]

@@ -12,13 +12,14 @@ windows, as the library did before it read windows in chunks.
 
 Helpers that only tests use live here too: a trajectory summary, an
 intercept-only pinball fit, which does run the library's training loop,
-parameter flattening for the finite-difference checks, and a window set
-built from given window arrays.
+parameter flattening for the finite-difference checks, a window set
+built from given window arrays, and the traced peak of a call.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -476,6 +477,17 @@ def linear_raw_batch(model, X) -> np.ndarray:
 
 def quantile_raw_batch(model, X) -> np.ndarray:
     """Sorted quantile head outputs (B, n_levels) for standardized windows
-    (B, w, d): one forward over all of them."""
-    out, _ = quantile_forward_batch(_flat(X), model.params, check=False)
+    (B, w, d): one forward over all of them, at one BLAS thread."""
+    with one_blas_thread():
+        out, _ = quantile_forward_batch(_flat(X), model.params, check=False)
     return np.sort(out, axis=1)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc traces while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from driftcal.models import (
     train_attention,
 )
 from driftcal.models.attention import (
-    INFERENCE_CHUNK,
+    MICRO_BATCH,
     Workspace,
     _forward_chunks,
     attention_forward_batch,
@@ -21,14 +20,17 @@ from driftcal.models.attention import (
     attention_raw,
     init_attention_params,
     mha_forward,
+    micro_workspaces,
 )
 from driftcal.models.base import ForecastModel
+from driftcal.models.threads import one_blas_thread
 
 from oracles import (
     attention_forward,
     central_difference_gradients,
     flatten_params,
     max_relative_error,
+    traced_peak,
     unflatten_params,
     windows_of,
 )
@@ -184,34 +186,25 @@ def _tiny_model(d=3, w=6, pool="mean"):
 
 
 @pytest.mark.parametrize("pool", ["mean", "last"])
-@pytest.mark.parametrize(  # last chunks of a partial, a whole, one and five windows
-    "n", [0, 1, 2 * INFERENCE_CHUNK - 1, 2 * INFERENCE_CHUNK, 2 * INFERENCE_CHUNK + 1,
-          6 * INFERENCE_CHUNK + 5]
+@pytest.mark.parametrize(  # last micro-batches of a partial, a whole, one and five windows
+    "n", [0, 1, 8 * MICRO_BATCH - 1, 8 * MICRO_BATCH, 8 * MICRO_BATCH + 1, 24 * MICRO_BATCH + 5]
 )
 def test_chunked_inference_equals_one_forward(n, pool):
     model = _tiny_model(pool=pool)
     X = np.random.default_rng(n).normal(size=(n, 6, 3))
-    whole, _ = attention_forward_batch(X, model.params, TINY["heads"], pool, check=False)
+    with one_blas_thread():  # as attention_raw runs
+        whole, _ = attention_forward_batch(X, model.params, TINY["heads"], pool, check=False)
     chunked = attention_raw(model, X.__getitem__, n)
     assert chunked.shape == (n,)
     assert np.array_equal(chunked, whole)
-
-
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_inference_memory_does_not_grow_with_window_count():
     n = 512
     model = _tiny_model(w=40)
     X = np.random.default_rng(0).normal(size=(4 * n, 40, 3))
-    small = _traced_peak(lambda: attention_raw(model, X.__getitem__, n))
-    large = _traced_peak(lambda: attention_raw(model, X.__getitem__, len(X)))
+    small = traced_peak(lambda: attention_raw(model, X.__getitem__, n))
+    large = traced_peak(lambda: attention_raw(model, X.__getitem__, len(X)))
     assert large < 1.5 * small
 
 
@@ -224,26 +217,27 @@ def test_step_with_a_warm_workspace_allocates_little():
     params = _default_size_params()
     rng = np.random.default_rng(6)
     X, y = rng.normal(size=(64, 40, 24)), rng.normal(loc=20.0, scale=5.0, size=64)
-    ws = Workspace(64)
+    ws = micro_workspaces(64)
     for _ in range(2):
         attention_loss_and_grads(X, y, params, 4, "mean", 1.0, ws)
-    peak = _traced_peak(lambda: attention_loss_and_grads(X, y, params, 4, "mean", 1.0, ws))
-    assert peak < 10 * 2**20  # a step without a workspace allocates ~80 MB
+    peak = traced_peak(lambda: attention_loss_and_grads(X, y, params, 4, "mean", 1.0, ws))
+    assert peak < 10 * 2**20  # a step without workspaces allocates 20 MB per thread
 
 
 def test_step_with_a_fresh_workspace_stays_below_85_mb():
-    # every layer shares one GELU output buffer, and the feed-forward backward
-    # reuses u and tanh_u: 80 MB, against 95 MB with per-layer g, dg and du
+    # one 64-window workspace: every layer shares one GELU output buffer, and
+    # the feed-forward backward reuses u and tanh_u: 76 MB, against 95 MB with
+    # per-layer g, dg and du
     params = _default_size_params()
     rng = np.random.default_rng(6)
     X, y = rng.normal(size=(64, 40, 24)), rng.normal(loc=20.0, scale=5.0, size=64)
-    peak = _traced_peak(lambda: attention_loss_and_grads(X, y, params, 4, "mean", 1.0,
-                                                         Workspace(64)))
+    peak = traced_peak(lambda: attention_loss_and_grads(X, y, params, 4, "mean", 1.0,
+                                                         [Workspace(64)]))
     assert peak < 85 * 2**20
 
 
 def test_fit_memory_does_not_grow_with_the_validation_set():
-    # validation forwards gather one workspace of windows at a time; one
+    # validation forwards gather a micro-batch per workspace at a time; one
     # stack of 8n windows of 40 x 24 would add 7n windows' 7.5 kB each
     rng = np.random.default_rng(11)
 
@@ -254,7 +248,7 @@ def test_fit_memory_does_not_grow_with_the_validation_set():
     cfg = TrainConfig(max_epochs=1, batch_size=16, **TINY)
 
     def fit_peak(val):
-        return _traced_peak(lambda: train_attention(train, val, cfg))
+        return traced_peak(lambda: train_attention(train, val, cfg))
 
     fit_peak(small)  # warm: one-time caches and the thread pool
     assert fit_peak(large) < 1.15 * fit_peak(small)
@@ -270,10 +264,11 @@ def _assert_same_grads(a, b):
 def test_shared_workspace_equals_fresh_workspaces(pool):
     params = _tiny_params(seed=7)
     rng = np.random.default_rng(8)
-    ws = Workspace(64)
+    ws, workspaces = Workspace(64), micro_workspaces(64)
     for B in (64, 31, 64):  # a smaller batch works in the leading rows
         X, y = rng.normal(size=(B, 6, 3)), rng.normal(loc=5.0, size=B)
-        loss, grads = attention_loss_and_grads(X, y, params, TINY["heads"], pool, 1.0, ws)
+        loss, grads = attention_loss_and_grads(X, y, params, TINY["heads"], pool, 1.0,
+                                               workspaces)
         fresh_loss, fresh_grads = attention_loss_and_grads(X, y, params, TINY["heads"], pool)
         assert loss == fresh_loss
         _assert_same_grads(grads, fresh_grads)
@@ -295,8 +290,9 @@ def test_chunked_forwards_through_one_workspace_equal_one_forward(pool):
     ws = Workspace(5)
     for n in (17, 3, 15, 17):  # partial and whole last chunks, one workspace throughout
         X = rng.normal(size=(n, 6, 3))
-        whole, _ = attention_forward_batch(X, params, TINY["heads"], pool, check=False)
         # chunks of an array, as inference takes them, and of a window set, as a fit does
-        for take in (X.__getitem__, windows_of(X, np.zeros(n, dtype=int)).take):
-            assert np.array_equal(_forward_chunks(take, n, params, TINY["heads"], pool, ws),
-                                  whole)
+        with one_blas_thread():  # as inference and fits run
+            whole, _ = attention_forward_batch(X, params, TINY["heads"], pool, check=False)
+            for take in (X.__getitem__, windows_of(X, np.zeros(n, dtype=int)).take):
+                chunked = _forward_chunks(take, n, params, TINY["heads"], pool, [ws])
+                assert np.array_equal(chunked, whole)

@@ -1,9 +1,9 @@
-"""Attention passes split into row slices against the one-slice pass.
+"""Attention batches cut into micro-batches, run at several thread counts.
 
-A batch's per-window work runs in one row slice per usable CPU; the slice
-count is forced here by patching the usable-CPU count. Every sum over
-windows is one whole-batch call, so forecasts, loss and gradients must
-equal the one-slice pass bit for bit whatever the slice count.
+A batch's micro-batches run side by side, one per usable CPU; the thread
+count is forced here by patching the usable-CPU count. The micro-batches
+are fixed and their gradients summed in micro-batch order, so forecasts,
+loss and gradients must be the same bits at every thread count.
 """
 
 import sys
@@ -16,15 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftcal.models import NonFiniteError, TrainConfig, TrainingDivergedError, train_attention
-from driftcal.models import attention, linear, threads
+from driftcal.models import attention, fit_quantile, linear, quantile, threads
 from driftcal.models.attention import (
+    MICRO_BATCH,
     Workspace,
+    _forward_chunks,
     attention_forward_batch,
     attention_loss_and_grads,
     init_attention_params,
+    micro_workspaces,
 )
 
-from oracles import windows_of
+from oracles import traced_peak, windows_of
 
 HEADS = 2
 
@@ -35,25 +38,35 @@ def _params(seed: int, d: int = 3) -> dict[str, np.ndarray]:
 
 @contextmanager
 def _cpus(n: int):
-    """A context in which attention sees ``n`` usable CPUs and slices every
-    batch, however small."""
+    """A context in which attention sees ``n`` usable CPUs."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(threads, "usable_cpus", lambda: n)
-        patch.setattr(threads, "MIN_SLICE_WORK", 0)
         yield
 
 
-def _step(n_cpus, X, y, params, pool, ws=None):
-    """(forecasts, loss, gradients) of one forward and backward at ``n_cpus``."""
+def _step(n_cpus, X, y, params, pool, workspaces=None):
+    """(forecasts, loss, gradients) of the micro-batched forwards and a
+    training step at ``n_cpus``, in ``workspaces`` or fresh ones."""
     with _cpus(n_cpus):
-        yhat, _ = attention_forward_batch(X, params, HEADS, pool, workspace=ws)
-        loss, grads = attention_loss_and_grads(X, y, params, HEADS, pool, 1.0, ws)
+        workspaces = workspaces or micro_workspaces(len(X))
+        yhat = _forward_chunks(X.__getitem__, len(X), params, HEADS, pool, workspaces)
+        loss, grads = attention_loss_and_grads(X, y, params, HEADS, pool, 1.0, workspaces)
     return yhat, loss, grads
 
 
 def _forward_outcome(n_cpus, X, params) -> str:
-    """The NonFiniteError message of a checked forward at ``n_cpus``, or "finite"."""
+    """The NonFiniteError message of a training step at ``n_cpus``, or "finite"."""
     with _cpus(n_cpus), np.errstate(all="ignore"):
+        try:
+            attention_loss_and_grads(X, np.zeros(len(X)), params, HEADS)
+        except NonFiniteError as exc:
+            return str(exc)
+    return "finite"
+
+
+def _whole_forward_outcome(X, params) -> str:
+    """The NonFiniteError message of one checked forward over X, or "finite"."""
+    with np.errstate(all="ignore"):
         try:
             attention_forward_batch(X, params, HEADS)
         except NonFiniteError as exc:
@@ -72,33 +85,24 @@ def _assert_same_step(a, b):
 @settings(max_examples=60, deadline=None)
 @given(B=st.integers(1, 150), n_cpus=st.integers(2, 4), pool=st.sampled_from(["mean", "last"]),
        w=st.sampled_from([1, 2, 6]), seed=st.integers(0, 2**32 - 1))
-def test_sliced_step_equals_one_slice(B, n_cpus, pool, w, seed):
+def test_step_does_not_depend_on_the_thread_count(B, n_cpus, pool, w, seed):
     rng = np.random.default_rng(seed)
     params = _params(seed % 1000)
     X, y = rng.normal(size=(B, w, 3)), rng.normal(loc=5.0, scale=3.0, size=B)
     one = _step(1, X, y, params, pool)
-    # fresh workspaces: the slices allocate every buffer of the batch together
+    # fresh workspaces: the first round allocates them on this thread
     _assert_same_step(_step(n_cpus, X, y, params, pool), one)
-    ws = Workspace(B + 3)
-    for batch in (X[: max(1, B // 2)], X):  # a warm workspace, a larger batch second
+    with _cpus(n_cpus):
+        workspaces = micro_workspaces(B + 3)
+    for batch in (X[: max(1, B // 2)], X):  # warm workspaces, a larger batch second
         rows = len(batch)
         expected = _step(1, batch, y[:rows], params, pool)
-        _assert_same_step(_step(n_cpus, batch, y[:rows], params, pool, ws), expected)
-
-
-@pytest.mark.skipif(threads.openblas_threads() is None,
-                    reason="numpy's bundled OpenBLAS not found")
-def test_only_batches_with_enough_work_are_sliced(monkeypatch):
-    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
-    assert len(threads.row_slices(64, 40, 64)) == 2  # the default training batch
-    B = threads.MIN_SLICE_WORK // (40 * 8)  # a d_model of 8 and windows of 40
-    assert threads.row_slices(B, 40, 8) == [slice(0, B)]
-    assert len(threads.row_slices(B + 1, 40, 8)) == 2
+        _assert_same_step(_step(n_cpus, batch, y[:rows], params, pool, workspaces), expected)
 
 
 def test_a_fresh_workspace_allocates_on_the_calling_thread(monkeypatch):
     # a pool thread's malloc arena would keep the buffers' memory after the
-    # workspace is gone, so a fresh workspace's first batch runs as one slice
+    # workspace is gone, so a round of fresh workspaces runs on this thread
     allocating = []
     get = Workspace.get
 
@@ -111,53 +115,76 @@ def test_a_fresh_workspace_allocates_on_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(Workspace, "get", watched)
     rng = np.random.default_rng(5)
-    X, y = rng.normal(size=(40, 6, 3)), rng.normal(loc=5.0, scale=3.0, size=40)
+    X, y = rng.normal(size=(64, 6, 3)), rng.normal(loc=5.0, scale=3.0, size=64)
     with _cpus(2):
-        attention_loss_and_grads(X, y, _params(4), HEADS, "mean", 1.0, Workspace(len(X)))
+        attention_loss_and_grads(X, y, _params(4), HEADS, "mean", 1.0)
     assert allocating and set(allocating) == {threading.main_thread()}
 
 
 def test_slices_allocating_together_lose_no_buffer(monkeypatch):
-    # A workspace warmed by a forward alone gets its backward buffers from
-    # the slices. Four slices on a pool of three threads, switching as often
-    # as the interpreter allows: a buffer allocated twice would leave one
-    # slice's rows out of the whole-batch gradients.
+    # Workspaces warmed by forwards alone get their backward buffers on the
+    # pool's threads. Four micro-batches on four threads, switching as often
+    # as the interpreter allows: the step must equal the one-thread step.
     params = _params(4)
     rng = np.random.default_rng(5)
-    X, y = rng.normal(size=(40, 6, 3)), rng.normal(loc=5.0, scale=3.0, size=40)
+    B = 4 * MICRO_BATCH
+    X, y = rng.normal(size=(B, 6, 3)), rng.normal(loc=5.0, scale=3.0, size=B)
     expected = _step(1, X, y, params, "mean")
-    monkeypatch.setattr(threads, "_pool", None)  # a fresh pool, sized for four slices
+    monkeypatch.setattr(threads, "_pool", None)  # a fresh pool, sized for four threads
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            _assert_same_step(_step(4, X, y, params, "mean", Workspace(len(X))), expected)
+            with _cpus(4):
+                workspaces = micro_workspaces(len(X))
+                _forward_chunks(X.__getitem__, len(X), params, HEADS, "mean", workspaces)
+            _assert_same_step(_step(4, X, y, params, "mean", workspaces), expected)
     finally:
         sys.setswitchinterval(interval)
         threads._pool[1].shutdown()
 
 
 @settings(max_examples=40, deadline=None)
-@given(B=st.integers(2, 40), n_cpus=st.integers(2, 4), data=st.data())
+@given(B=st.integers(2, 40), n_cpus=st.integers(1, 4), data=st.data())
 def test_sliced_forward_names_the_earliest_non_finite_layer(B, n_cpus, data):
     # an infinite weight makes every finite window non-finite in that
     # sublayer, while NaN windows fail at the input projection, before it
     params = _params(1)
-    blown = data.draw(st.sampled_from([None, "enc0.attn.wo", "enc0.ffn.w2", "enc1.ffn.w2"]))
+    blown = data.draw(st.sampled_from(
+        [None, "enc0.attn.wo", "enc0.ffn.w2", "enc1.ffn.w2", "head.w"]))
     if blown:
         params[blown] = params[blown] * np.inf
     X = np.random.default_rng(B).normal(size=(B, 6, 3))
     X[data.draw(st.lists(st.integers(0, B - 1), max_size=3))] = np.nan
-    assert _forward_outcome(n_cpus, X, params) == _forward_outcome(1, X, params)
+    assert _forward_outcome(n_cpus, X, params) == _whole_forward_outcome(X, params)
 
 
 def test_sliced_forward_prefers_an_earlier_layer_in_a_later_slice():
     params = _params(2)
     params["enc0.ffn.w2"] = params["enc0.ffn.w2"] * np.inf
-    X = np.random.default_rng(3).normal(size=(8, 6, 3))
+    X = np.random.default_rng(3).normal(size=(MICRO_BATCH + 8, 6, 3))
     assert _forward_outcome(2, X, params) == "non-finite values in enc0.ffn"
-    X[-1] = np.nan  # now the last slice fails at in_proj, the first still at enc0.ffn
+    X[-1] = np.nan  # now the last micro-batch fails at in_proj, the first still at enc0.ffn
     assert _forward_outcome(2, X, params) == "non-finite values in in_proj"
+
+
+def test_step_memory_is_bounded_by_the_micro_batch_workspaces():
+    # two threads hold two micro-batch workspaces and their gradients,
+    # however many windows the batch has (the default model size)
+    params = init_attention_params(np.random.default_rng(5), 24, 64, 4, 2)
+    rng = np.random.default_rng(6)
+    peaks = {}
+    for B in (64, 256):
+        X, y = rng.normal(size=(B, 40, 24)), rng.normal(loc=20.0, scale=5.0, size=B)
+        with _cpus(2):  # fresh workspaces, allocated in the step
+            peaks[B] = traced_peak(lambda: attention_loss_and_grads(X, y, params, 4))
+    grad_bytes = sum(p.nbytes for p in params.values())
+    assert peaks[256] < peaks[64] + grad_bytes
+    ws = Workspace(MICRO_BATCH)
+    attention_loss_and_grads(X[:MICRO_BATCH], y[:MICRO_BATCH], params, 4, "mean", 1.0, [ws])
+    ws_bytes = sum(buf.nbytes for buf in ws._buffers.values())
+    # the sum, one finished and one growing set per thread, and a spare
+    assert peaks[64] < 2 * ws_bytes + 6 * grad_bytes
 
 
 def _diverged_attention_fit():
@@ -168,6 +195,15 @@ def _diverged_attention_fit():
                       weight_decay=1.0, d_model=8, heads=HEADS, layers=1)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
         train_attention(windows, windows, cfg)
+
+
+def _diverged_quantile_fit():
+    rng = np.random.default_rng(0)
+    windows = windows_of(rng.normal(size=(30, 6, 3)), rng.integers(0, 40, size=30).tolist())
+    cfg = TrainConfig(max_epochs=60, batch_size=16, base_lr=1e9, warmup_steps=0,
+                      weight_decay=1.0, patience=60, hidden_width=8)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
+        fit_quantile(windows, windows, cfg)
 
 
 def _singular_linear_fit():
@@ -181,6 +217,7 @@ def _singular_linear_fit():
 # each failing fit, and a step it takes inside its one-thread block
 FAILING_FITS = {
     "attention": (_diverged_attention_fit, attention, "attention_loss_and_grads"),
+    "quantile": (_diverged_quantile_fit, quantile, "quantile_loss_and_grads"),
     "linear": (_singular_linear_fit, np.linalg, "cholesky"),
 }
 

@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ from driftcal.models.base import ForecastModel
 from driftcal.models.predict import kind_of
 from driftcal.models.quantile import init_quantile_params, quantile_raw
 
-from oracles import linear_raw_batch, quantile_raw_batch
+from oracles import linear_raw_batch, quantile_raw_batch, traced_peak
 
 C = WINDOW_CHUNK
 W, D, HIDDEN = 40, 24, 64  # the default window, channel count and quantile width
@@ -105,15 +104,6 @@ def _sliding(n, seed):
                    end_cycle=ends)
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # a few chunks of windows, plus per window the quantile hidden layer and
 # heads: a stack of the N windows alone would take 2.6 times as much
 BUDGET = 3 * C * W * D * 8 + N * (HIDDEN + 3) * 8
@@ -123,14 +113,14 @@ STANDARDIZER = Standardizer(mean=np.full(D, 0.5), std=np.full(D, 2.0))
 def test_quantile_fit_validation_memory_does_not_grow_with_the_window_count():
     train, val = _sliding(64, 3), _sliding(N, 4)
     cfg = TrainConfig(max_epochs=1, patience=1, batch_size=16, hidden_width=HIDDEN)
-    assert _traced_peak(lambda: fit_quantile(train, val, cfg)) < BUDGET
+    assert traced_peak(lambda: fit_quantile(train, val, cfg)) < BUDGET
 
 
 @pytest.mark.parametrize("kind", ["linear", "quantile"])
 def test_window_set_forecast_memory_does_not_grow_with_the_window_count(kind):
     model = _models(STANDARDIZER)[kind]
     windows = _sliding(N, 5)
-    assert _traced_peak(lambda: predict_ttd_windows(model, windows)) < BUDGET
+    assert traced_peak(lambda: predict_ttd_windows(model, windows)) < BUDGET
 
 
 def test_quantile_forecast_memory_does_not_grow_with_the_window_count():
@@ -138,4 +128,4 @@ def test_quantile_forecast_memory_does_not_grow_with_the_window_count():
     windows = _sliding(N, 6)
     X = np.lib.stride_tricks.sliding_window_view(windows.channels, (W, D))[:, 0]
     model = _models(STANDARDIZER)["quantile"]
-    assert _traced_peak(lambda: predict_quantiles_batch(model, X)) < BUDGET
+    assert traced_peak(lambda: predict_quantiles_batch(model, X)) < BUDGET

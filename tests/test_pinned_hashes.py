@@ -20,9 +20,14 @@ several threads; the attention model and forecast pins were retaken then,
 once, because the gradient GEMMs of the last, partial batch now always run
 at one BLAS thread. The linear model pin was retaken once when the linear
 fit began to sum its normal equations in row blocks at one BLAS thread; the
-linear forecast pin was taken then. The model pins cover float64
-arithmetic, so they hold only for one BLAS build (numpy's bundled OpenBLAS),
-but at every BLAS thread count (test_fits_do_not_depend_on_blas_threads).
+linear forecast pin was taken then. The attention model and forecast pins
+were retaken once more when attention training moved from row slices to
+micro-batches of 16 windows: their gradients are summed in micro-batch
+order, and a float sum taken in another order rounds differently. The
+pinned fit's epoch logs kept their bits. The model pins cover float64
+arithmetic, so they hold only for one BLAS build (numpy's bundled OpenBLAS)
+and one of its kernels (ON_KERNEL), but at every thread count
+(test_fits_do_not_depend_on_blas_threads).
 """
 
 import hashlib
@@ -54,8 +59,9 @@ from driftcal.models import (
     predict_ttd_batch,
     predict_ttd_windows,
     save_model,
+    threads,
 )
-from driftcal.models.attention import INFERENCE_CHUNK, attention_raw, init_attention_params
+from driftcal.models.attention import MICRO_BATCH, attention_raw, init_attention_params
 from driftcal.models.base import ForecastModel
 from driftcal.pipeline import (
     forecast_scorer,
@@ -84,8 +90,8 @@ PINS = {
     "quantile_model": "c69067fdf3480d38c0a0f446d8b112103ea4af91187620e631c49ae038b8d9e6",
     "linear_model": "3a8861f57de9ecdcd37ca0007361ae9d0a91f1d2591f0b8584a9949e4266625c",
     "linear_predictions": "922765f307e1e3e519fea1ac3ea72fb00b6ce45e5e505f3bd4576d1cb6428dcb",
-    "attention_model": "e042665cd727f0d5e4227957b716f65520ed7305d22fab6b5eb80aa12633bd67",
-    "attention_predictions": "ef0dda97dce48edda77bb0af92e3a9768be8a2edad2c1c9861f78ed377daa8d5",
+    "attention_model": "e8255f51c11dd68234e04f20903936192b0dec9afdbad168762bd6eb32df96b2",
+    "attention_predictions": "16e5991417c13de2a7f5d2fa0f1a7694e6abbf409aaf6ffa98d1a0f56b16e0a1",
     "run_config_digest": "4c1bcbe352d3d7a8f6c6bf5d21f7f12f054361dcd09de7740a95bfb0bd98aa2e",
     "quantile_early_stop_model": "ce303d9c9feddd4a22acd9378e2516045a4d7497c09dd25df87aeacc52076560",
     "quantile_logs": "34cccf0ec395c0794f11a71dffb72ae2198c14018021405c6cedfe82c577d358",
@@ -97,6 +103,10 @@ PINS = {
     "attention_init_inference":
         "56d5f07641c1a7bc3dfa7a3896eb8d528ba7f8fcc232a0e94d5d984423b37018",
 }
+
+# The kernel numpy's OpenBLAS ran when the pins were taken: the float64 pins
+# hold on it alone, and a mismatch elsewhere may be another kernel's rounding.
+ON_KERNEL = f"pinned on OpenBLAS's SkylakeX kernel; this run's is {threads.blas_kernel()}"
 
 # quantile model files after their first (magic) line, as model format v1 wrote them
 V1_BODY_PINS = {
@@ -199,32 +209,33 @@ def policy_hashes(dataset, bundle):
 
 def test_default_run_config_digest():
     # every CSV preamble carries this digest
-    assert RunConfig().digest() == PINS["run_config_digest"]
+    assert RunConfig().digest() == PINS["run_config_digest"], ON_KERNEL
 
 
 def test_serialized_trajectories_hash(fleet):
-    assert _sha(serialize_trajectories(fleet).encode("utf-8")) == PINS["trajectories_txt"]
+    text = serialize_trajectories(fleet)
+    assert _sha(text.encode("utf-8")) == PINS["trajectories_txt"], ON_KERNEL
 
 
 def test_adapted_files_and_digest_hashes(dataset, tmp_path):
     result = write_adapted_dataset(dataset, tmp_path)
-    assert _sha((tmp_path / ADAPTED_CSV_NAME).read_bytes()) == PINS["adapted_csv"]
-    assert _sha((tmp_path / ADAPTED_META_NAME).read_bytes()) == PINS["adapted_meta"]
-    assert result["digest"] == PINS["dataset_digest"]
-    assert dataset_digest(dataset) == PINS["dataset_digest"]
+    assert _sha((tmp_path / ADAPTED_CSV_NAME).read_bytes()) == PINS["adapted_csv"], ON_KERNEL
+    assert _sha((tmp_path / ADAPTED_META_NAME).read_bytes()) == PINS["adapted_meta"], ON_KERNEL
+    assert result["digest"] == PINS["dataset_digest"], ON_KERNEL
+    assert dataset_digest(dataset) == PINS["dataset_digest"], ON_KERNEL
 
 
 def test_off_default_adaptation_digest(fleet):
     dataset = adapt_dataset(fleet, OFF_DEFAULT_ADAPTATION, seed=SEED)
-    assert dataset_digest(dataset) == PINS["off_default_dataset_digest"]
+    assert dataset_digest(dataset) == PINS["off_default_dataset_digest"], ON_KERNEL
 
 
 def test_quantile_model_bytes_hash(bundle, tmp_path):
     model, logs = train_forecaster("quantile", bundle, FITS["quantile"])
     assert len(logs) == 2
     assert _model_shas(model, tmp_path) == (PINS["quantile_model"],
-                                            V1_BODY_PINS["quantile_model"])
-    assert _logs_sha(logs) == PINS["quantile_logs"]
+                                            V1_BODY_PINS["quantile_model"]), ON_KERNEL
+    assert _logs_sha(logs) == PINS["quantile_logs"], ON_KERNEL
 
 
 def test_early_stopped_quantile_model_restores_best_epoch(bundle, tmp_path):
@@ -235,19 +246,19 @@ def test_early_stopped_quantile_model_restores_best_epoch(bundle, tmp_path):
     assert len(logs) < cfg.max_epochs
     assert best_epoch < len(logs)
     assert _model_shas(model, tmp_path) == (PINS["quantile_early_stop_model"],
-                                            V1_BODY_PINS["quantile_early_stop_model"])
-    assert _logs_sha(logs) == PINS["quantile_early_stop_logs"]
+                                            V1_BODY_PINS["quantile_early_stop_model"]), ON_KERNEL
+    assert _logs_sha(logs) == PINS["quantile_early_stop_logs"], ON_KERNEL
 
 
 def test_linear_model_bytes_hash(bundle, tmp_path):
     model, _ = train_forecaster("linear", bundle, FITS["linear"])
-    assert _model_shas(model, tmp_path)[0] == PINS["linear_model"]
+    assert _model_shas(model, tmp_path)[0] == PINS["linear_model"], ON_KERNEL
 
 
 def test_linear_prediction_bytes_hash(bundle):
     model, _ = train_forecaster("linear", bundle, FITS["linear"])
     yhat = predict_ttd_windows(model, bundle.val_raw)
-    assert _sha(yhat.tobytes()) == PINS["linear_predictions"]
+    assert _sha(yhat.tobytes()) == PINS["linear_predictions"], ON_KERNEL
 
 
 def _init_params():
@@ -260,7 +271,7 @@ def test_attention_init_params_hash():
     for name in sorted(params):
         h.update(name.encode("utf-8"))
         h.update(params[name].tobytes())
-    assert h.hexdigest() == PINS["attention_init"]
+    assert h.hexdigest() == PINS["attention_init"], ON_KERNEL
 
 
 def test_attention_inference_bytes_hash(bundle):
@@ -269,20 +280,20 @@ def test_attention_inference_bytes_hash(bundle):
     model = ForecastModel(kind="attention", params=_init_params(), window=w, n_channels=d,
                           meta={"heads": 4, "pool": "mean"})
     X = bundle.val_std.take(slice(None))
-    assert len(X) > 2 * INFERENCE_CHUNK and len(X) % INFERENCE_CHUNK  # ends on a partial chunk
+    assert len(X) > 2 * MICRO_BATCH and len(X) % MICRO_BATCH  # ends on a partial micro-batch
     yhat = attention_raw(model, X.__getitem__, len(X))
-    assert _sha(yhat.tobytes()) == PINS["attention_init_inference"]
+    assert _sha(yhat.tobytes()) == PINS["attention_init_inference"], ON_KERNEL
 
 
 def test_attention_model_and_prediction_bytes_hash(bundle, tmp_path):
     model, logs = train_forecaster("attention", bundle, FITS["attention"])
     assert len(logs) == 1
-    assert _model_shas(model, tmp_path)[0] == PINS["attention_model"]
-    assert _logs_sha(logs) == PINS["attention_logs"]
+    assert _model_shas(model, tmp_path)[0] == PINS["attention_model"], ON_KERNEL
+    assert _logs_sha(logs) == PINS["attention_logs"], ON_KERNEL
     X_val = np.stack([win.features for win in bundle.val_raw])
     assert len(X_val) > 128  # crosses inference chunk boundaries
     yhat = predict_ttd_batch(model, X_val)
-    assert _sha(yhat.tobytes()) == PINS["attention_predictions"]
+    assert _sha(yhat.tobytes()) == PINS["attention_predictions"], ON_KERNEL
 
 
 def fit_hashes() -> dict[str, list[str]]:
@@ -303,28 +314,44 @@ def fit_hashes() -> dict[str, list[str]]:
     return hashes
 
 
+def thread_fit_hashes(thread_counts) -> list[dict[str, list[str]]]:
+    """fit_hashes with attention's micro-batches on each of ``thread_counts``
+    threads (the usable-CPU count patched)."""
+    usable_cpus = threads.usable_cpus
+    try:
+        runs = []
+        for n in thread_counts:
+            threads.usable_cpus = lambda n=n: n
+            runs.append(fit_hashes())
+        return runs
+    finally:
+        threads.usable_cpus = usable_cpus
+
+
 def test_fits_do_not_depend_on_blas_threads():
     """Every kind's pinned fit, in fresh processes with OPENBLAS_NUM_THREADS=1
-    and with the variable removed (numpy's default thread count), writes the
-    same model, epoch logs and forecasts in both."""
+    and with the variable removed (numpy's default thread count), each at
+    two micro-batch thread counts, writes the same model, epoch logs and
+    forecasts in all four."""
     tests = Path(__file__).resolve().parent
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]))
-    script = "import json, test_pinned_hashes as t; print(json.dumps(t.fit_hashes()))"
     runs = []
-    for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+    for extra, counts in (({"OPENBLAS_NUM_THREADS": "1"}, (1, 3)), ({}, (2, 4))):
+        script = ("import json, test_pinned_hashes as t; "
+                  f"print(json.dumps(t.thread_fit_hashes({counts})))")
         run = subprocess.run([sys.executable, "-c", script], cwd=tests, env={**env, **extra},
                              capture_output=True, text=True)
         assert run.returncode == 0, f"{extra or 'default threads'}:\n{run.stderr[-3000:]}"
-        runs.append(json.loads(run.stdout))
-    assert runs[0] == runs[1]
+        runs += json.loads(run.stdout)
+    assert all(run == runs[0] for run in runs)
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
 def test_policy_event_hashes(policy_hashes, kind):
-    assert policy_hashes[kind] == EVENT_PINS[kind]
-    assert policy_hashes[f"{kind}:k1"] == EVENT_PINS[f"{kind}:k1"]
+    assert policy_hashes[kind] == EVENT_PINS[kind], ON_KERNEL
+    assert policy_hashes[f"{kind}:k1"] == EVENT_PINS[f"{kind}:k1"], ON_KERNEL
 
 
 def test_capacity_defers_forecast_triggers(policy_hashes):
