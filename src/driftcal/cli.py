@@ -35,6 +35,7 @@ from .models import (
     load_model,
     save_model,
 )
+from .models.threads import blas_kernel
 from .pipeline import (
     evaluate_forecaster,
     forecast_scorer,
@@ -246,7 +247,9 @@ def cmd_train(cfg: RunConfig) -> int:
     )
     model, logs = train_forecaster(cfg.model, bundle, cfg)
     path = _model_path(cfg, cfg.model)
-    save_model(model, path, extra_header={"seed": cfg.seed, "config_digest": cfg.digest()})
+    # the OpenBLAS kernel the fit ran on: a model's bits can differ between kernels
+    save_model(model, path, extra_header={"seed": cfg.seed, "config_digest": cfg.digest(),
+                                          "blas_kernel": blas_kernel()})
     write_csv(
         Path(cfg.out) / f"train_log_{cfg.model}.csv",
         ["epoch", "train_loss", "val_metric", "lr"],

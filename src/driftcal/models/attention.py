@@ -28,6 +28,8 @@ from .nn import (
     gelu_grad,
     layer_norm,
     layer_norm_backward,
+    layer_norm_output,
+    leading_view,
     positional_encoding,
     smooth_l1,
     smooth_l1_grad,
@@ -77,8 +79,8 @@ def n_encoder_layers(params: dict[str, np.ndarray]) -> int:
 # and inference forwards, are cut into micro-batches this size; each runs
 # whole on one thread in that thread's workspace, so activations take
 # threads x MICRO_BATCH windows however large the batch. A default step
-# (64 windows, 2 threads on a 2-CPU host) took 79-80 ms and 47 MB at 16,
-# 70-79 ms and 86 MB at 32, and 84 ms and 30 MB at 8.
+# (64 windows, 2 threads on a 2-CPU host) took 83-87 ms at 16, 85-88 ms at
+# 32 and 95-97 ms at 8; in fresh workspaces it traced 33, 61 and 19 MiB.
 MICRO_BATCH = 16
 
 
@@ -91,9 +93,14 @@ class Workspace:
     a batch of B <= capacity windows works in its leading B rows, which are
     C-contiguous. A forward's cache reads the workspace, so a workspace
     serves one batch at a time: its backward must run before the next
-    forward into the same workspace. Dead values share buffers: all
-    layers write their GELU output into one, and the feed-forward backward
-    writes dg into the layer's u and du into its tanh_u.
+    forward into the same workspace. Each encoder layer keeps only what
+    its backward reads: both norms' xhat and inv, qkv, the attention
+    weights, u and tanh_u. All layers share one buffer for each other
+    value; the backward refills the norm outputs and merged heads by the
+    forward's own ufuncs, and puts its scratch into forward buffers dead
+    by then (the stream's gradient into h, dg into u, du into tanh_u, the
+    Q|K|V gradient into a view of u). A default-size 16-window workspace
+    holds 14.7 MiB.
     """
 
     def __init__(self, capacity: int):
@@ -114,8 +121,8 @@ class Workspace:
         return buf[:B]
 
     def layer_norm(self, name: str, B: int, w: int, dm: int):
-        """The (y, xhat, inv) buffers of one layer norm."""
-        return (self.get(name + ".y", B, w, dm), self.get(name + ".xhat", B, w, dm),
+        """The (y, xhat, inv) buffers of one layer norm; every norm shares y."""
+        return (self.get("ln", B, w, dm), self.get(name + ".xhat", B, w, dm),
                 self.get(name + ".inv", B, w, 1))
 
 
@@ -190,9 +197,9 @@ def mha_forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str, heads
                 ws: Workspace | None = None):
     """Multi-head self-attention over (B, w, d_model) inputs.
 
-    The packed Q|K|V projection, the attention weights and the merged heads,
-    which the backward reads, live in buffers named after ``prefix``; the
-    output in one buffer every sublayer shares.
+    The packed Q|K|V projection and the attention weights, which the
+    backward reads, live in buffers named after ``prefix``; the per-head
+    values, the merged heads and the output in buffers every layer shares.
     """
     B, w, dm = x.shape
     ws = Workspace(B) if ws is None else ws
@@ -205,41 +212,43 @@ def mha_forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str, heads
     attn *= scale  # the scores, then in place their softmax: rows sum to 1
     softmax(attn, axis=-1, out=attn)
     oh = np.matmul(attn, vh, out=ws.get("oh", B, heads, w, dh))
-    merged = _merge_heads(oh, ws.get(prefix + "merged", B, w, dm))
+    merged = _merge_heads(oh, ws.get("merged", B, w, dm))
     out = _mm(merged, params[prefix + "wo"], ws.get("sublayer", B, w, dm))
     out += params[prefix + "bo"]
     cache = {
-        "x": x, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "merged": merged,
+        "x": x, "qh": qh, "kh": kh, "vh": vh, "attn": attn,
         "prefix": prefix, "heads": heads, "scale": scale, "ws": ws,
     }
     return out, cache
 
 
 def mha_backward(dout: np.ndarray, params: dict[str, np.ndarray], cache,
-                 grads: dict) -> np.ndarray:
-    """dx for dout of mha_forward's output; the weight and bias gradients
-    go into ``grads``."""
+                 grads: dict, dqkv: np.ndarray) -> np.ndarray:
+    """dx for dout of mha_forward's output, in the shared sublayer buffer;
+    the weight and bias gradients go into ``grads`` and the Q|K|V gradient
+    into ``dqkv``. The caller must have refilled x's buffer; the merged
+    heads are rebuilt here by the forward's own operations."""
     x, ws = cache["x"], cache["ws"]
     B, w, dm = x.shape
     heads, dh = cache["heads"], dm // cache["heads"]
     prefix = cache["prefix"]
-    grads[prefix + "wo"] = _gram(cache["merged"], dout)
+    oh = np.matmul(cache["attn"], cache["vh"], out=ws.get("oh", B, heads, w, dh))
+    grads[prefix + "wo"] = _gram(_merge_heads(oh, ws.get("merged", B, w, dm)), dout)
     grads[prefix + "bo"] = _sum_rows(dout)
-    dmerged = _mm(dout, params[prefix + "wo"].T, ws.get("d_merged", B, w, dm))
+    # dead forward buffers: the sublayer output's takes dmerged, the per-head values' dheads
+    dmerged = _mm(dout, params[prefix + "wo"].T, ws.get("sublayer", B, w, dm))
     doh = _split_heads(dmerged, heads)
     dattn = np.matmul(doh, cache["vh"].transpose(0, 1, 3, 2),
                       out=ws.get("d_attn", B, heads, w, w))
-    dheads = ws.get("d_heads", B, heads, w, dh)
-    dqkv = ws.get("d_qkv", B, w, 3 * dm)
     dq, dk, dv = np.split(dqkv, 3, axis=-1)  # column views; _merge_heads reshapes them as views
-    _merge_heads(np.matmul(cache["attn"].transpose(0, 1, 3, 2), doh, out=dheads), dv)
+    _merge_heads(np.matmul(cache["attn"].transpose(0, 1, 3, 2), doh, out=oh), dv)
     dscores = softmax_backward(dattn, cache["attn"], out=ws.get("d_scores", B, heads, w, w))
     dscores *= cache["scale"]
-    _merge_heads(np.matmul(dscores, cache["kh"], out=dheads), dq)
-    _merge_heads(np.matmul(dscores.transpose(0, 1, 3, 2), cache["qh"], out=dheads), dk)
+    _merge_heads(np.matmul(dscores, cache["kh"], out=oh), dq)
+    _merge_heads(np.matmul(dscores.transpose(0, 1, 3, 2), cache["qh"], out=oh), dk)
     grads[prefix + "wqkv"] = _gram(x, dqkv)
     grads[prefix + "bqkv"] = _sum_rows(dqkv)
-    return _mm(dqkv, params[prefix + "wqkv"].T, ws.get("d_x", B, w, dm))
+    return _mm(dqkv, params[prefix + "wqkv"].T, dmerged)  # dmerged is dead too
 
 
 def _head(z: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
@@ -298,7 +307,7 @@ def attention_forward_batch(
         f += params[pfx + "ffn.b2"]
         if check:
             check_finite(f, f"enc{i}.ffn")
-        layer_caches.append({"ln1c": ln1c, "attnc": attnc, "ln2c": ln2c, "n2": n2, "u": u,
+        layer_caches.append({"ln1c": ln1c, "attnc": attnc, "ln2c": ln2c, "u": u,
                              "tanh_u": tanh_u})
         h += f
     if pool == "mean":
@@ -314,31 +323,37 @@ def attention_forward_batch(
 def _layer_backward(i: int, c: dict, params: dict[str, np.ndarray], ws: Workspace,
                     grads: dict) -> None:
     """Encoder layer i's backward: its parameter gradients into ``grads``,
-    and the gradient of the residual stream below the layer into buffer
-    d_stream, over the one above it there."""
+    and the gradient of the residual stream below the layer into buffer h,
+    over the one above it there (h is dead once the forward has pooled it)."""
     B, w, dff = c["u"].shape
     dm = params["in_proj.w"].shape[1]
     pfx = f"enc{i}."
     # h_out = h1 + ffn(ln2(h1)); the residual passes dh straight through
-    dh = ws.get("d_stream", B, w, dm)
+    dh = ws.get("h", B, w, dm)
     # g back into the shared buffer, then gelu' over tanh_u and dg over the dead u
     g = gelu_from_tanh(c["u"], c["tanh_u"], ws.get("g", B, w, dff))
     grads[pfx + "ffn.w2"] = _gram(g, dh)
     grads[pfx + "ffn.b2"] = _sum_rows(dh)
     du = gelu_grad(c["u"], c["tanh_u"], out=c["tanh_u"])
     du *= _mm(dh, params[pfx + "ffn.w2"].T, c["u"])
-    grads[pfx + "ffn.w1"] = _gram(c["n2"], du)
+    # the layer norms share one output buffer, refilled just before a GEMM
+    # reads it; in between it is the layer-norm backward's scratch
+    ln = layer_norm_output(c["ln2c"][0], params[pfx + "ln2.g"], params[pfx + "ln2.b"],
+                           ws.get("ln", B, w, dm))
+    grads[pfx + "ffn.w1"] = _gram(ln, du)
     grads[pfx + "ffn.b1"] = _sum_rows(du)
     dn2 = _mm(du, params[pfx + "ffn.w1"].T, ws.get("d_n2", B, w, dm))
     dh1_ln, dgain = layer_norm_backward(dn2, c["ln2c"], out=ws.get("d_ln", B, w, dm),
-                                        scratch=ws.get("d_ln_xhat", B, w, dm))
+                                        scratch=ln)
     grads[pfx + "ln2.g"] = _sum_rows(dgain)
     grads[pfx + "ln2.b"] = _sum_rows(dn2)
-    dh1 = np.add(dh, dh1_ln, out=ws.get("d_h1", B, w, dm))
-    # h1 = h + attn(ln1(h)); dh is dead, and d_stream takes the gradient of h
-    dn1 = mha_backward(dh1, params, c["attnc"], grads)
+    dh1 = np.add(dh, dh1_ln, out=dn2)
+    # h1 = h + attn(ln1(h)); u is dead and a view of it takes the Q|K|V
+    # gradient (3 * d_model <= d_ff); dh's buffer then takes the gradient of h
+    layer_norm_output(c["ln1c"][0], params[pfx + "ln1.g"], params[pfx + "ln1.b"], ln)
+    dn1 = mha_backward(dh1, params, c["attnc"], grads, leading_view(c["u"], (B, w, 3 * dm)))
     dh_ln, dgain = layer_norm_backward(dn1, c["ln1c"], out=ws.get("d_ln", B, w, dm),
-                                       scratch=ws.get("d_ln_xhat", B, w, dm))
+                                       scratch=ln)
     grads[pfx + "ln1.g"] = _sum_rows(dgain)
     grads[pfx + "ln1.b"] = _sum_rows(dn1)
     np.add(dh1, dh_ln, out=dh)
@@ -354,7 +369,7 @@ def attention_backward_batch(dyhat: np.ndarray, params: dict[str, np.ndarray], c
     grads["head.w"] = (cache["z"].T @ dyhat)[:, None]
     grads["head.b"] = np.array([dyhat.sum()])
     dz = dyhat[:, None] * params["head.w"][:, 0][None, :]
-    dh = ws.get("d_stream", B, w, d_model)
+    dh = ws.get("h", B, w, d_model)  # the residual stream is dead once pooled
     if cache["pool"] == "mean":
         np.divide(dz[:, None, :], w, out=dh)
     else:

@@ -37,6 +37,12 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape)
 
 
+def leading_view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading elements of the C-contiguous ``buf`` as an array of
+    ``shape``: one buffer serving values of several shapes."""
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 # -- positional encoding -----------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
@@ -112,9 +118,16 @@ def layer_norm(
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    np.multiply(gain, xhat, out=y)
-    y += bias
-    return y, (xhat, inv, gain)
+    return layer_norm_output(xhat, gain, bias, y), (xhat, inv, gain)
+
+
+def layer_norm_output(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    """gain * xhat + bias into ``out``: layer_norm's output, bit for bit,
+    from its xhat, so a backward can refill it instead of keeping it."""
+    np.multiply(gain, xhat, out=out)
+    out += bias
+    return out
 
 
 def layer_norm_backward(

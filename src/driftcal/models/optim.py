@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import EpochLog, TrainConfig, TrainingDivergedError
-from .nn import NonFiniteError
+from .nn import NonFiniteError, leading_view
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
@@ -46,14 +46,18 @@ def lr_at(step: int, sched: LrSchedule) -> float:
 class AdamWState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]]  # two work buffers per parameter
+    # two work buffers per parameter: views of one pair sized to the largest
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]]
 
 
 def init_adamw_state(params: dict[str, np.ndarray]) -> AdamWState:
+    largest = max((p.size for p in params.values()), default=0)
+    a, b = np.empty(largest), np.empty(largest)
     return AdamWState(
         m={k: np.zeros_like(p) for k, p in params.items()},
         v={k: np.zeros_like(p) for k, p in params.items()},
-        scratch={k: (np.empty_like(p), np.empty_like(p)) for k, p in params.items()},
+        scratch={k: (leading_view(a, p.shape), leading_view(b, p.shape))
+                 for k, p in params.items()},
     )
 
 

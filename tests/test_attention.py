@@ -224,16 +224,25 @@ def test_step_with_a_warm_workspace_allocates_little():
     assert peak < 10 * 2**20  # a step without workspaces allocates 20 MB per thread
 
 
-def test_step_with_a_fresh_workspace_stays_below_85_mb():
-    # one 64-window workspace: every layer shares one GELU output buffer, and
-    # the feed-forward backward reuses u and tanh_u: 76 MB, against 95 MB with
-    # per-layer g, dg and du
+def _fresh_workspace_step_peak() -> int:
+    """Traced peak of a default-size step of 64 windows in one fresh 64-window workspace."""
     params = _default_size_params()
     rng = np.random.default_rng(6)
     X, y = rng.normal(size=(64, 40, 24)), rng.normal(loc=20.0, scale=5.0, size=64)
-    peak = traced_peak(lambda: attention_loss_and_grads(X, y, params, 4, "mean", 1.0,
-                                                         [Workspace(64)]))
-    assert peak < 85 * 2**20
+    return traced_peak(lambda: attention_loss_and_grads(X, y, params, 4, "mean", 1.0,
+                                                        [Workspace(64)]))
+
+
+def test_step_with_a_fresh_workspace_stays_below_85_mb():
+    # a step in one 64-window workspace traces 60 MB at the default size
+    assert _fresh_workspace_step_peak() < 85 * 2**20
+
+
+def test_workspace_keeps_only_what_the_backward_reads():
+    # each layer keeps xhat and inv of both norms, qkv, the attention weights,
+    # u and tanh_u; the norm outputs and merged heads are shared and refilled
+    # by the backward, whose scratch goes into dead forward buffers
+    assert _fresh_workspace_step_peak() < 66 * 2**20
 
 
 def test_fit_memory_does_not_grow_with_the_validation_set():

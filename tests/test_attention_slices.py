@@ -100,6 +100,48 @@ def test_step_does_not_depend_on_the_thread_count(B, n_cpus, pool, w, seed):
         _assert_same_step(_step(n_cpus, batch, y[:rows], params, pool, workspaces), expected)
 
 
+def _directional_error(X, y, params, pool, grads) -> float:
+    """|analytic - central-difference| derivative of the step's loss along a
+    random direction, over the analytic one plus 1."""
+    rng = np.random.default_rng(len(X))
+    step = {name: rng.normal(size=p.shape) for name, p in params.items()}
+
+    def loss_at(t):
+        moved = {name: p + t * step[name] for name, p in params.items()}
+        return attention_loss_and_grads(X, y, moved, HEADS, pool)[0]
+
+    numeric = (loss_at(1e-6) - loss_at(-1e-6)) / 2e-6
+    analytic = sum(float(np.sum(grads[name] * step[name])) for name in params)
+    return abs(numeric - analytic) / (abs(analytic) + 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(B=st.integers(1, 3 * MICRO_BATCH + 2), layers=st.integers(1, 3),
+       n_cpus=st.integers(1, 3), pool=st.sampled_from(["mean", "last"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_warm_workspaces_read_no_stale_value(B, layers, n_cpus, pool, seed):
+    # The backward refills shared buffers and keeps its scratch in forward
+    # buffers that are dead by then. A step in workspaces that other
+    # parameters' forwards and steps, at other batch sizes, left full must
+    # equal a step in fresh ones and the whole batch through one workspace;
+    # its gradient must be the derivative of its loss.
+    rng = np.random.default_rng(seed)
+    params, other = (init_attention_params(rng, 3, 8, HEADS, layers) for _ in range(2))
+    X, y = rng.normal(size=(B, 6, 3)), rng.normal(loc=5.0, scale=3.0, size=B)
+    with _cpus(n_cpus):
+        workspaces = micro_workspaces(3 * MICRO_BATCH + 2)
+        for n in (3 * MICRO_BATCH + 2, max(1, B // 2)):
+            X_other = rng.normal(size=(n, 6, 3))
+            _forward_chunks(X_other.__getitem__, n, other, HEADS, pool, workspaces)
+            attention_loss_and_grads(X_other, rng.normal(size=n), other, HEADS, pool, 1.0,
+                                     workspaces)
+        loss, grads = attention_loss_and_grads(X, y, params, HEADS, pool, 1.0, workspaces)
+        warm = _forward_chunks(X.__getitem__, B, params, HEADS, pool, workspaces), loss, grads
+    _assert_same_step(warm, _step(n_cpus, X, y, params, pool))
+    _assert_same_step(warm, _step(1, X, y, params, pool, [Workspace(min(B, MICRO_BATCH))]))
+    assert _directional_error(X, y, params, pool, grads) < 1e-5  # 1.4e-8 at most in 300 cases
+
+
 def test_a_fresh_workspace_allocates_on_the_calling_thread(monkeypatch):
     # a pool thread's malloc arena would keep the buffers' memory after the
     # workspace is gone, so a round of fresh workspaces runs on this thread

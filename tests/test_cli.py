@@ -17,6 +17,7 @@ from driftcal.cli import RunConfig, build_config, build_parser, main
 from driftcal.labeling import split_engines
 from driftcal.models import (KINDS, NonFiniteError, TrainConfig, TrainingDivergedError,
                              load_model)
+from driftcal.models.threads import blas_kernel
 from driftcal.pipeline import evaluate_forecaster, label_and_window
 from driftcal.util import fmt_float, read_csv, sha256_file
 
@@ -216,6 +217,15 @@ def test_train_determinism_byte_identical_model(tmp_path):
                      "--out", str(out)]) == 0
         outs.append(out / "model_quantile.bin")
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["linear", "quantile"])
+def test_model_header_records_the_blas_kernel(workspace, kind):
+    _, out, _ = workspace
+    path = out / f"model_{kind}.bin"
+    header = json.loads(path.read_bytes().split(b"\n", 2)[1])
+    assert header["blas_kernel"] == blas_kernel()
+    assert load_model(path).kind == kind  # the loader ignores the field
 
 
 def test_train_log_has_one_row_per_epoch(workspace):

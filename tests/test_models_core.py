@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftcal.models.optim import LrSchedule, adamw_step, init_adamw_state, lr_at
+from driftcal.models.attention import init_attention_params
+from driftcal.models.optim import (BETA1, BETA2, EPS, LrSchedule, adamw_step, init_adamw_state,
+                                   lr_at)
 from driftcal.models.nn import (
     _GELU_BLOCK,
     gelu_forward,
@@ -19,7 +21,7 @@ from driftcal.models.nn import (
     softmax,
 )
 
-from oracles import GELU_C0, GELU_C1, gelu, gelu_grad_reference, sinusoidal_pe
+from oracles import GELU_C0, GELU_C1, gelu, gelu_grad_reference, sinusoidal_pe, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +244,33 @@ def test_gelu_grad_matches_finite_difference():
     h = 1e-6
     numeric = (gelu(x + h) - gelu(x - h)) / (2 * h)
     assert np.abs(gelu_grad(x, gelu_forward(x)[1]) - numeric).max() < 1e-8
+
+
+def test_adamw_steps_with_shared_scratch_equal_the_formula():
+    # parameters of several sizes, a large one first: the shared scratch
+    # buffers hold another parameter's values when a smaller one reads them
+    rng = np.random.default_rng(3)
+    shapes = {"a": (7, 5), "b": (3,), "c": (4, 6), "d": (1,)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    state = init_adamw_state(params)
+    lr, wd = 0.05, 0.01
+    for step in (1, 2, 3):
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        adamw_step(params, grads, state, step, lr, weight_decay=wd)
+        for k, g in grads.items():
+            ref[k] *= 1.0 - lr * wd
+            m[k] = m[k] * BETA1 + g * (1.0 - BETA1)
+            v[k] = v[k] * BETA2 + g * g * (1.0 - BETA2)
+            ref[k] -= m[k] / (1.0 - BETA1**step) * lr / (np.sqrt(v[k] / (1.0 - BETA2**step)) + EPS)
+            assert np.array_equal(params[k], ref[k]), k
+
+
+def test_adamw_state_holds_two_moments_and_one_shared_scratch_pair():
+    # the default attention model: m and v are 2x the parameter bytes, and two
+    # scratch buffers of the largest parameter add 0.32x (4x with a pair each)
+    params = init_attention_params(np.random.default_rng(0), 24, 64, 4, 2)
+    param_bytes = sum(p.nbytes for p in params.values())
+    assert traced_peak(lambda: init_adamw_state(params)) < 2.5 * param_bytes
