@@ -8,21 +8,27 @@ repeated drift segments that emulate recalibration.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .cmapss_io import CHANNEL_NAMES, N_CHANNELS, N_SENSORS, SensorTrajectory, sensor_column
-from .util import canonical_json, derive_rng, float_row_format, sha256_bytes
+from .util import canonical_json, derive_rng, float_row_format
 
 NOISE_RESET = "noise-reset"
 STITCH_RESET = "stitch-reset"
 
 ADAPTED_CSV_NAME = "adapted.csv"
 ADAPTED_META_NAME = "adapted_meta.json"
+_CSV_HEADER = ",".join(
+    ["engine_id", "cycle", "segment_id", "reset_flag", "reset_kind", *CHANNEL_NAMES]
+).encode("utf-8") + b"\n"
 
 
 class AdaptationError(ValueError):
@@ -356,19 +362,6 @@ def subset_runs(dataset: AdaptedDataset, engine_ids) -> AdaptedDataset:
 # Canonical serialization
 # ---------------------------------------------------------------------------
 
-def _adapted_csv(dataset: AdaptedDataset) -> str:
-    header = ["engine_id", "cycle", "segment_id", "reset_flag", "reset_kind"] + list(CHANNEL_NAMES)
-    lines = [",".join(header)]
-    row = "%d,%d,%d,%s,%s," + float_row_format(N_CHANNELS)
-    for run in dataset.runs:
-        reset_cycles = {ev.cycle: ev.kind for ev in run.reset_events}
-        rows = zip(run.segment_ids().tolist(), run.channels.tolist())
-        for cycle, (seg_id, values) in enumerate(rows, start=1):
-            kind = reset_cycles.get(cycle, "")
-            lines.append(row % (run.engine_id, cycle, seg_id, "1" if kind else "0", kind, *values))
-    return "\n".join(lines) + "\n"
-
-
 def _metadata_dict(dataset: AdaptedDataset) -> dict:
     return {
         "format": "driftcal-adapted v1",
@@ -392,27 +385,69 @@ def _metadata_dict(dataset: AdaptedDataset) -> dict:
     }
 
 
-def _content_digest(meta_text: str, csv_text: str) -> str:
-    return sha256_bytes(meta_text.encode("utf-8") + b"\n" + csv_text.encode("utf-8"))
+def _run_rows(run: AdaptedRun) -> bytes:
+    """One run's CSV rows, each ending in "\n", as UTF-8."""
+    row = "%d,%d,%d,%s,%s," + float_row_format(N_CHANNELS) + "\n"
+    reset_cycles = {ev.cycle: ev.kind for ev in run.reset_events}
+    rows = zip(run.segment_ids().tolist(), run.channels.tolist())
+    lines = []
+    for cycle, (seg_id, values) in enumerate(rows, start=1):
+        kind = reset_cycles.get(cycle, "")
+        lines.append(row % (run.engine_id, cycle, seg_id, "1" if kind else "0", kind, *values))
+    return "".join(lines).encode("utf-8")
+
+
+def _serialize(dataset: AdaptedDataset, meta: bytes, csv_file=None) -> str:
+    """SHA-256 of ``meta`` (the sidecar's bytes) followed by the CSV's bytes.
+
+    The CSV is formatted one run at a time; each run's bytes are hashed, and
+    written to the binary ``csv_file`` when one is given, before the next
+    run is formatted. So the bytes written are the bytes hashed, and memory
+    holds one run's text, not the file's.
+    """
+    digest = hashlib.sha256(meta)
+    for chunk in chain([_CSV_HEADER], map(_run_rows, dataset.runs)):
+        digest.update(chunk)
+        if csv_file is not None:
+            csv_file.write(chunk)
+    return digest.hexdigest()
+
+
+def _meta_bytes(dataset: AdaptedDataset) -> bytes:
+    """The sidecar's bytes: canonical metadata JSON and a newline."""
+    return (canonical_json(_metadata_dict(dataset)) + "\n").encode("utf-8")
 
 
 def dataset_digest(dataset: AdaptedDataset) -> str:
     """Content hash of the canonical serialization (metadata + CSV)."""
-    return _content_digest(canonical_json(_metadata_dict(dataset)), _adapted_csv(dataset))
+    return _serialize(dataset, _meta_bytes(dataset))
 
 
 def write_adapted_dataset(dataset: AdaptedDataset, out_dir: str | Path) -> dict:
-    """Write canonical CSV + metadata sidecar; returns paths and digest."""
+    """Write canonical CSV + metadata sidecar; returns paths and digest.
+
+    Both files are written under temporary names in ``out_dir`` and moved
+    into place once complete, so a failure part-way leaves any earlier
+    files as they were.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / ADAPTED_CSV_NAME
     meta_path = out_dir / ADAPTED_META_NAME
-    csv_text = _adapted_csv(dataset)
-    meta_text = canonical_json(_metadata_dict(dataset))
-    csv_path.write_text(csv_text, encoding="utf-8")
-    meta_path.write_text(meta_text + "\n", encoding="utf-8")
-    return {"csv": str(csv_path), "metadata": str(meta_path),
-            "digest": _content_digest(meta_text, csv_text)}
+    meta = _meta_bytes(dataset)
+    staged = {path: out_dir / f".{path.name}.{os.urandom(8).hex()}.tmp"
+              for path in (csv_path, meta_path)}
+    try:
+        with open(staged[csv_path], "xb") as f:
+            digest = _serialize(dataset, meta, f)
+        with open(staged[meta_path], "xb") as f:
+            f.write(meta)
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+    return {"csv": str(csv_path), "metadata": str(meta_path), "digest": digest}
 
 
 def _check_key_columns(run: AdaptedRun, block: np.ndarray) -> None:

@@ -7,7 +7,9 @@ grouped per engine and each engine's cycles must run 1..L with no gaps.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ N_SETTINGS = 3
 N_SENSORS = 21
 N_CHANNELS = N_SETTINGS + N_SENSORS
 N_COLUMNS = 2 + N_CHANNELS
+BLOCK_SIZE = 1 << 20  # characters (bytes, for bytes input) of text split into lines at a time
 
 CHANNEL_NAMES: tuple[str, ...] = tuple(
     [f"op_setting_{i}" for i in range(1, N_SETTINGS + 1)]
@@ -84,36 +87,43 @@ def _scan_lines(lines: list[str]) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, N_COLUMNS)
 
 
-def _numeric_table(lines: list[str]) -> np.ndarray:
-    """(rows, 26) values of the non-blank lines, schema-checked.
-
-    One np.loadtxt call parses every line. Only when it fails, or an
-    engine_id or cycle is not a positive integer, does the line scan run, to
-    name the first bad line.
-    """
-    try:
-        table = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return _scan_lines(lines)
+def _ids_are_positive_integers(table: np.ndarray) -> bool:
+    """The table has 26 columns and every engine_id and cycle is a positive integer."""
     ids = table[:, :2]
-    if table.shape[1] != N_COLUMNS or not (
+    return table.shape[1] == N_COLUMNS and bool(
         np.all(np.isfinite(ids)) and np.all(ids == np.trunc(ids)) and np.all(ids >= 1)
-    ):
-        return _scan_lines(lines)
-    return table
+    )
 
 
-def parse_trajectories(text: str | bytes) -> list[SensorTrajectory]:
-    """Parse C-MAPSS text (str, or UTF-8 bytes) into trajectories, in
-    first-appearance engine order. Spaces and tabs both separate columns;
-    blank lines are ignored.
+def _blocks(text: str | bytes, newline: str | bytes) -> Iterator[str | bytes]:
+    """text in blocks of about BLOCK_SIZE, each cut just after a newline."""
+    start = 0
+    while start < len(text):
+        stop = text.find(newline, start + BLOCK_SIZE - 1) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
+
+
+def _parse_blocks(blocks: Iterable[str], whole: Callable[[], str]) -> list[SensorTrajectory]:
+    """Trajectories from text given as blocks that each end just after a
+    "\n", so that splitting every block splits the lines as the whole text
+    splits; ``whole()`` gives the entire text.
+
+    One np.loadtxt call parses every line, one block's lines at a time. Only
+    when it fails, or an engine_id or cycle is not a positive integer, does
+    the line scan of ``whole()`` run, to name the first bad line.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = text.splitlines()
-    if not any(line.strip() for line in lines):
-        return []
-    table = _numeric_table(lines)
+    blocks = iter(blocks)
+    try:
+        first = next((block for block in blocks if not block.isspace()), None)
+        if first is None:
+            return []
+        lines = (line for block in chain([first], blocks) for line in block.splitlines())
+        table = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:  # a line loadtxt cannot read, or bytes that are not UTF-8
+        table = None
+    if table is None or not _ids_are_positive_integers(table):
+        table = _scan_lines(whole().splitlines())
     _, first_row, inverse = np.unique(table[:, 0], return_index=True, return_inverse=True)
     # rows by the engine's first row (first-appearance order), then by cycle;
     # lexsort is stable, so repeated cycles keep their file order
@@ -136,9 +146,25 @@ def parse_trajectories(text: str | bytes) -> list[SensorTrajectory]:
     return trajectories
 
 
+def parse_trajectories(text: str | bytes) -> list[SensorTrajectory]:
+    """Parse C-MAPSS text (str, or UTF-8 bytes) into trajectories, in
+    first-appearance engine order. Spaces and tabs both separate columns;
+    blank lines are ignored.
+
+    The text is split into lines a block at a time; bytes are decoded a
+    block at a time too (a b"\n" never falls inside a UTF-8 sequence).
+    """
+    if isinstance(text, bytes):
+        return _parse_blocks((block.decode("utf-8") for block in _blocks(text, b"\n")),
+                             lambda: text.decode("utf-8"))
+    return _parse_blocks(_blocks(text, "\n"), lambda: text)
+
+
 def load_trajectories(path: str | Path) -> list[SensorTrajectory]:
+    """Parse a C-MAPSS file, read a block at a time."""
     with open(path, "r", encoding="utf-8") as f:
-        return parse_trajectories(f.read())
+        blocks = iter(lambda: f.read(BLOCK_SIZE) + f.readline(), "")
+        return _parse_blocks(blocks, lambda: Path(path).read_text(encoding="utf-8"))
 
 
 def serialize_trajectories(trajs: list[SensorTrajectory]) -> str:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -70,9 +71,14 @@ class Windows:
         """(w, d) of every window."""
         return self.w, self.channels.shape[1]
 
+    @cached_property
+    def _by_start(self) -> np.ndarray:
+        """(rows - w + 1, w, d) read-only view: entry r is the window starting at row r."""
+        return sliding_window_view(self.channels, self.shape)[:, 0]
+
     def take(self, idx) -> np.ndarray:
         """Contiguous (k, w, d) copy of the windows an index array or slice selects."""
-        return sliding_window_view(self.channels, self.shape)[:, 0][self.start[idx]]
+        return self._by_start[self.start[idx]]
 
     def subset(self, keep) -> Windows:
         """The windows a mask or index array selects, over the same channels."""
@@ -158,8 +164,14 @@ class Standardizer:
 
 
 def _carry_sum(total: np.ndarray | None, cells: np.ndarray) -> np.ndarray:
-    """total plus the column sums of cells, added row by row after it."""
-    return np.add.reduce(cells if total is None else np.concatenate([total[None], cells]), axis=0)
+    """total plus the column sums of cells, added row by row after it.
+
+    total is added into cells' first row in place (``total + row`` and
+    ``row + total`` are the same float), so cells is overwritten.
+    """
+    if total is not None:
+        cells[0] += total
+    return np.add.reduce(cells, axis=0)
 
 
 def fit_standardizer(train: Windows) -> Standardizer:
@@ -168,7 +180,8 @@ def fit_standardizer(train: Windows) -> Standardizer:
 
     numpy sums the rows of a stack of more than one column in order, so
     sums that carry their running total into the next chunk equal the
-    whole-stack sums bit for bit.
+    whole-stack sums bit for bit. This relies on d >= 2 (the schema has 24
+    channels): numpy sums a single column pairwise.
     """
     if not train:
         raise ValueError("cannot fit a standardizer on an empty window set")
@@ -178,8 +191,8 @@ def fit_standardizer(train: Windows) -> Standardizer:
     total, squares, varies = None, None, np.zeros(d, dtype=bool)
     for rows in chunks:
         cells = train.take(rows).reshape(-1, d)
-        total = _carry_sum(total, cells)
         varies |= (cells != first).any(axis=0)
+        total = _carry_sum(total, cells)
     mean = total / n_cells
     for rows in chunks:
         cells = train.take(rows).reshape(-1, d)

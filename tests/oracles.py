@@ -14,10 +14,15 @@ Helpers that only tests use live here too: a trajectory summary, an
 intercept-only pinball fit, which does run the library's training loop,
 parameter flattening for the finite-difference checks, a window set
 built from given window arrays, and the traced peak of a call.
+
+The adapted CSV and its digest are built here as whole strings, and
+trajectory text is parsed from the list of all its lines, as the library
+did before it wrote, hashed and parsed text a run or a block at a time.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -26,8 +31,16 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from driftcal.adaptation import AdaptedDataset, AdaptedRun
-from driftcal.cmapss_io import SensorTrajectory, sensor_column
+from driftcal.adaptation import AdaptedDataset, AdaptedRun, _metadata_dict
+from driftcal.cmapss_io import (
+    CHANNEL_NAMES,
+    N_CHANNELS,
+    N_COLUMNS,
+    SchemaError,
+    SensorTrajectory,
+    _scan_lines,
+    sensor_column,
+)
 from driftcal.labeling import Windows
 from driftcal.models import TrainConfig, predict_quantiles_batch, predict_ttd_batch
 from driftcal.models.attention import attention_forward_batch
@@ -49,6 +62,7 @@ from driftcal.scheduler import (
     rank_by_urgency,
     total_cost,
 )
+from driftcal.util import canonical_json, float_row_format
 
 GELU_C0 = math.sqrt(2.0 / math.pi)
 GELU_C1 = 0.044715
@@ -491,3 +505,61 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def reference_adapted_csv(dataset: AdaptedDataset) -> str:
+    """The adapted CSV as one string, joined from every row's string."""
+    header = ["engine_id", "cycle", "segment_id", "reset_flag", "reset_kind"] + list(CHANNEL_NAMES)
+    lines = [",".join(header)]
+    row = "%d,%d,%d,%s,%s," + float_row_format(N_CHANNELS)
+    for run in dataset.runs:
+        reset_cycles = {ev.cycle: ev.kind for ev in run.reset_events}
+        rows = zip(run.segment_ids().tolist(), run.channels.tolist())
+        for cycle, (seg_id, values) in enumerate(rows, start=1):
+            kind = reset_cycles.get(cycle, "")
+            lines.append(row % (run.engine_id, cycle, seg_id, "1" if kind else "0", kind, *values))
+    return "\n".join(lines) + "\n"
+
+
+def reference_dataset_digest(dataset: AdaptedDataset) -> str:
+    """SHA-256 of the metadata text, "\n" and the whole CSV, concatenated."""
+    meta_text = canonical_json(_metadata_dict(dataset))
+    csv_text = reference_adapted_csv(dataset)
+    return hashlib.sha256(meta_text.encode("utf-8") + b"\n" + csv_text.encode("utf-8")).hexdigest()
+
+
+def reference_parse_trajectories(text: str | bytes) -> list[SensorTrajectory]:
+    """Trajectories from the list of all the text's lines: one np.loadtxt
+    call over the list, and the library's line scan over the same list when
+    that fails or an engine_id or cycle is not a positive integer."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    lines = text.splitlines()
+    if not any(line.strip() for line in lines):
+        return []
+    try:
+        table = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        ids = table[:, :2]
+        fast = table.shape[1] == N_COLUMNS and (
+            np.all(np.isfinite(ids)) and np.all(ids == np.trunc(ids)) and np.all(ids >= 1)
+        )
+    except ValueError:
+        fast = False
+    if not fast:
+        table = _scan_lines(lines)
+    _, first_row, inverse = np.unique(table[:, 0], return_index=True, return_inverse=True)
+    order = np.lexsort((table[:, 1], first_row[inverse]))
+    engine_col, cycles, channels = table[order, 0], table[order, 1], table[order, 2:]
+    starts = np.flatnonzero(np.concatenate(([True], engine_col[1:] != engine_col[:-1])))
+    stops = np.append(starts[1:], len(order))
+    trajectories = []
+    for start, stop in zip(starts.tolist(), stops.tolist()):
+        engine_id = int(engine_col[start])
+        mismatch = np.flatnonzero(cycles[start:stop] != np.arange(1, stop - start + 1))
+        if mismatch.size:
+            raise SchemaError(
+                f"engine {engine_id}: cycles are not contiguous 1..{stop - start} "
+                f"(first mismatch near cycle {int(cycles[start + mismatch[0]])})"
+            )
+        trajectories.append(SensorTrajectory(engine_id=engine_id, channels=channels[start:stop]))
+    return trajectories

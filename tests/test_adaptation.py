@@ -1,3 +1,4 @@
+import os
 import tempfile
 
 import numpy as np
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from driftcal import adaptation
 from driftcal.adaptation import (
     ADAPTED_CSV_NAME,
+    ADAPTED_META_NAME,
     NOISE_RESET,
     STITCH_RESET,
     AdaptationConfig,
@@ -24,12 +27,22 @@ from driftcal.adaptation import (
     rank_drift_sensors,
     read_adapted_dataset,
     spearman_rho,
+    subset_runs,
     synthesize_resets,
     write_adapted_dataset,
 )
 from driftcal.cmapss_io import N_CHANNELS, SensorTrajectory, sensor_column
+from driftcal.synthetic import synthetic_trajectories
+from driftcal.util import canonical_json
 
-from oracles import oracle_average_ranks, oracle_spearman, threshold_crossed
+from oracles import (
+    oracle_average_ranks,
+    oracle_spearman,
+    reference_adapted_csv,
+    reference_dataset_digest,
+    threshold_crossed,
+    traced_peak,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +434,77 @@ def test_write_read_returns_channels_bit_for_bit(dataset):
         nan = np.isnan(a.channels)
         assert np.array_equal(nan, np.isnan(b.channels))
         assert np.array_equal(a.channels[~nan].view(np.uint64), b.channels[~nan].view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_adapted_datasets())
+def test_streamed_files_and_digest_equal_the_whole_text(dataset):
+    """Run-by-run writing and hashing give the bytes and digest of the CSV
+    built as one string."""
+    with tempfile.TemporaryDirectory() as out:
+        written = write_adapted_dataset(dataset, out)
+        with open(written["csv"], "rb") as f:
+            csv_bytes = f.read()
+        with open(written["metadata"], "rb") as f:
+            meta_bytes = f.read()
+    assert csv_bytes == reference_adapted_csv(dataset).encode("utf-8")
+    assert meta_bytes == (canonical_json(adaptation._metadata_dict(dataset)) + "\n").encode()
+    assert written["digest"] == dataset_digest(dataset) == reference_dataset_digest(dataset)
+
+
+def _file_bytes(out) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+def test_failed_write_leaves_earlier_files_as_they_were(tmp_path, small_dataset, monkeypatch):
+    write_adapted_dataset(small_dataset, tmp_path)
+    before = _file_bytes(tmp_path)
+    formatted = []
+
+    def rows_then_fail(run):
+        if formatted:
+            raise RuntimeError("formatting failed")
+        formatted.append(run.engine_id)
+        return b"partial\n"
+
+    monkeypatch.setattr(adaptation, "_run_rows", rows_then_fail)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_adapted_dataset(subset_runs(small_dataset, [2, 3]), tmp_path)
+    assert formatted  # the first run's rows were written before the failure
+    assert _file_bytes(tmp_path) == before
+    assert sorted(before) == [ADAPTED_CSV_NAME, ADAPTED_META_NAME]
+
+
+def test_failed_first_write_leaves_no_file(tmp_path, small_dataset, monkeypatch):
+    def fail(run):
+        raise RuntimeError("formatting failed")
+
+    monkeypatch.setattr(adaptation, "_run_rows", fail)
+    with pytest.raises(RuntimeError):
+        write_adapted_dataset(small_dataset, tmp_path / "out")
+    assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.fixture(scope="module")
+def fleets():
+    """Adapted synthetic fleets of 20 and 200 engines."""
+    return [adapt_dataset(synthetic_trajectories(n, seed=3, length_range=(130, 360)), seed=3)
+            for n in (20, 200)]
+
+
+def test_write_memory_does_not_grow_with_the_fleet(fleets, tmp_path):
+    """The write holds the metadata and one run's text. Building the whole
+    CSV as one string traced 7.4 MB at 20 engines and 70.8 MB at 200."""
+    peaks = [traced_peak(lambda: write_adapted_dataset(ds, tmp_path / str(len(ds.runs))))
+             for ds in fleets]
+    assert peaks[1] - peaks[0] < 2e6
+
+
+def test_digest_memory_does_not_grow_with_the_fleet(fleets):
+    """As for the write: 7.4 MB at 20 engines and 71.0 MB at 200 before the
+    digest was streamed."""
+    peaks = [traced_peak(lambda: dataset_digest(ds)) for ds in fleets]
+    assert peaks[1] - peaks[0] < 2e6
 
 
 def _tamper(path, engine_id, row_in_run, column, edit):

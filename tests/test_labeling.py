@@ -278,6 +278,15 @@ def test_constant_channel_floored_and_zeroed():
     assert np.all(std.transform(windows.channels)[:, 5] == 0.0)
 
 
+def test_constant_channel_zeroed_across_chunks():
+    """Later chunks carry the running total in their first row; a constant
+    channel must still be found constant from the untouched cells."""
+    windows = _random_windows(n=WINDOW_CHUNK + 600, constant_channel=5)
+    std = fit_standardizer(windows)
+    assert std.mean[5] == 3.14
+    assert np.all(std.transform(windows.channels)[:, 5] == 0.0)
+
+
 def test_train_stats_differ_from_val_stats():
     train = _random_windows(seed=1)
     # shift the validation distribution so the two transforms must differ
