@@ -32,7 +32,7 @@ from .models import (
     NonFiniteError,
     TrainConfig,
     TrainingDivergedError,
-    load_model,
+    read_model,
     save_model,
 )
 from .models.threads import blas_kernel
@@ -208,6 +208,22 @@ def _model_path(cfg: RunConfig, kind: str) -> Path:
     return Path(cfg.out) / f"model_{kind}.bin"
 
 
+def _load_model(cfg: RunConfig, path: Path, val: AdaptedDataset):
+    """The model saved at path, refused when it was trained on an engine
+    that cfg's split holds out for validation. A file without the header's
+    train_engines is not checked."""
+    model, header = read_model(path)
+    engines = header.get("train_engines", [])
+    if not (isinstance(engines, list) and all(type(engine) is int for engine in engines)):
+        raise ValueError(f"{path} is malformed: train_engines {engines!r} is not a list of ids")
+    shared = sorted(set(engines) & {run.engine_id for run in val.runs})
+    if shared:
+        raise ValueError(f"{path} was trained at seed {header.get('seed')} on engine "
+                         f"{shared[0]}, which seed {cfg.seed} holds out for validation; "
+                         f"retrain it at seed {cfg.seed}")
+    return model
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -249,7 +265,8 @@ def cmd_train(cfg: RunConfig) -> int:
     path = _model_path(cfg, cfg.model)
     # the OpenBLAS kernel the fit ran on: a model's bits can differ between kernels
     save_model(model, path, extra_header={"seed": cfg.seed, "config_digest": cfg.digest(),
-                                          "blas_kernel": blas_kernel()})
+                                          "blas_kernel": blas_kernel(),
+                                          "train_engines": list(bundle.split.train_engines)})
     write_csv(
         Path(cfg.out) / f"train_log_{cfg.model}.csv",
         ["epoch", "train_loss", "val_metric", "lr"],
@@ -303,8 +320,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         path = _model_path(cfg, kind)
         if not path.exists():
             continue
-        model = load_model(path)
-        report, y, yhat = evaluate_forecaster(model, windows)
+        report, y, yhat = evaluate_forecaster(_load_model(cfg, path, val), windows)
         rows.append(
             [kind, fmt_float(report.mae), fmt_float(report.rmse),
              "nan" if report.r2 is None else fmt_float(report.r2), str(report.n)]
@@ -346,14 +362,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
         if cfg.oracle_scorer:
             scorers["predictive"] = oracle_scorer(val)
         else:
-            scorers["predictive"] = forecast_scorer(load_model(_model_path(cfg, cfg.model)), val)
+            model = _load_model(cfg, _model_path(cfg, cfg.model), val)
+            scorers["predictive"] = forecast_scorer(model, val)
     if "quantile" in kinds:
         qpath = _model_path(cfg, "quantile")
         if not qpath.exists():
             raise FileNotFoundError(
                 f"quantile policy requires a trained quantile model ({qpath} missing)"
             )
-        scorers["quantile"] = forecast_scorer(load_model(qpath), val, use_quantile=True)
+        scorers["quantile"] = forecast_scorer(_load_model(cfg, qpath, val), val,
+                                              use_quantile=True)
 
     rows = []
     for kind in kinds:

@@ -52,15 +52,16 @@ class Windows:
 
     Window i is rows ``start[i] .. start[i] + w - 1`` of ``channels``; it
     ends at cycle ``end_cycle[i]`` of engine ``engine_id[i]`` and is
-    labelled with the TTD at that cycle. No window is copied until ``take``
-    gathers a batch.
+    labelled with the TTD at that cycle, stored as a float: the target every
+    fit reads (``Window.label`` gives it as an int). No window is copied
+    until ``take`` gathers a batch.
     """
 
     channels: np.ndarray  # (rows, d) float64
     w: int
-    start: np.ndarray  # (n,) int64, as are the arrays below
-    label: np.ndarray
-    engine_id: np.ndarray
+    start: np.ndarray  # (n,) int64
+    label: np.ndarray  # (n,) float64, whole numbers of cycles
+    engine_id: np.ndarray  # (n,) int64, as is end_cycle
     end_cycle: np.ndarray
 
     def __len__(self) -> int:
@@ -119,7 +120,8 @@ def window_runs(runs, w: int = 40, stride: int = 1, allow_cross_reset: bool = Tr
         columns.append((offset + ends - w, compute_ttd(run)[ends - 1],
                         np.full(len(ends), run.engine_id), ends))
         offset += run.length
-    per_window = (np.concatenate(column).astype(np.int64, copy=False) for column in zip(*columns))
+    dtypes = (np.int64, np.float64, np.int64, np.int64)  # float labels are the fits' targets
+    per_window = (np.concatenate(c).astype(t, copy=False) for c, t in zip(zip(*columns), dtypes))
     return Windows(np.concatenate([run.channels for run in runs]), w, *per_window)
 
 

@@ -11,6 +11,7 @@ from .base import (
     TrainConfig,
     TrainingDivergedError,
     load_model,
+    read_model,
     save_model,
 )
 from .linear import fit_linear

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from ..labeling import Standardizer, Windows
+from ..labeling import Windows
 from .base import EpochLog, ForecastModel, TrainConfig, validation_set
 from .nn import (
     NonFiniteError,
@@ -420,10 +420,7 @@ def attention_loss_and_grads(X, y, params, heads, pool="mean", beta: float = 1.0
 
 
 def train_attention(
-    train_windows: Windows,
-    val_windows: Windows,
-    cfg: TrainConfig,
-    standardizer: Standardizer | None = None,
+    train_windows: Windows, val_windows: Windows, cfg: TrainConfig
 ) -> tuple[ForecastModel, list[EpochLog]]:
     """SmoothL1 + AdamW + warmup/cosine, early stopping on validation MAE.
 
@@ -453,7 +450,7 @@ def train_attention(
             val_mae,
             params,
             train_windows.take,
-            train_windows.label.astype(np.float64),
+            train_windows.label,
             cfg,
             np.random.default_rng([cfg.seed, 2]),
         )
@@ -463,7 +460,6 @@ def train_attention(
         params=best_params,
         window=w,
         n_channels=d,
-        standardizer=standardizer,
         meta={
             "d_model": cfg.d_model,
             "heads": cfg.heads,

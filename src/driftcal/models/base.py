@@ -126,6 +126,12 @@ def save_model(model: ForecastModel, path: str | Path, extra_header: dict | None
 
 def load_model(path: str | Path) -> ForecastModel:
     """Read a save_model file; a malformed one raises one ValueError naming it."""
+    return read_model(path)[0]
+
+
+def read_model(path: str | Path) -> tuple[ForecastModel, dict]:
+    """A save_model file's model and its whole header, the extra_header
+    fields included; a malformed file raises one ValueError naming it."""
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n").decode("utf-8", "replace")
         if magic != MODEL_MAGIC:
@@ -149,7 +155,7 @@ def load_model(path: str | Path) -> ForecastModel:
                     raise ValueError(f"standardizer {name} of shape {values.shape}, "
                                      f"expected ({header['n_channels']},)")
             standardizer = Standardizer(**stats)
-        return ForecastModel(
+        model = ForecastModel(
             kind=header["kind"],
             params=params,
             window=header["window"],
@@ -157,6 +163,7 @@ def load_model(path: str | Path) -> ForecastModel:
             standardizer=standardizer,
             meta=header["meta"],
         )
+        return model, header
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from exc
 
@@ -168,4 +175,4 @@ def validation_set(train: Windows, val: Windows) -> np.ndarray:
         raise ValueError("need non-empty train and validation window sets")
     if val.shape != train.shape:
         raise ValueError(f"validation window shape {val.shape} != train {train.shape}")
-    return val.label.astype(np.float64)
+    return val.label

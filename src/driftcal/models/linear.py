@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..labeling import WINDOW_CHUNK, Standardizer, Windows, window_chunks
+from ..labeling import WINDOW_CHUNK, Windows, window_chunks
 from .base import ForecastModel
 from .threads import one_blas_thread
 
@@ -14,11 +14,7 @@ class SingularSystemError(np.linalg.LinAlgError):
     """Normal equations are singular; retry with ridge > 0."""
 
 
-def fit_linear(
-    windows: Windows,
-    ridge: float = 1e-6,
-    standardizer: Standardizer | None = None,
-) -> ForecastModel:
+def fit_linear(windows: Windows, ridge: float = 1e-6) -> ForecastModel:
     """Fit regularized least squares with intercept on flattened windows."""
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
@@ -38,7 +34,7 @@ def fit_linear(
             block = A[: rows.stop - first]
             block[:, :-1] = windows.take(rows).reshape(-1, p)
             G += block.T @ block
-            b += block.T @ windows.label[rows].astype(np.float64)
+            b += block.T @ windows.label[rows]
         # the ridge penalizes the feature coefficients only, never the intercept
         G[np.arange(p), np.arange(p)] += ridge
         try:
@@ -53,7 +49,6 @@ def fit_linear(
         params={"coef": beta[:-1].copy(), "intercept": beta[-1:].copy()},
         window=w,
         n_channels=d,
-        standardizer=standardizer,
         meta={"ridge": ridge},
     )
 

@@ -18,10 +18,11 @@ from .quantile import QUANTILES, fit_quantile, quantile_raw
 
 
 class Kind(NamedTuple):
-    """One forecaster kind: its fit, called as (train, val, cfg,
-    standardizer) -> (model, epoch logs); its raw point forecasts, called as
-    (model, take, n) for the n standardized windows (k, w, d) that
-    take(rows) gathers; and the metric its epoch logs record."""
+    """One forecaster kind: its fit, called as (train, val, cfg) -> (model
+    without a standardizer, epoch logs) on standardized windows; its raw
+    point forecasts, called as (model, take, n) for the n standardized
+    windows (k, w, d) that take(rows) gathers; and the metric its epoch logs
+    record."""
 
     fit: Callable
     raw_point: Callable
@@ -30,8 +31,7 @@ class Kind(NamedTuple):
 
 # each fit looks its function up when called, so a wrapped module attribute runs
 KINDS = {
-    "linear": Kind(lambda train, val, cfg, std: (fit_linear(train, cfg.ridge, std), []),
-                   linear_raw, "none"),
+    "linear": Kind(lambda train, val, cfg: (fit_linear(train, cfg.ridge), []), linear_raw, "none"),
     "quantile": Kind(lambda *args: fit_quantile(*args),
                      lambda *args: quantile_raw(*args)[:, QUANTILES.index(0.5)],
                      "pinball"),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..labeling import Standardizer, Windows, window_chunks
+from ..labeling import Windows, window_chunks
 from .base import EpochLog, ForecastModel, TrainConfig, validation_set
 from .nn import check_finite, pinball_grad, pinball_loss, tanh_grad, xavier_uniform
 from .optim import fit_minibatch
@@ -71,10 +71,7 @@ def quantile_loss_and_grads(Xf, y, params):
 
 
 def fit_quantile(
-    train_windows: Windows,
-    val_windows: Windows,
-    cfg: TrainConfig,
-    standardizer: Standardizer | None = None,
+    train_windows: Windows, val_windows: Windows, cfg: TrainConfig
 ) -> tuple[ForecastModel, list[EpochLog]]:
     """Mini-batch AdamW on summed pinball losses at the QUANTILES levels;
     early stopping on the validation pinball loss with cfg.patience."""
@@ -95,7 +92,7 @@ def fit_quantile(
             val_pinball,
             params,
             lambda idx: train_windows.take(idx).reshape(len(idx), -1),
-            train_windows.label.astype(np.float64),
+            train_windows.label,
             cfg,
             np.random.default_rng([cfg.seed, 4]),
         )
@@ -104,7 +101,6 @@ def fit_quantile(
         params=best_params,
         window=w,
         n_channels=d,
-        standardizer=standardizer,
         meta={"quantiles": list(QUANTILES), "hidden_width": cfg.hidden_width},
     )
     return model, logs

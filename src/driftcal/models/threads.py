@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import functools
-import itertools
 import os
 import threading
 from contextlib import contextmanager
@@ -90,34 +89,25 @@ _pool = None  # (pid of its process, ThreadPoolExecutor)
 def run_tasks(tasks) -> list:
     """Results of the no-argument callables ``tasks``, in order.
 
-    This thread and up to n_threads() - 1 threads of a pool, made on first
-    use, take the tasks in turn until none is left; a pool thread runs in
-    a copy of the caller's context, so numpy's error state holds in it. No
-    task is still running when a failure is raised.
+    This thread runs the first task and the threads of a pool, made on first
+    use with n_threads() - 1 of them, run the others: one task each when
+    there are no more tasks than n_threads(). A pool thread runs in a copy of
+    the caller's context, so numpy's error state holds in it. No task is
+    still running when a failure is raised.
     """
-    n = min(len(tasks), n_threads())
-    if n <= 1:
+    if min(len(tasks), n_threads()) <= 1:
         return [task() for task in tasks]
     global _pool
     with _pool_lock:
         if _pool is None or _pool[0] != os.getpid():  # a forked child has no pool threads
             # imported here, not with the module: it adds ~10 ms to every start-up
             from concurrent.futures import ThreadPoolExecutor
-            _pool = os.getpid(), ThreadPoolExecutor(n - 1, "driftcal-micro-batches")
+            _pool = os.getpid(), ThreadPoolExecutor(n_threads() - 1, "driftcal-micro-batches")
         pool = _pool[1]
-    outcomes: list = [None] * len(tasks)
-    turns = itertools.count()  # next() on it is atomic
-
-    def take_turns():
-        while (k := next(turns)) < len(tasks):
-            outcomes[k] = tasks[k]()
-
-    helpers = [pool.submit(contextvars.copy_context().run, take_turns) for _ in range(n - 1)]
+    others = [pool.submit(contextvars.copy_context().run, task) for task in tasks[1:]]
     try:
-        take_turns()
+        first = tasks[0]()
     finally:
-        for helper in helpers:
-            helper.exception()  # waits for the helper; its failure is raised below
-    for helper in helpers:
-        helper.result()
-    return outcomes
+        for other in others:
+            other.exception()  # waits for the task; its failure is raised below
+    return [first, *(other.result() for other in others)]

@@ -79,17 +79,18 @@ def label_and_window(
 def train_forecaster(
     kind: str, bundle: WindowBundle, cfg: TrainConfig
 ) -> tuple[ForecastModel, list[EpochLog]]:
-    """Fit one forecaster of a KINDS kind on the bundle's standardized train windows."""
-    return kind_of(kind).fit(bundle.train_std, bundle.val_std, cfg, bundle.standardizer)
+    """Fit one forecaster of a KINDS kind on the bundle's standardized train
+    windows; the model carries the bundle's standardizer."""
+    model, logs = kind_of(kind).fit(bundle.train_std, bundle.val_std, cfg)
+    return replace(model, standardizer=bundle.standardizer), logs
 
 
 def evaluate_forecaster(
     model: ForecastModel, windows_raw: Windows
 ) -> tuple[RegressionReport, np.ndarray, np.ndarray]:
     """Validation metrics plus (true, predicted) pairs for scatter output."""
-    y = windows_raw.label.astype(np.float64)
     yhat = predict_ttd_windows(model, windows_raw)
-    return regression_metrics(y, yhat), y, yhat
+    return regression_metrics(windows_raw.label, yhat), windows_raw.label, yhat
 
 
 def forecast_scorer(

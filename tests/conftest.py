@@ -1,10 +1,18 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftcal.adaptation import AdaptationConfig, adapt_dataset
+from driftcal.models import threads
 from driftcal.synthetic import synthetic_trajectories
+
+
+def pytest_report_header(config):
+    """The host facts the pinned hashes depend on, at the head of the log."""
+    return (f"driftcal: OpenBLAS kernel {threads.blas_kernel()}, "
+            f"{threads.usable_cpus()} usable CPUs, numpy {np.__version__}")
 
 
 def fd001_train_path() -> Path | None:

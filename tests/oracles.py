@@ -156,7 +156,7 @@ def windows_of(features, labels) -> Windows:
     n, w, d = features.shape
     ids = np.arange(n, dtype=np.int64)
     return Windows(channels=features.reshape(n * w, d), w=w, start=ids * w,
-                   label=np.asarray(labels).astype(np.int64), engine_id=np.ones(n, np.int64),
+                   label=np.asarray(labels, dtype=np.float64), engine_id=np.ones(n, np.int64),
                    end_cycle=ids * w + w)
 
 

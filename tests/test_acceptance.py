@@ -243,8 +243,8 @@ def test_criterion_07_leak_freedom_and_determinism(tmp_path):
         max_epochs=2, batch_size=64, base_lr=3e-4, warmup_steps=10, patience=6,
         seed=7, d_model=16, heads=2, layers=1,
     )
-    model_a, _ = train_attention(bundle.train_std, bundle.val_std, cfg, bundle.standardizer)
-    model_b, _ = train_attention(bundle.train_std, bundle.val_std, cfg, bundle.standardizer)
+    model_a, _ = train_attention(bundle.train_std, bundle.val_std, cfg)
+    model_b, _ = train_attention(bundle.train_std, bundle.val_std, cfg)
     save_model(model_a, tmp_path / "a.bin")
     save_model(model_b, tmp_path / "b.bin")
     identical = (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()

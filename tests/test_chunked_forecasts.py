@@ -100,8 +100,8 @@ def _sliding(n, seed):
     rng = np.random.default_rng(seed)
     ends = np.arange(W, n + W)
     return Windows(rng.normal(size=(n + W - 1, D)), W, start=ends - W,
-                   label=rng.integers(0, 60, size=n), engine_id=np.zeros(n, np.int64),
-                   end_cycle=ends)
+                   label=rng.integers(0, 60, size=n).astype(np.float64),
+                   engine_id=np.zeros(n, np.int64), end_cycle=ends)
 
 
 # a few chunks of windows, plus per window the quantile hidden layer and

@@ -591,6 +591,19 @@ def _with_one_channel_standardizer(field: str):
     return edit
 
 
+def _with_train_engines(value):
+    """An edit that sets the header's train_engines to ``value``, or drops
+    the field for None."""
+    def edit(data: bytes) -> bytes:
+        magic, header, blob = data.split(b"\n", 2)
+        fields = json.loads(header)
+        fields["train_engines"] = value
+        if value is None:
+            del fields["train_engines"]
+        return b"\n".join([magic, json.dumps(fields).encode("utf-8"), blob])
+    return edit
+
+
 @pytest.mark.parametrize(
     ("name", "edit", "message"),
     [("model_linear.bin", _with_header(b"[1]"),
@@ -606,9 +619,14 @@ def _with_one_channel_standardizer(field: str):
       r" is malformed: ValueError: standardizer mean of shape \(1,\), expected \(\d+,\)"),
      ("model_linear.bin", _with_one_channel_standardizer("std"),
       r" is malformed: ValueError: standardizer std of shape \(1,\), expected \(\d+,\)"),
+     ("model_linear.bin", _with_train_engines(5),
+      r" is malformed: train_engines 5 is not a list of ids"),
+     ("model_linear.bin", _with_train_engines([1, "2"]),
+      r" is malformed: train_engines \[1, '2'\] is not a list of ids"),
      ("adapted_meta.json", lambda data: b"[1]", " is malformed: not a JSON object")],
     ids=["header_list", "header_no_params", "truncated", "extra_bytes", "v1_magic",
-         "standardizer_mean", "standardizer_std", "metadata_list"],
+         "standardizer_mean", "standardizer_std", "train_engines_int", "train_engines_mixed",
+         "metadata_list"],
 )
 def test_malformed_file_prints_one_error_line(workspace, tmp_path, capsys, name, edit, message):
     root, out, _ = workspace
@@ -680,3 +698,46 @@ def test_unknown_policy_fails_before_any_replay(workspace, tmp_path, capsys):
     assert captured.err.count("error:") == 1 and captured.out == ""
     assert {path.name: path.read_bytes() for path in copy.iterdir()} == before
     assert "events_reactive.csv" in before
+
+
+@pytest.fixture(scope="module")
+def trained_at_seed_7(workspace, tmp_path_factory):
+    """A copy of the workspace whose two models were retrained at seed 7."""
+    root, out, _ = workspace
+    copy = tmp_path_factory.mktemp("seed_7") / "out"
+    shutil.copytree(out, copy)
+    for kind in ("linear", "quantile"):
+        assert main(["train", "--model", kind, "--seed", "7", "--config", str(root / "run.ini"),
+                     "--out", str(copy)]) == 0
+    return root, copy
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_a_model_trained_on_a_validation_engine_is_refused(trained_at_seed_7, capsys, command):
+    root, out = trained_at_seed_7
+    engines = [run.engine_id for run in read_adapted_dataset(out).runs]
+    train = split_engines(engines, fraction=0.75, seed=7).train_engines
+    val = split_engines(engines, fraction=0.75, seed=8).val_engines
+    shared = [engine for engine in train if engine in val]
+    assert shared  # the two splits overlap, so seed 8 would score training engines
+    assert json.loads((out / "model_linear.bin").read_bytes().split(b"\n")[1])[
+        "train_engines"] == list(train)
+    args = [command, "--model", "linear", "--config", str(root / "run.ini"), "--out", str(out)]
+    capsys.readouterr()
+    assert main([*args, "--seed", "8"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'model_linear.bin'} was trained at seed 7 on engine {shared[0]}, "
+        f"which seed 8 holds out for validation; retrain it at seed 8\n")
+    assert main([*args, "--seed", "7"]) == 0
+
+
+def test_a_model_without_train_engines_loads_as_before(trained_at_seed_7, tmp_path):
+    root, out = trained_at_seed_7
+    copy = tmp_path / "old_header"
+    shutil.copytree(out, copy)
+    for kind in ("linear", "quantile"):
+        path = copy / f"model_{kind}.bin"
+        path.write_bytes(_with_train_engines(None)(path.read_bytes()))
+    args = ["--seed", "8", "--config", str(root / "run.ini"), "--out", str(copy)]
+    assert main(["evaluate", *args]) == 0
+    assert main(["simulate", "--model", "linear", *args]) == 0

@@ -9,7 +9,8 @@ import pytest
 
 from driftcal.adaptation import Segment
 from driftcal.labeling import Standardizer
-from driftcal.models import ForecastModel, TrainConfig, predict_ttd_batch
+from driftcal.models import (ForecastModel, TrainConfig, fit_linear, fit_quantile,
+                             predict_ttd_batch, save_model, train_attention)
 from driftcal.pipeline import (
     evaluate_forecaster,
     forecast_scorer,
@@ -92,3 +93,23 @@ def test_evaluate_holds_no_raw_copy_of_the_whole_window_set():
         tracemalloc.stop()
     standardized_bytes = n * w * d * 8
     assert peak < 1.5 * standardized_bytes  # a raw copy beside it would make 2x
+
+
+# each kind's own fit, which returns a model without a standardizer
+FITS = {"linear": lambda train, val, cfg: fit_linear(train, cfg.ridge),
+        "quantile": lambda *args: fit_quantile(*args)[0],
+        "attention": lambda *args: train_attention(*args)[0]}
+
+
+@pytest.mark.parametrize("kind", list(FITS))
+def test_train_forecaster_saves_a_direct_fit_with_the_bundles_standardizer(small_dataset,
+                                                                           tmp_path, kind):
+    bundle = label_and_window(small_dataset, w=W, seed=4)
+    cfg = TrainConfig(max_epochs=1, patience=1, seed=4, d_model=16, heads=2, layers=1)
+    model, _ = train_forecaster(kind, bundle, cfg)
+    direct = FITS[kind](bundle.train_std, bundle.val_std, cfg)
+    assert direct.standardizer is None
+    direct.standardizer = bundle.standardizer
+    save_model(model, tmp_path / "pipeline.bin")
+    save_model(direct, tmp_path / "direct.bin")
+    assert (tmp_path / "pipeline.bin").read_bytes() == (tmp_path / "direct.bin").read_bytes()
