@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -19,16 +20,18 @@ from pathlib import Path
 import numpy as np
 
 from .cmapss_io import CHANNEL_NAMES, N_CHANNELS, N_SENSORS, SensorTrajectory, sensor_column
-from .util import canonical_json, derive_rng, float_row_format
+from .util import canonical_json, derive_rng, float_row_format, sha256_file
 
 NOISE_RESET = "noise-reset"
 STITCH_RESET = "stitch-reset"
 
 ADAPTED_CSV_NAME = "adapted.csv"
 ADAPTED_META_NAME = "adapted_meta.json"
+ADAPTED_MIRROR_NAME = "adapted_channels.bin"
 _CSV_HEADER = ",".join(
     ["engine_id", "cycle", "segment_id", "reset_flag", "reset_kind", *CHANNEL_NAMES]
 ).encode("utf-8") + b"\n"
+_MIRROR_MAGIC = b"driftcal-adapted-channels v1\n"
 
 
 class AdaptationError(ValueError):
@@ -423,31 +426,94 @@ def dataset_digest(dataset: AdaptedDataset) -> str:
     return _serialize(dataset, _meta_bytes(dataset))
 
 
-def write_adapted_dataset(dataset: AdaptedDataset, out_dir: str | Path) -> dict:
-    """Write canonical CSV + metadata sidecar; returns paths and digest.
+def _mirror_rows(run: AdaptedRun) -> np.ndarray:
+    """One run's channels as little-endian float64 rows, a copy only when
+    they are not already."""
+    return np.ascontiguousarray(run.channels, dtype="<f8")
 
-    Both files are written under temporary names in ``out_dir`` and moved
-    into place once complete, so a failure part-way leaves any earlier
-    files as they were.
+
+def _write_mirror(dataset: AdaptedDataset, digest: str, f) -> None:
+    """The binary mirror of the channel matrix: a magic line, a JSON header
+    line (the dataset digest, rows, columns and the payload's sha256), then
+    every run's rows. The payload is hashed, then written, one run at a time."""
+    payload = hashlib.sha256()
+    for run in dataset.runs:
+        payload.update(_mirror_rows(run))
+    header = {"dataset_digest": digest, "rows": sum(run.length for run in dataset.runs),
+              "columns": N_CHANNELS, "payload_sha256": payload.hexdigest()}
+    f.write(_MIRROR_MAGIC + canonical_json(header).encode("utf-8") + b"\n")
+    for run in dataset.runs:
+        f.write(_mirror_rows(run))
+
+
+def write_adapted_dataset(dataset: AdaptedDataset, out_dir: str | Path) -> dict:
+    """Write canonical CSV + metadata sidecar + binary channel mirror;
+    returns paths and digest.
+
+    The CSV and the sidecar define the dataset and its digest; the mirror
+    only spares ``read_adapted_dataset`` the CSV parse. All three files are
+    written under temporary names in ``out_dir`` and moved into place once
+    complete, so a failure part-way leaves any earlier files as they were.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / ADAPTED_CSV_NAME
     meta_path = out_dir / ADAPTED_META_NAME
+    mirror_path = out_dir / ADAPTED_MIRROR_NAME
     meta = _meta_bytes(dataset)
     staged = {path: out_dir / f".{path.name}.{os.urandom(8).hex()}.tmp"
-              for path in (csv_path, meta_path)}
+              for path in (csv_path, meta_path, mirror_path)}
     try:
         with open(staged[csv_path], "xb") as f:
             digest = _serialize(dataset, meta, f)
         with open(staged[meta_path], "xb") as f:
             f.write(meta)
+        with open(staged[mirror_path], "xb") as f:
+            _write_mirror(dataset, digest, f)
         for path, tmp in staged.items():
             os.replace(tmp, path)
     finally:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
     return {"csv": str(csv_path), "metadata": str(meta_path), "digest": digest}
+
+
+def _read_mirror(path: Path, digest: str) -> np.ndarray | None:
+    """The (rows, columns) channel matrix of the mirror at ``path``, or None
+    when there is no mirror, it was written for another dataset digest, or
+    its payload is not the one its header hashes (a truncated or edited file)."""
+    try:
+        with open(path, "rb") as f:
+            if f.readline() != _MIRROR_MAGIC:
+                return None
+            header = json.loads(f.readline())
+            shape = (header["rows"], header["columns"])
+            size = 8 * shape[0] * shape[1]
+            if (header["dataset_digest"] != digest or shape[1] != N_CHANNELS
+                    or os.fstat(f.fileno()).st_size - f.tell() != size):
+                return None
+            channels = np.fromfile(f, dtype="<f8", count=size // 8)
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if hashlib.sha256(channels).hexdigest() != header["payload_sha256"]:
+        return None
+    return channels.astype(np.float64, copy=False).reshape(shape)
+
+
+def _parse_csv(path: Path) -> np.ndarray:
+    """Every column of the adapted CSV at ``path`` but the reset_kind text
+    (column 4): engine_id, cycle, segment_id, reset_flag, then the channels."""
+    with open(path, encoding="utf-8") as f:
+        if f.readline() != _CSV_HEADER.decode("utf-8"):
+            raise ValueError(f"{path}: the header line is not the adapted-dataset header")
+        with warnings.catch_warnings():
+            # a file of the header alone is refused below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(f, delimiter=",", usecols=[0, 1, 2, 3, *range(5, 5 + N_CHANNELS)],
+                               ndmin=2)
+    if not len(table):
+        raise ValueError(f"{path}: no rows after the header")
+    return table
 
 
 def _check_key_columns(run: AdaptedRun, block: np.ndarray) -> None:
@@ -468,47 +534,58 @@ def _check_key_columns(run: AdaptedRun, block: np.ndarray) -> None:
             )
 
 
-def read_adapted_dataset(out_dir: str | Path) -> AdaptedDataset:
+def read_adapted_dataset(out_dir: str | Path, expected_digest: str | None = None
+                         ) -> AdaptedDataset:
+    """The dataset ``write_adapted_dataset`` wrote to ``out_dir``.
+
+    The sidecar's bytes and then the CSV's, hashed as they are read, give
+    the dataset digest. The channels come from the binary mirror when it
+    was written for that digest and its payload is intact; otherwise (a
+    directory without a mirror, or a CSV edited after the write) from
+    parsing the CSV, whose key columns must agree with the metadata. When
+    ``expected_digest`` is given, a dataset of another digest raises
+    ValueError.
+    """
     out_dir = Path(out_dir)
-    meta_path = out_dir / ADAPTED_META_NAME
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta_path, csv_path = out_dir / ADAPTED_META_NAME, out_dir / ADAPTED_CSV_NAME
+    meta_bytes = meta_path.read_bytes()
+    meta = json.loads(meta_bytes.decode("utf-8"))
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path} is malformed: not a JSON object")
     if meta.get("format") != "driftcal-adapted v1":
         raise ValueError(f"unsupported adapted-dataset format: {meta.get('format')!r}")
+    digest = sha256_file(csv_path, prefix=meta_bytes)
 
-    # every column but the reset_kind text (column 4): engine_id, cycle,
-    # segment_id, reset_flag, then the channels
-    table = np.loadtxt(
-        out_dir / ADAPTED_CSV_NAME,
-        delimiter=",",
-        skiprows=1,
-        usecols=[0, 1, 2, 3, *range(5, 5 + N_CHANNELS)],
-        ndmin=2,
-        encoding="utf-8",
-    )
-    engines = table[:, 0]
-    starts = np.flatnonzero(np.concatenate(([True], engines[1:] != engines[:-1])))
-    stops = np.append(starts[1:], len(engines))
-    blocks: dict[int, tuple[int, int]] = {}
-    for start, stop in zip(starts.tolist(), stops.tolist()):
-        engine_id = int(engines[start])
-        if engine_id in blocks:
-            raise ValueError(f"engine {engine_id}: {ADAPTED_CSV_NAME} rows are not contiguous")
-        blocks[engine_id] = (start, stop)
-    all_channels = np.ascontiguousarray(table[:, 4:])
+    table = None
+    all_channels = _read_mirror(out_dir / ADAPTED_MIRROR_NAME, digest)
+    if all_channels is None:
+        table = _parse_csv(csv_path)
+        engines = table[:, 0]
+        starts = np.flatnonzero(np.concatenate(([True], engines[1:] != engines[:-1])))
+        stops = np.append(starts[1:], len(engines))
+        blocks: dict[int, tuple[int, int]] = {}
+        for start, stop in zip(starts.tolist(), stops.tolist()):
+            engine_id = int(engines[start])
+            if engine_id in blocks:
+                raise ValueError(f"engine {engine_id}: {ADAPTED_CSV_NAME} rows are not contiguous")
+            blocks[engine_id] = (start, stop)
+        all_channels = np.ascontiguousarray(table[:, 4:])
 
     try:
-        runs = []
+        runs, stop = [], 0
         for entry in meta["runs"]:
             engine_id = entry["engine_id"]
-            if engine_id not in blocks:
+            if table is None:  # the mirror holds the runs in the metadata's order
+                start, stop = stop, stop + entry["length"]
+            elif engine_id not in blocks:
                 raise ValueError(f"engine {engine_id}: no rows in {ADAPTED_CSV_NAME}")
-            start, stop = blocks[engine_id]
-            if stop - start != entry["length"]:
+            else:
+                start, stop = blocks[engine_id]
+            channels = all_channels[start:stop]
+            if len(channels) != entry["length"]:
                 raise ValueError(
-                    f"engine {engine_id}: CSV has {stop - start} cycles, "
-                    f"metadata says {entry['length']}"
+                    f"engine {engine_id}: {'CSV' if table is not None else ADAPTED_MIRROR_NAME} "
+                    f"has {len(channels)} cycles, metadata says {entry['length']}"
                 )
             run = AdaptedRun(
                 engine_id=engine_id,
@@ -517,14 +594,15 @@ def read_adapted_dataset(out_dir: str | Path) -> AdaptedDataset:
                 segments=tuple(
                     Segment(start=s[0], end=s[1], crossing=s[2]) for s in entry["segments"]
                 ),
-                channels=all_channels[start:stop],
+                channels=channels,
                 reset_events=tuple(
                     ResetEvent(cycle=e[0], kind=e[1]) for e in entry["reset_events"]
                 ),
             )
-            _check_key_columns(run, table[start:stop])
+            if table is not None:
+                _check_key_columns(run, table[start:stop])
             runs.append(run)
-        return AdaptedDataset(
+        dataset = AdaptedDataset(
             split_tag=meta["split_tag"],
             runs=runs,
             seed=meta["seed"],
@@ -533,3 +611,7 @@ def read_adapted_dataset(out_dir: str | Path) -> AdaptedDataset:
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"{meta_path} is malformed: {type(exc).__name__}: {exc}") from exc
+    if expected_digest is not None and digest != expected_digest:
+        raise ValueError(f"{csv_path} and {meta_path.name} hash to dataset digest {digest}, "
+                         f"not the expected {expected_digest}")
+    return dataset

@@ -196,9 +196,22 @@ def _load_raw_trajectories(cfg: RunConfig):
     return load_trajectories(path)
 
 
+def _read_dataset(cfg: RunConfig) -> AdaptedDataset:
+    """The adapted dataset under cfg.out, refused when it is not the one
+    adapt_manifest.json records; a directory without a manifest is not checked."""
+    path = Path(cfg.out) / "adapt_manifest.json"
+    expected = None
+    if path.exists():
+        try:
+            expected = json.loads(path.read_text(encoding="utf-8"))["dataset_digest"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
+    return read_adapted_dataset(cfg.out, expected_digest=expected)
+
+
 def _split_runs(cfg: RunConfig) -> tuple[AdaptedDataset, AdaptedDataset]:
     """The adapted dataset's training and validation runs under cfg's split."""
-    dataset = read_adapted_dataset(cfg.out)
+    dataset = _read_dataset(cfg)
     split = split_engines([run.engine_id for run in dataset.runs],
                           fraction=cfg.train_fraction, seed=cfg.seed)
     return training_subset(dataset, split), validation_subset(dataset, split)
@@ -254,7 +267,7 @@ def cmd_adapt(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     bundle = label_and_window(
-        read_adapted_dataset(cfg.out),
+        _read_dataset(cfg),
         w=cfg.window,
         stride=cfg.stride,
         train_fraction=cfg.train_fraction,

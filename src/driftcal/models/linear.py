@@ -35,6 +35,7 @@ def fit_linear(windows: Windows, ridge: float = 1e-6) -> ForecastModel:
             block[:, :-1] = windows.take(rows).reshape(-1, p)
             G += block.T @ block
             b += block.T @ windows.label[rows]
+        del A, block  # only the sums are needed from here, and only L after the factor
         # the ridge penalizes the feature coefficients only, never the intercept
         G[np.arange(p), np.arange(p)] += ridge
         try:
@@ -43,6 +44,7 @@ def fit_linear(windows: Windows, ridge: float = 1e-6) -> ForecastModel:
             raise SingularSystemError(
                 "normal equations are singular or indefinite; pass ridge > 0"
             ) from None
+        del G
         beta = np.linalg.solve(L.T, np.linalg.solve(L, b))
     return ForecastModel(
         kind="linear",

@@ -40,8 +40,9 @@ def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def sha256_file(path: str | Path) -> str:
-    h = hashlib.sha256()
+def sha256_file(path: str | Path, prefix: bytes = b"") -> str:
+    """SHA-256 of ``prefix`` followed by the file's bytes, read in 1 MB blocks."""
+    h = hashlib.sha256(prefix)
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)

@@ -1,5 +1,8 @@
 import os
 import tempfile
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from driftcal import adaptation
 from driftcal.adaptation import (
     ADAPTED_CSV_NAME,
     ADAPTED_META_NAME,
+    ADAPTED_MIRROR_NAME,
     NOISE_RESET,
     STITCH_RESET,
     AdaptationConfig,
@@ -397,8 +401,9 @@ def test_adapt_empty_input_rejected():
 
 
 @st.composite
-def _adapted_datasets(draw):
-    """Small datasets with random segmentations and arbitrary channel floats."""
+def _adapted_datasets(draw, elements=st.floats(width=64)):
+    """Small datasets with random segmentations and channel floats drawn
+    from ``elements`` (any float64 by default)."""
     runs = []
     for engine_id in draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=3, unique=True)):
         length = draw(st.integers(1, 8))
@@ -407,8 +412,7 @@ def _adapted_datasets(draw):
         segments = tuple(Segment(a, b - 1, None) for a, b in zip(bounds, bounds[1:]))
         kinds = draw(st.lists(st.sampled_from([NOISE_RESET, STITCH_RESET]),
                               min_size=len(cuts), max_size=len(cuts)))
-        channels = draw(hnp.arrays(np.float64, (length, N_CHANNELS),
-                                   elements=st.floats(width=64)))
+        channels = draw(hnp.arrays(np.float64, (length, N_CHANNELS), elements=elements))
         runs.append(AdaptedRun(
             engine_id=engine_id,
             drift_sensors=(2,),
@@ -472,7 +476,7 @@ def test_failed_write_leaves_earlier_files_as_they_were(tmp_path, small_dataset,
         write_adapted_dataset(subset_runs(small_dataset, [2, 3]), tmp_path)
     assert formatted  # the first run's rows were written before the failure
     assert _file_bytes(tmp_path) == before
-    assert sorted(before) == [ADAPTED_CSV_NAME, ADAPTED_META_NAME]
+    assert sorted(before) == [ADAPTED_CSV_NAME, ADAPTED_MIRROR_NAME, ADAPTED_META_NAME]
 
 
 def test_failed_first_write_leaves_no_file(tmp_path, small_dataset, monkeypatch):
@@ -532,4 +536,146 @@ def test_read_rejects_split_engine_rows(tmp_path, small_dataset):
     engine_id = small_dataset.runs[0].engine_id
     path.write_text("\n".join([header] + rows[1:] + rows[:1]) + "\n")
     with pytest.raises(ValueError, match=f"engine {engine_id}: .*not contiguous"):
+        read_adapted_dataset(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# The binary mirror of the channels
+# ---------------------------------------------------------------------------
+
+def _no_parse():
+    """A context in which parsing the CSV fails the test."""
+    return mock.patch.object(np, "loadtxt", side_effect=AssertionError("the CSV was parsed"))
+
+
+def _read_parsed(out) -> AdaptedDataset:
+    """The dataset under ``out`` read through the CSV parse, the reference
+    the mirror must equal: read with the mirror moved aside."""
+    mirror = Path(out) / ADAPTED_MIRROR_NAME
+    aside = mirror.with_name("aside")
+    mirror.rename(aside)
+    try:
+        return read_adapted_dataset(out)
+    finally:
+        aside.rename(mirror)
+
+
+def _assert_same_bits(a: AdaptedDataset, b: AdaptedDataset) -> None:
+    assert [r.engine_id for r in a.runs] == [r.engine_id for r in b.runs]
+    for x, y in zip(a.runs, b.runs):
+        assert (x.segments, x.reset_events, x.thresholds) == (y.segments, y.reset_events,
+                                                              y.thresholds)
+        assert x.channels.dtype == y.channels.dtype == np.float64
+        assert np.array_equal(x.channels.view(np.uint64), y.channels.view(np.uint64))
+
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e300, -1e-300,
+                     np.inf, -np.inf]),
+    st.floats(allow_nan=False, width=64),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_adapted_datasets(elements=_EDGE_FLOATS))
+def test_mirror_read_equals_the_csv_parse_bit_for_bit(dataset):
+    """Signed zeros, subnormals and the largest exponents keep their bits
+    through both paths, and both give the written digest."""
+    with tempfile.TemporaryDirectory() as out:
+        written = write_adapted_dataset(dataset, out)
+        with _no_parse():
+            mirrored = read_adapted_dataset(out, expected_digest=written["digest"])
+        parsed = _read_parsed(out)
+    _assert_same_bits(mirrored, parsed)
+    _assert_same_bits(mirrored, dataset)
+    assert dataset_digest(mirrored) == dataset_digest(parsed) == written["digest"]
+
+
+def test_csv_edited_after_the_write_is_parsed(tmp_path, small_dataset):
+    write_adapted_dataset(small_dataset, tmp_path)
+    path = tmp_path / ADAPTED_CSV_NAME
+    path.write_bytes(path.read_bytes())  # rewritten with the same bytes: still the mirror
+    with _no_parse():
+        read_adapted_dataset(tmp_path)
+    run = small_dataset.runs[1]
+    _tamper(path, run.engine_id, 3, 5, lambda v: "1234.5")  # op_setting_1 of cycle 4
+    loaded = read_adapted_dataset(tmp_path)
+    assert loaded.runs[1].channels[3, 0] == 1234.5
+    assert np.array_equal(np.delete(loaded.runs[1].channels, 3, axis=0),
+                          np.delete(run.channels, 3, axis=0))
+
+
+def _flip_last_byte(data: bytes) -> bytes:
+    return data[:-1] + bytes([data[-1] ^ 1])
+
+
+@pytest.mark.parametrize("edit", [
+    _flip_last_byte,
+    lambda data: data[:-8],  # one value short
+    lambda data: data + bytes(8),  # one value too many
+    lambda data: data.replace(b"driftcal-adapted-channels v1", b"driftcal-adapted-channels v0"),
+    lambda data: data.replace(b'"rows":', b'"rows":1', 1),
+    lambda data: data.split(b"\n", 1)[0],  # the magic line alone
+    lambda data: b"",
+], ids=["flipped_payload_byte", "truncated", "extended", "magic", "rows", "no_header", "empty"])
+def test_a_damaged_mirror_is_ignored(tmp_path, small_dataset, edit):
+    write_adapted_dataset(small_dataset, tmp_path)
+    mirror = tmp_path / ADAPTED_MIRROR_NAME
+    mirror.write_bytes(edit(mirror.read_bytes()))
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        loaded = read_adapted_dataset(tmp_path)
+    assert loadtxt.call_count == 1
+    _assert_same_bits(loaded, small_dataset)
+
+
+def test_a_mirror_of_another_dataset_is_ignored(tmp_path, small_dataset):
+    """The mirror of a four-run subset, with its own digest, beside the
+    whole dataset's CSV and sidecar."""
+    write_adapted_dataset(subset_runs(small_dataset, [1, 2, 3, 4]), tmp_path / "subset")
+    write_adapted_dataset(small_dataset, tmp_path)
+    os.replace(tmp_path / "subset" / ADAPTED_MIRROR_NAME, tmp_path / ADAPTED_MIRROR_NAME)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        loaded = read_adapted_dataset(tmp_path)
+    assert loadtxt.call_count == 1
+    _assert_same_bits(loaded, small_dataset)
+
+
+def test_read_refuses_a_dataset_of_another_digest(tmp_path, small_dataset):
+    written = write_adapted_dataset(small_dataset, tmp_path)
+    other = "0" * 64
+    with pytest.raises(ValueError) as err:
+        read_adapted_dataset(tmp_path, expected_digest=other)
+    assert str(err.value) == (f"{tmp_path / ADAPTED_CSV_NAME} and {ADAPTED_META_NAME} hash to "
+                              f"dataset digest {written['digest']}, not the expected {other}")
+
+
+@pytest.mark.parametrize(("text", "message"), [
+    (lambda header: header, "no rows after the header"),
+    (lambda header: header + "\n\n", "no rows after the header"),
+    (lambda header: header.replace("cycle,segment_id", "segment_id,cycle") + "\n1,2,3",
+     "the header line is not the adapted-dataset header"),
+    (lambda header: "", "the header line is not the adapted-dataset header"),
+], ids=["header_only", "blank_rows", "swapped_columns", "empty"])
+def test_read_refuses_a_csv_without_rows_or_with_another_header(tmp_path, small_dataset, text,
+                                                                message):
+    write_adapted_dataset(small_dataset, tmp_path)
+    path = tmp_path / ADAPTED_CSV_NAME
+    header = path.read_text(encoding="utf-8").split("\n", 1)[0] + "\n"
+    path.write_text(text(header), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_adapted_dataset(tmp_path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_a_mirror_short_of_rows_is_refused(tmp_path, small_dataset):
+    """A mirror of the right digest and payload hash, but written from one
+    row fewer, leaves the last run short."""
+    written = write_adapted_dataset(small_dataset, tmp_path)
+    *runs, last = small_dataset.runs
+    short = replace(small_dataset, runs=[*runs, replace(last, channels=last.channels[:-1])])
+    with open(tmp_path / ADAPTED_MIRROR_NAME, "wb") as f:
+        adaptation._write_mirror(short, written["digest"], f)
+    with pytest.raises(ValueError, match=f"^engine {last.engine_id}: {ADAPTED_MIRROR_NAME} has "
+                                         f"{last.length - 1} cycles, metadata says {last.length}$"):
         read_adapted_dataset(tmp_path)

@@ -38,6 +38,7 @@ def _cpu_flags() -> set[str]:
             for flag in line.split(":", 1)[1].split()}
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(threads.blas_kernel() is None, reason="numpy's bundled OpenBLAS not found")
 def test_invariants_hold_under_every_kernel_the_cpu_runs():
     """The INVARIANTS in a fresh pytest process per kernel the CPU's flags

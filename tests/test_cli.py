@@ -10,6 +10,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftcal.adaptation import AdaptationConfig, read_adapted_dataset
@@ -678,11 +679,89 @@ def test_simulate_rejects_a_non_finite_validation_cell(workspace, tmp_path, caps
     cells[5] = "nan"  # the first channel, op_setting_1
     lines[row] = ",".join(cells)
     (copy / "adapted.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (copy / "adapt_manifest.json").unlink()  # else the edit is refused as another dataset
     capsys.readouterr()
     assert main(["simulate", "--model", "linear", "--config", str(root / "run.ini"),
                  "--out", str(copy)]) == 1
     assert capsys.readouterr().err == (
         f"error: engine {engine}: non-finite features at cycle {cycle}\n")
+
+
+def test_evaluate_after_adapt_parses_no_csv(workspace, tmp_path, monkeypatch):
+    """evaluate reads the channels from the binary mirror adapt wrote."""
+    root, out, _ = workspace
+    copy = tmp_path / "mirrored"
+    shutil.copytree(out, copy)
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    args = ["evaluate", "--svg", "--config", str(root / "run.ini"), "--out", str(copy)]
+    assert main(args) == 0
+    assert calls == []
+    assert (copy / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+    (copy / "adapted_channels.bin").unlink()  # a directory from before the mirror
+    assert main(args) == 0
+    assert len(calls) == 1
+    assert (copy / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize(("edit", "message"), [
+    (lambda text: text.split("\n", 1)[0] + "\n", "no rows after the header"),
+    (lambda text: text.replace("cycle,segment_id", "segment_id,cycle", 1),
+     "the header line is not the adapted-dataset header")],
+    ids=["header_only", "swapped_columns"])
+def test_a_csv_without_rows_or_with_another_header_prints_one_error_line(
+        workspace, tmp_path, capsys, edit, message):
+    root, out, _ = workspace
+    copy = tmp_path / "bad_csv"
+    shutil.copytree(out, copy)
+    path = copy / "adapted.csv"
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--model", "linear", "--config", str(root / "run.ini"),
+                 "--out", str(copy)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
+def test_a_dataset_the_manifest_does_not_record_is_refused(workspace, tmp_path, capsys,
+                                                           command):
+    """A channel edited after adapt: the files still read, but their digest
+    is not the manifest's."""
+    root, out, _ = workspace
+    copy = tmp_path / "edited"
+    shutil.copytree(out, copy)
+    path = copy / "adapted.csv"
+    header, first, rest = path.read_text(encoding="utf-8").split("\n", 2)
+    cells = first.split(",")
+    cells[5] = "0.5"  # the first channel of the first row
+    path.write_text("\n".join([header, ",".join(cells), rest]), encoding="utf-8")
+    recorded = json.loads((copy / "adapt_manifest.json").read_text())["dataset_digest"]
+    actual = sha256_file(path, prefix=(copy / "adapted_meta.json").read_bytes())
+    assert actual != recorded
+    capsys.readouterr()
+    assert main([command, "--model", "linear", "--config", str(root / "run.ini"),
+                 "--out", str(copy)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path} and adapted_meta.json hash to dataset digest {actual}, "
+        f"not the expected {recorded}\n")
+
+
+@pytest.mark.parametrize(("text", "message"), [
+    ("{", "JSONDecodeError: Expecting property name enclosed in double quotes: line 1 column 2 "
+          "(char 1)"),
+    ("{}", "KeyError: 'dataset_digest'"),
+    ("[1]", "TypeError: list indices must be integers or slices, not str")],
+    ids=["truncated", "no_digest", "list"])
+def test_a_malformed_manifest_prints_one_error_line(workspace, tmp_path, capsys, text, message):
+    root, out, _ = workspace
+    copy = tmp_path / "manifest"
+    shutil.copytree(out, copy)
+    path = copy / "adapt_manifest.json"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(root / "run.ini"), "--out", str(copy)]) == 1
+    assert capsys.readouterr().err == f"error: {path} is malformed: {message}\n"
 
 
 def test_unknown_policy_fails_before_any_replay(workspace, tmp_path, capsys):

@@ -48,6 +48,7 @@ from driftcal.adaptation import (
     AdaptationConfig,
     adapt_dataset,
     dataset_digest,
+    read_adapted_dataset,
     write_adapted_dataset,
 )
 from driftcal.cli import RunConfig
@@ -223,6 +224,18 @@ def test_adapted_files_and_digest_hashes(dataset, tmp_path):
     assert _sha((tmp_path / ADAPTED_META_NAME).read_bytes()) == PINS["adapted_meta"], ON_KERNEL
     assert result["digest"] == PINS["dataset_digest"], ON_KERNEL
     assert dataset_digest(dataset) == PINS["dataset_digest"], ON_KERNEL
+
+
+def test_mirror_read_reproduces_the_dataset_digest(dataset, tmp_path, monkeypatch):
+    """Read back through the binary mirror, with the CSV parse forbidden."""
+    write_adapted_dataset(dataset, tmp_path)
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the CSV was parsed")
+
+    monkeypatch.setattr(np, "loadtxt", no_parse)
+    loaded = read_adapted_dataset(tmp_path, expected_digest=PINS["dataset_digest"])
+    assert dataset_digest(loaded) == PINS["dataset_digest"], ON_KERNEL
 
 
 def test_off_default_adaptation_digest(fleet):
