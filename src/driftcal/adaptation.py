@@ -76,14 +76,20 @@ class AdaptationConfig:
 # ---------------------------------------------------------------------------
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties replaced by the group's average rank."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    # sorted positions start..end (inclusive) of each run of equal values
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    ends = np.append(starts[1:], len(values)) - 1
-    ranks = np.empty(len(values), dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
+    """1-based ranks down each column of values, (n,) or (n, k), with ties
+    replaced by the group's average rank; NaNs rank last, each on its own."""
+    n = len(values)
+    order = np.argsort(values, axis=0, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=0)
+    # flat positions, column after column, of the first and last (inclusive)
+    # sorted value of each run of equal values; every column starts a run
+    new_run = np.ones(ordered.shape, dtype=bool)
+    new_run[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new_run.T)
+    ends = np.append(starts[1:], new_run.size) - 1
+    by_order = np.repeat(0.5 * (starts % n + ends % n) + 1.0, ends - starts + 1)
+    ranks = np.empty(values.shape, dtype=np.float64)
+    np.put_along_axis(ranks, order, by_order.reshape(new_run.T.shape).T, axis=0)
     return ranks
 
 
@@ -124,11 +130,21 @@ def rank_drift_sensors(trajs: list[SensorTrajectory]) -> DriftSensorRanking:
     """
     if not trajs:
         raise AdaptationError("need at least one trajectory to rank sensors")
+    sensors = slice(sensor_column(1), sensor_column(N_SENSORS) + 1)
     scores = np.zeros(N_SENSORS, dtype=np.float64)
     for traj in trajs:
-        cycle = np.arange(1, traj.length + 1, dtype=np.float64)
-        for sensor_id in range(1, N_SENSORS + 1):
-            scores[sensor_id - 1] += abs(spearman_rho(traj.sensor(sensor_id), cycle))
+        # centered ranks of the cycle index, then of each sensor: multiples
+        # of 1/2, so every sum of their products is exact in any order, and
+        # the scores equal spearman_rho's bit for bit
+        mid = (traj.length + 1) / 2.0
+        centered = np.column_stack((np.arange(1.0, traj.length + 1) - mid,
+                                    _average_ranks(traj.channels[:, sensors]) - mid))
+        gram = centered.T @ centered
+        cross, variances, cycle_variance = gram[0, 1:], np.diag(gram)[1:], gram[0, 0]
+        rho = np.zeros(N_SENSORS)
+        varies = variances != 0.0
+        rho[varies] = cross[varies] / np.sqrt(variances[varies] * cycle_variance)
+        scores += np.abs(rho)
     scores /= len(trajs)
     order = sorted(range(1, N_SENSORS + 1), key=lambda sid: (-scores[sid - 1], sid))
     entries = tuple((sid, float(scores[sid - 1])) for sid in order)

@@ -200,13 +200,18 @@ def _read_dataset(cfg: RunConfig) -> AdaptedDataset:
     """The adapted dataset under cfg.out, refused when it is not the one
     adapt_manifest.json records; a directory without a manifest is not checked."""
     path = Path(cfg.out) / "adapt_manifest.json"
-    expected = None
-    if path.exists():
-        try:
-            expected = json.loads(path.read_text(encoding="utf-8"))["dataset_digest"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
+    expected = _json_fields(path, "dataset_digest")[0] if path.exists() else None
     return read_adapted_dataset(cfg.out, expected_digest=expected)
+
+
+def _json_fields(path: Path, *names: str) -> list:
+    """The named fields of the JSON object in path; a file that is not
+    such an object, or lacks a field, raises one ValueError naming it."""
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+        return [value[name] for name in names]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is malformed: {type(exc).__name__}: {exc}") from None
 
 
 def _split_runs(cfg: RunConfig) -> tuple[AdaptedDataset, AdaptedDataset]:
@@ -430,17 +435,18 @@ def cmd_report(cfg: RunConfig) -> int:
     meta_path = note_file("adapted_meta.json")
     note_file("adapted.csv")
     if meta_path:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        split_tag, seed, runs, drift_sensors = _json_fields(
+            meta_path, "split_tag", "seed", "runs", "drift_sensors")
+        if not isinstance(runs, list):
+            raise ValueError(f"{meta_path} is malformed: runs {runs!r} is not a list")
         manifest_path = note_file("adapt_manifest.json")
-        manifest = (
-            json.loads(manifest_path.read_text(encoding="utf-8")) if manifest_path else {}
-        )
         sections["adapt"] = {
-            "split_tag": meta["split_tag"],
-            "seed": meta["seed"],
-            "n_runs": len(meta["runs"]),
-            "drift_sensors": meta["drift_sensors"],
-            "dataset_digest": manifest.get("dataset_digest"),
+            "split_tag": split_tag,
+            "seed": seed,
+            "n_runs": len(runs),
+            "drift_sensors": drift_sensors,
+            "dataset_digest":
+                _json_fields(manifest_path, "dataset_digest")[0] if manifest_path else None,
         }
     else:
         warnings.append("no adapted dataset found (run adapt)")

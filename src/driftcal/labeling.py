@@ -17,12 +17,12 @@ STD_FLOOR = 1e-8
 WINDOW_CHUNK = 1024  # windows gathered at a time when reading a whole set (7.9 MB of 40 x 24)
 
 
-def window_chunks(n: int) -> list[slice]:
-    """Row slices of WINDOW_CHUNK windows covering n in order; a tail under
-    WINDOW_CHUNK // 2 joins the slice before. Per-slice products equal one
+def window_chunks(n: int, chunk: int = WINDOW_CHUNK) -> list[slice]:
+    """Row slices of ``chunk`` windows covering n in order; a tail under
+    chunk // 2 joins the slice before. Per-slice products equal one
     product over all n bit for bit while each takes the same OpenBLAS kernel,
     never for a one-row slice (a dot product): the tail rule avoids those."""
-    starts = range(0, max(n - WINDOW_CHUNK // 2 + 1, 1), WINDOW_CHUNK)
+    starts = range(0, max(n - chunk // 2 + 1, 1), chunk)
     return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], n])]
 
 

@@ -1,7 +1,9 @@
 """Numeric building blocks for the hand-rolled forecasters.
 
 Every primitive comes as a forward/backward pair so analytic gradients can
-be checked against central finite differences. All math is float64.
+be checked against central finite differences. The attention kernels work
+in float64; the pinball loss and its gradient follow their inputs' dtype,
+float32 for the quantile forecaster, float64 in the gradient checks.
 """
 
 from __future__ import annotations
@@ -263,12 +265,11 @@ def smooth_l1_grad(e, beta: float = 1.0):
 
 
 def pinball_loss(y, yhat, q: float):
-    """Quantile regression loss at level q: asymmetric absolute error."""
+    """Quantile regression loss at level q: asymmetric absolute error, in
+    the dtype of y - yhat (float64 for Python numbers and integers)."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
-    y = np.asarray(y, dtype=np.float64)
-    yhat = np.asarray(yhat, dtype=np.float64)
-    diff = y - yhat
+    diff = np.subtract(y, yhat)
     out = np.where(diff >= 0, q * diff, (q - 1.0) * diff)
     return float(out) if out.ndim == 0 else out
 
@@ -277,7 +278,6 @@ def pinball_grad(y, yhat, q: float):
     """d(pinball)/d(yhat); the subgradient -q is used at y == yhat."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
-    y = np.asarray(y, dtype=np.float64)
-    yhat = np.asarray(yhat, dtype=np.float64)
-    out = np.where(y - yhat >= 0, -q, 1.0 - q)
+    diff = np.subtract(y, yhat)
+    out = np.where(diff >= 0, -q, 1.0 - q).astype(np.result_type(diff, np.float32))
     return float(out) if out.ndim == 0 else out

@@ -51,8 +51,11 @@ class AdamWState:
 
 
 def init_adamw_state(params: dict[str, np.ndarray]) -> AdamWState:
+    """Zero moments like each parameter, and a scratch pair in the
+    parameters' dtype, so a step runs in the precision of the parameters."""
     largest = max((p.size for p in params.values()), default=0)
-    a, b = np.empty(largest), np.empty(largest)
+    dtype = np.result_type(*params.values()) if params else np.float64
+    a, b = np.empty(largest, dtype), np.empty(largest, dtype)
     return AdamWState(
         m={k: np.zeros_like(p) for k, p in params.items()},
         v={k: np.zeros_like(p) for k, p in params.items()},

@@ -3,9 +3,16 @@
 A two-layer feed-forward network (width 64, tanh) on flattened windows
 with one output head per level of QUANTILES; trained on summed pinball
 losses. Quantile crossing is rectified by sorting the head outputs per input.
+
+The network trains and forecasts in float32 (DTYPE): its parameters are
+drawn in float64 and rounded once, and the model file stores them as
+float64 values that float32 holds exactly. Its forward, backward and loss
+follow their inputs' dtype, so the gradient checks run them in float64.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,6 +23,10 @@ from .optim import fit_minibatch
 from .threads import one_blas_thread
 
 QUANTILES = (0.1, 0.5, 0.9)  # ascending
+DTYPE = np.float32
+# windows per hidden-layer product in _heads: a multiple of the 24-row unroll
+# of OpenBLAS's Haswell sgemm, whose rows otherwise round unlike one product's
+HEAD_CHUNK = 768
 
 
 def init_quantile_params(
@@ -74,9 +85,15 @@ def fit_quantile(
     train_windows: Windows, val_windows: Windows, cfg: TrainConfig
 ) -> tuple[ForecastModel, list[EpochLog]]:
     """Mini-batch AdamW on summed pinball losses at the QUANTILES levels;
-    early stopping on the validation pinball loss with cfg.patience."""
-    yva = validation_set(train_windows, val_windows)
+    early stopping on the validation pinball loss with cfg.patience. The
+    labels, channels and parameters are cast to DTYPE once, and the
+    returned parameters are DTYPE arrays."""
+    yva = validation_set(train_windows, val_windows).astype(DTYPE)
     w, d = train_windows.shape
+    shared = val_windows.channels is train_windows.channels  # as the WindowBundle's are
+    train_windows = replace(train_windows, channels=train_windows.channels.astype(DTYPE))
+    val_windows = replace(val_windows, channels=train_windows.channels if shared
+                          else val_windows.channels.astype(DTYPE))
 
     def val_pinball(params):
         val_out = _heads(val_windows.take, len(yva), params)
@@ -85,14 +102,15 @@ def fit_quantile(
             for j, q in enumerate(QUANTILES)
         )
 
-    params = init_quantile_params(np.random.default_rng([cfg.seed, 3]), w * d, cfg.hidden_width)
+    params = _rounded(
+        init_quantile_params(np.random.default_rng([cfg.seed, 3]), w * d, cfg.hidden_width))
     with one_blas_thread():
         best_params, logs = fit_minibatch(
             quantile_loss_and_grads,
             val_pinball,
             params,
             lambda idx: train_windows.take(idx).reshape(len(idx), -1),
-            train_windows.label,
+            train_windows.label.astype(DTYPE),
             cfg,
             np.random.default_rng([cfg.seed, 4]),
         )
@@ -106,19 +124,28 @@ def fit_quantile(
     return model, logs
 
 
+def _rounded(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {name: p.astype(DTYPE, copy=False) for name, p in params.items()}
+
+
 def _heads(take, n: int, params: dict[str, np.ndarray]) -> np.ndarray:
-    """Raw head outputs (n, n_quantiles) for the n windows take(rows)
-    gathers, equal bit for bit to one quantile_forward_batch at the default
-    sizes: the hidden layers run per window_chunks slice, the 3-column head
-    once over all rows, as a slice of up to 5,208 rows would put it on
-    OpenBLAS's small-matrix kernel, which rounds differently."""
-    h2 = np.empty((n, params["l2.w"].shape[1]))
-    for rows in window_chunks(n):
-        h2[rows] = _hidden(take(rows).reshape(-1, len(params["l1.w"])), params)[1]
+    """Raw head outputs (n, n_quantiles) in DTYPE for the n windows
+    take(rows) gathers (cast to DTYPE), equal bit for bit to one
+    quantile_forward_batch in DTYPE: the hidden layers run per HEAD_CHUNK
+    slice of window_chunks, the 3-column head once over all rows, as the
+    head's rows over a slice need not round as over the whole product
+    (in float64, slices of up to 5,208 rows took OpenBLAS's small-matrix
+    kernel)."""
+    h2 = np.empty((n, params["l2.w"].shape[1]), dtype=DTYPE)
+    for rows in window_chunks(n, HEAD_CHUNK):
+        Xf = take(rows).reshape(-1, len(params["l1.w"])).astype(DTYPE, copy=False)
+        h2[rows] = _hidden(Xf, params)[1]
     return h2 @ params["head.w"] + params["head.b"]
 
 
 def quantile_raw(model: ForecastModel, take, n: int) -> np.ndarray:
-    """Rectified (sorted) head outputs for n standardized windows, at one BLAS thread."""
+    """Rectified (sorted) head outputs, as float64, for n standardized
+    windows: a DTYPE forward of the model's parameters rounded to DTYPE
+    (exact for a model fit_quantile trained), at one BLAS thread."""
     with one_blas_thread():
-        return np.sort(_heads(take, n, model.params), axis=1)
+        return np.sort(_heads(take, n, _rounded(model.params)), axis=1).astype(np.float64)

@@ -8,12 +8,14 @@ forecast scores by cutting each run's windows with sliding_window_view,
 and softmax, layer norm and GELU as whole-array expressions.
 
 Linear and quantile forecasts are computed as one product over all
-windows, as the library did before it read windows in chunks.
+windows, as the library did before it read windows in chunks; the
+quantile one in float32, as the library forecasts.
 
 Helpers that only tests use live here too: a trajectory summary, an
-intercept-only pinball fit, which does run the library's training loop,
-parameter flattening for the finite-difference checks, a window set
-built from given window arrays, and the traced peak of a call.
+intercept-only pinball fit and the quantile fit in float64, both of which
+run the library's training loop, parameter flattening for the
+finite-difference checks, a window set built from given window arrays,
+and the traced peak of a call.
 
 The adapted CSV and its digest are built here as whole strings, and
 trajectory text is parsed from the list of all its lines, as the library
@@ -36,6 +38,7 @@ from driftcal.cmapss_io import (
     CHANNEL_NAMES,
     N_CHANNELS,
     N_COLUMNS,
+    N_SENSORS,
     SchemaError,
     SensorTrajectory,
     _scan_lines,
@@ -44,7 +47,12 @@ from driftcal.cmapss_io import (
 from driftcal.labeling import Windows
 from driftcal.models import TrainConfig, predict_quantiles_batch, predict_ttd_batch
 from driftcal.models.attention import attention_forward_batch
-from driftcal.models.quantile import quantile_forward_batch
+from driftcal.models.quantile import (
+    QUANTILES,
+    init_quantile_params,
+    quantile_forward_batch,
+    quantile_loss_and_grads,
+)
 from driftcal.models.threads import one_blas_thread
 from driftcal.models.nn import pinball_grad, pinball_loss
 from driftcal.models.optim import fit_minibatch
@@ -69,26 +77,36 @@ GELU_C1 = 0.044715
 
 
 def oracle_average_ranks(values) -> np.ndarray:
-    """1-based average ranks, with tie groups found by np.unique.
-
-    np.unique puts every NaN in one group, so this differs from the
-    library's ranking on input holding more than one NaN.
-    """
+    """1-based average ranks, with tie groups found by np.unique; each NaN
+    ranks on its own after every number, in input order, as in a stable sort."""
     values = np.asarray(values, dtype=np.float64)
-    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    numbers = ~np.isnan(values)
+    uniq, inverse, counts = np.unique(values[numbers], return_inverse=True, return_counts=True)
     # average 1-based rank of each distinct value
     ends = np.cumsum(counts)
     starts = ends - counts
     avg = (starts + ends + 1) / 2.0
-    return avg[inverse]
+    ranks = np.empty(len(values))
+    ranks[numbers] = avg[inverse]
+    ranks[~numbers] = np.arange(numbers.sum() + 1, len(values) + 1)
+    return ranks
 
 
 def oracle_spearman(a, b) -> float:
-    """Rank-then-Pearson, with ranks from oracle_average_ranks."""
+    """Rank-then-Pearson, with ranks from oracle_average_ranks; 0.0 for a
+    series of constant rank."""
     ra, rb = oracle_average_ranks(a), oracle_average_ranks(b)
     if np.all(ra == ra[0]) or np.all(rb == rb[0]):
         return 0.0
     return float(np.corrcoef(ra, rb)[0, 1])
+
+
+def oracle_sensor_scores(trajs) -> dict[int, float]:
+    """Per sensor id, the mean over the trajectories of |oracle_spearman|
+    between the sensor's series and the cycle index."""
+    return {sensor_id: float(np.mean([
+        abs(oracle_spearman(traj.sensor(sensor_id), np.arange(1, traj.length + 1)))
+        for traj in trajs])) for sensor_id in range(1, N_SENSORS + 1)}
 
 
 def threshold_crossed(spec, value: float) -> bool:
@@ -491,10 +509,32 @@ def linear_raw_batch(model, X) -> np.ndarray:
 
 def quantile_raw_batch(model, X) -> np.ndarray:
     """Sorted quantile head outputs (B, n_levels) for standardized windows
-    (B, w, d): one forward over all of them, at one BLAS thread."""
+    (B, w, d): one float32 forward over all of them, with the parameters
+    rounded to float32, at one BLAS thread."""
+    params = {name: p.astype(np.float32) for name, p in model.params.items()}
     with one_blas_thread():
-        out, _ = quantile_forward_batch(_flat(X), model.params, check=False)
+        out, _ = quantile_forward_batch(_flat(X).astype(np.float32), params, check=False)
     return np.sort(out, axis=1)
+
+
+def fit_quantile_float64(train: Windows, val: Windows, cfg: TrainConfig):
+    """(best params, epoch logs) of fit_quantile's training run in float64:
+    the same initial draws, batches, loss, gradients and AdamW steps, with
+    nothing rounded to float32, and the validation pinball from one forward
+    over all validation windows."""
+    w, d = train.shape
+    X_val = _flat(val.take(slice(None)))
+
+    def val_pinball(params):
+        out, _ = quantile_forward_batch(X_val, params, check=False)
+        return sum(float(np.mean(pinball_loss(val.label, out[:, j], q)))
+                   for j, q in enumerate(QUANTILES))
+
+    params = init_quantile_params(np.random.default_rng([cfg.seed, 3]), w * d, cfg.hidden_width)
+    with one_blas_thread():
+        return fit_minibatch(quantile_loss_and_grads, val_pinball, params,
+                             lambda idx: _flat(train.take(idx)), train.label, cfg,
+                             np.random.default_rng([cfg.seed, 4]))
 
 
 def traced_peak(fn) -> int:

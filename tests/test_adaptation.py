@@ -35,12 +35,13 @@ from driftcal.adaptation import (
     synthesize_resets,
     write_adapted_dataset,
 )
-from driftcal.cmapss_io import N_CHANNELS, SensorTrajectory, sensor_column
+from driftcal.cmapss_io import N_CHANNELS, N_SENSORS, SensorTrajectory, sensor_column
 from driftcal.synthetic import synthetic_trajectories
 from driftcal.util import canonical_json
 
 from oracles import (
     oracle_average_ranks,
+    oracle_sensor_scores,
     oracle_spearman,
     reference_adapted_csv,
     reference_dataset_digest,
@@ -87,11 +88,10 @@ def test_spearman_matches_oracle_on_random_series():
     hnp.arrays(
         np.float64,
         st.integers(1, 40),
-        elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -np.inf, np.inf]),
+        elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -np.inf, np.inf, np.nan]),
     )
 )
 def test_average_ranks_match_oracle_on_tie_heavy_input(values):
-    # NaN is left out: the oracle's np.unique puts all NaNs in one tie group
     assert np.array_equal(_average_ranks(values), oracle_average_ranks(values))
 
 
@@ -142,6 +142,29 @@ def test_ranking_is_mean_of_per_engine_abs_rho():
             ]
         )
         assert scores[sensor_id] == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.tuples(
+        hnp.arrays(np.float64, st.tuples(st.integers(2, 30), st.just(N_SENSORS)),
+                   elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan])),
+        st.sets(st.integers(0, N_SENSORS - 1)),  # columns made constant
+    ),
+    min_size=1, max_size=3))
+def test_ranking_matches_oracle_on_tied_constant_and_nan_columns(engines):
+    trajs = []
+    for engine_id, (sensors, constant) in enumerate(engines, start=1):
+        sensors[:, sorted(constant)] = sensors[0, sorted(constant)]
+        channels = np.zeros((len(sensors), N_CHANNELS))
+        channels[:, sensor_column(1):] = sensors
+        trajs.append(_traj_with_channels(engine_id, channels))
+    entries = rank_drift_sensors(trajs).entries
+    expected = oracle_sensor_scores(trajs)
+    assert [sensor_id for sensor_id, _ in entries] == sorted(
+        expected, key=lambda sensor_id: (-dict(entries)[sensor_id], sensor_id))
+    for sensor_id, score in entries:
+        assert score == pytest.approx(expected[sensor_id], abs=1e-12)
 
 
 def test_ranking_tie_break_by_sensor_id():

@@ -18,18 +18,19 @@ from driftcal.models import (TrainConfig, fit_quantile, predict_quantiles_batch,
                              predict_ttd_windows)
 from driftcal.models.base import ForecastModel
 from driftcal.models.predict import kind_of
-from driftcal.models.quantile import init_quantile_params, quantile_raw
+from driftcal.models.quantile import HEAD_CHUNK, init_quantile_params, quantile_raw
 
 from oracles import linear_raw_batch, quantile_raw_batch, traced_peak
 
-C = WINDOW_CHUNK
+C, H = WINDOW_CHUNK, HEAD_CHUNK
 W, D, HIDDEN = 40, 24, 64  # the default window, channel count and quantile width
-# around the chunk edges: one call, a joined tail (the shortest ones send a
-# product to another BLAS kernel), and a tail of its own; at 6 * C + 1 the
-# quantile head over all windows is too large for OpenBLAS's small-matrix
-# kernel, which a head run per chunk would use
-SIZES = [0, 1, 2, C - 1, C, C + 1, C + 2, C + 16, C + 17, C + 511, C + 512, 2 * C + 1,
-         3 * C + 1, 6 * C + 1]
+# around the chunk edges of both chunk sizes: one call, a joined tail (the
+# shortest ones send a product to another BLAS kernel), and a tail of its
+# own; at 6 * C + 1 the quantile head over all windows is too large for
+# OpenBLAS's small-matrix kernel, which a head run per chunk would use
+SIZES = [0, 1, 2, H - 1, H, H + 1, C - 1, C, C + 1, C + 2, C + 16, C + 17, H + H // 2 - 1,
+         H + H // 2, H + H // 2 + 1, C + 511, C + 512, 2 * C + 1, 3 * H + 1, 3 * C + 1,
+         6 * C + 1]
 
 
 def _models(standardizer=None) -> dict[str, ForecastModel]:

@@ -144,6 +144,34 @@ def test_report_sections_and_digests(workspace):
     assert report["config"]["seed"] == 13
 
 
+def _with_runs(value):
+    """An edit that sets a JSON object's runs to ``value``."""
+    return lambda data: json.dumps({**json.loads(data), "runs": value}).encode("utf-8")
+
+
+LIST = "TypeError: list indices must be integers or slices, not str"
+
+
+@pytest.mark.parametrize(("name", "edit", "message"), [
+    ("adapted_meta.json", lambda data: b"[1]", LIST),
+    ("adapted_meta.json", lambda data: data[: len(data) // 2], "JSONDecodeError: .*"),
+    ("adapted_meta.json", _with_runs(5), "runs 5 is not a list"),
+    ("adapt_manifest.json", lambda data: b"[1]", LIST),
+    ("adapt_manifest.json", lambda data: data[: len(data) // 2], "JSONDecodeError: .*")],
+    ids=["metadata_list", "metadata_truncated", "metadata_runs_int", "manifest_list",
+         "manifest_truncated"])
+def test_report_names_a_malformed_json_file(workspace, tmp_path, capsys, name, edit, message):
+    root, out, _ = workspace
+    copy = tmp_path / "malformed"
+    shutil.copytree(out, copy)
+    path = copy / name
+    path.write_bytes(edit(path.read_bytes()))
+    capsys.readouterr()
+    assert main(["report", "--config", str(root / "run.ini"), "--out", str(copy)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {re.escape(str(path))} is malformed: {message}\n", err), err
+
+
 def test_report_on_empty_dir(tmp_path):
     out = tmp_path / "empty"
     assert main(["report", "--out", str(out)]) == 0

@@ -14,7 +14,8 @@ config whole; the attention init hash, in the packed Q|K|V layout, before
 each layer's three projections became one. A refactor must leave every one of
 them unchanged. Model format v2 (the packed projection) retook the model and
 attention forecast pins; the quantile files after their magic line are
-still the bytes format v1 wrote (V1_BODY_PINS). The attention init
+the bytes format v1 would write for the same parameters (V1_BODY_PINS).
+The attention init
 forecast hash was taken before attention batches ran in row slices on
 several threads; the attention model and forecast pins were retaken then,
 once, because the gradient GEMMs of the last, partial batch now always run
@@ -24,10 +25,12 @@ linear forecast pin was taken then. The attention model and forecast pins
 were retaken once more when attention training moved from row slices to
 micro-batches of 16 windows: their gradients are summed in micro-batch
 order, and a float sum taken in another order rounds differently. The
-pinned fit's epoch logs kept their bits. The model pins cover float64
-arithmetic, so they hold only for one BLAS build (numpy's bundled OpenBLAS)
-and one of its kernels (ON_KERNEL), but at every thread count
-(test_fits_do_not_depend_on_blas_threads).
+pinned fit's epoch logs kept their bits. The quantile model, epoch-log and
+file-body pins and the quantile policy's event pins were retaken once when
+the quantile forecaster began to train and forecast in float32. The model
+pins cover float arithmetic, so they hold only for one BLAS build (numpy's
+bundled OpenBLAS) and one of its kernels (ON_KERNEL), but at every thread
+count (test_fits_do_not_depend_on_blas_threads).
 """
 
 import hashlib
@@ -88,15 +91,15 @@ PINS = {
     "adapted_csv": "54da021117105a5abfd1226e6dc42081d0aa37777aff6cea61b0f1be93fbfca3",
     "adapted_meta": "ac9f7e526856427b59aa44a1e04002948cec58f52c5d0d08dbf4b59d4d68986e",
     "dataset_digest": "fe9fe6457479b45d0ea2f19d9c49e2ab0177b74e5522e8262466ab83d8622a32",
-    "quantile_model": "c69067fdf3480d38c0a0f446d8b112103ea4af91187620e631c49ae038b8d9e6",
+    "quantile_model": "2a5d82ec038f7ddc87b7f434b21d7d67e2dd9ef2ebb45f0d0e5f987db7ba4b3f",
     "linear_model": "3a8861f57de9ecdcd37ca0007361ae9d0a91f1d2591f0b8584a9949e4266625c",
     "linear_predictions": "922765f307e1e3e519fea1ac3ea72fb00b6ce45e5e505f3bd4576d1cb6428dcb",
     "attention_model": "e8255f51c11dd68234e04f20903936192b0dec9afdbad168762bd6eb32df96b2",
     "attention_predictions": "16e5991417c13de2a7f5d2fa0f1a7694e6abbf409aaf6ffa98d1a0f56b16e0a1",
     "run_config_digest": "4c1bcbe352d3d7a8f6c6bf5d21f7f12f054361dcd09de7740a95bfb0bd98aa2e",
-    "quantile_early_stop_model": "ce303d9c9feddd4a22acd9378e2516045a4d7497c09dd25df87aeacc52076560",
-    "quantile_logs": "34cccf0ec395c0794f11a71dffb72ae2198c14018021405c6cedfe82c577d358",
-    "quantile_early_stop_logs": "ea072af901b189c966f7d7fae42a189f86ef47e38769a9c7b9efcd92fd6622ee",
+    "quantile_early_stop_model": "d0634133d87a3d925d6cb6af2f97ab9c5b5e49d9f6eb38cc3946bb62d0b442e0",
+    "quantile_logs": "8c2d816d6dc34d5d994d878c7d1e3cbb34fb7ce25ef623aa1e08539d21bc75f4",
+    "quantile_early_stop_logs": "03fd78e583e02a268500a8ea71bb2bc99068be38b81b419adbd387642334403e",
     "attention_logs": "bb2e7ea87680e1d74aed35d1187815b600fcdb9b1d6d74c8a75e73df303b94d6",
     "off_default_dataset_digest":
         "e8d596451cbfd0de2c00c52787da17fa78bea1437fccb838ec70146a827f7e1d",
@@ -105,15 +108,15 @@ PINS = {
         "56d5f07641c1a7bc3dfa7a3896eb8d528ba7f8fcc232a0e94d5d984423b37018",
 }
 
-# The kernel numpy's OpenBLAS ran when the pins were taken: the float64 pins
+# The kernel numpy's OpenBLAS ran when the pins were taken: the model pins
 # hold on it alone, and a mismatch elsewhere may be another kernel's rounding.
 ON_KERNEL = f"pinned on OpenBLAS's SkylakeX kernel; this run's is {threads.blas_kernel()}"
 
-# quantile model files after their first (magic) line, as model format v1 wrote them
+# quantile model files after their first (magic) line, as model format v1 would write them
 V1_BODY_PINS = {
-    "quantile_model": "496e7a7c3c4af49e2523231f4e3665e6c3b29f7bcee26a79092ce54857494c34",
+    "quantile_model": "2e90d1efa637d70f3d72c760ecc0528de10855a0fb9901f7efcc1cbfcbe89319",
     "quantile_early_stop_model":
-        "ba12b32ee35effa6d3a2dfb9b6a0e85fdb2a8d4a707ed9e6aee902b231a1089e",
+        "3542936f19564faebbb575dd8657d6223385eb27bace9c9c32ba3c9df6d91a8c",
 }
 
 # every adaptation field off its default: changing any one of them moves the digest
@@ -127,11 +130,11 @@ EVENT_PINS = {
     "reactive": "a89e23e9e7cc1df69346a09a481735cb13535462720a8b03e3593397a970a8f3",
     "fixed": "becc628f01d9e68fb75254a8a9c79524cd918476309e0acf6875e9c13b3c5c9b",
     "predictive": "2bfc845675cda094ee2d4f353571af3ee4a76b00b2f5722808cd3b749050cf86",
-    "quantile": "98b2309bb4e320a82446f6affc9df1dfb5937af466df6eda3f0cdf9661e59c03",
+    "quantile": "51cce94e28b41f486ef34152a39f84d59e7ba88f3d6f7ce7304db943392f4aab",
     "reactive:k1": "a89e23e9e7cc1df69346a09a481735cb13535462720a8b03e3593397a970a8f3",
     "fixed:k1": "becc628f01d9e68fb75254a8a9c79524cd918476309e0acf6875e9c13b3c5c9b",
     "predictive:k1": "090972f3f424d42ae2f0e01a97a488fe4a19ef85c199c498ee3e5ec2a4ab05c3",
-    "quantile:k1": "5ec59ca8d4a9d54e3d0ea12fe63c24c55a28fce71a1b097f6ca1520c0e5c67cb",
+    "quantile:k1": "f073bce0d17ff4d82c380ee824c23cf5d12892dd814549a50a3183d19d45a581",
 }
 CAPACITY = CapacitySpec(k=1, window_width=5)
 

@@ -1,16 +1,27 @@
 import numpy as np
 import pytest
 
-from driftcal.models import TrainConfig, fit_quantile, predict_quantiles_batch, predict_ttd_batch
+from driftcal.models import (
+    TrainConfig,
+    fit_quantile,
+    load_model,
+    predict_quantiles_batch,
+    predict_ttd_batch,
+    predict_ttd_windows,
+    save_model,
+)
 from driftcal.models.base import ShapeMismatchError
 from driftcal.models.quantile import (
     init_quantile_params,
+    quantile_forward_batch,
     quantile_loss_and_grads,
 )
+from driftcal.pipeline import label_and_window, train_forecaster
 
 from oracles import (
     central_difference_gradients,
     fit_quantile_constants,
+    fit_quantile_float64,
     flatten_params,
     max_relative_error,
     unflatten_params,
@@ -127,3 +138,34 @@ def test_validation_windows_of_another_shape_are_rejected(val_shape):
 
     with pytest.raises(ValueError, match="validation window shape"):
         fit_quantile(windows((4, 3)), windows(val_shape), _train_cfg(max_epochs=1))
+
+
+def test_float32_fit_agrees_with_a_float64_fit(small_dataset, tmp_path):
+    """The product's float32 fit against the same run in float64 (the
+    oracle): q50 MAE and the last validation pinball within 1%, the heads
+    ascending on average in both, and a saved model's parameters exactly
+    float32 values."""
+    bundle = label_and_window(small_dataset, seed=42)
+    cfg = TrainConfig(max_epochs=25, base_lr=5e-3, patience=25, seed=42)
+    model, logs = train_forecaster("quantile", bundle, cfg)
+    params64, logs64 = fit_quantile_float64(bundle.train_std, bundle.val_std, cfg)
+    assert len(logs) == len(logs64) == cfg.max_epochs
+    assert logs[-1].val_metric == pytest.approx(logs64[-1].val_metric, rel=0.01)
+
+    y = bundle.val_raw.label
+    X_val = bundle.val_std.take(slice(None)).reshape(len(y), -1)
+    mae32 = np.mean(np.abs(predict_ttd_windows(model, bundle.val_raw) - y))
+    heads64, _ = quantile_forward_batch(X_val, params64)
+    mae64 = np.mean(np.abs(np.maximum(np.sort(heads64, axis=1)[:, 1], 0.0) - y))
+    assert mae32 == pytest.approx(mae64, rel=0.01)
+
+    q = predict_quantiles_batch(model, bundle.val_raw.take(slice(None)))
+    assert np.all(np.diff(q, axis=1) >= 0.0)
+    params32 = {name: p.astype(np.float32) for name, p in model.params.items()}
+    heads32, _ = quantile_forward_batch(X_val.astype(np.float32), params32)
+    for heads in (heads32, heads64):
+        assert np.all(np.diff(heads.mean(axis=0)) > 0.0)
+
+    save_model(model, tmp_path / "model.bin")
+    for name, p in load_model(tmp_path / "model.bin").params.items():
+        assert np.array_equal(p, p.astype(np.float32).astype(np.float64)), name
