@@ -565,7 +565,10 @@ def read_adapted_dataset(out_dir: str | Path, expected_digest: str | None = None
     out_dir = Path(out_dir)
     meta_path, csv_path = out_dir / ADAPTED_META_NAME, out_dir / ADAPTED_CSV_NAME
     meta_bytes = meta_path.read_bytes()
-    meta = json.loads(meta_bytes.decode("utf-8"))
+    try:
+        meta = json.loads(meta_bytes.decode("utf-8"))
+    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"{meta_path} is malformed: {type(exc).__name__}: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path} is malformed: not a JSON object")
     if meta.get("format") != "driftcal-adapted v1":

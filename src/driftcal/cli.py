@@ -196,12 +196,17 @@ def _load_raw_trajectories(cfg: RunConfig):
     return load_trajectories(path)
 
 
+def _manifest_digest(cfg: RunConfig) -> str | None:
+    """The dataset digest adapt_manifest.json under cfg.out records; None
+    for a directory without a manifest."""
+    path = Path(cfg.out) / "adapt_manifest.json"
+    return _json_fields(path, "dataset_digest")[0] if path.exists() else None
+
+
 def _read_dataset(cfg: RunConfig) -> AdaptedDataset:
     """The adapted dataset under cfg.out, refused when it is not the one
     adapt_manifest.json records; a directory without a manifest is not checked."""
-    path = Path(cfg.out) / "adapt_manifest.json"
-    expected = _json_fields(path, "dataset_digest")[0] if path.exists() else None
-    return read_adapted_dataset(cfg.out, expected_digest=expected)
+    return read_adapted_dataset(cfg.out, expected_digest=_manifest_digest(cfg))
 
 
 def _json_fields(path: Path, *names: str) -> list:
@@ -227,10 +232,16 @@ def _model_path(cfg: RunConfig, kind: str) -> Path:
 
 
 def _load_model(cfg: RunConfig, path: Path, val: AdaptedDataset):
-    """The model saved at path, refused when it was trained on an engine
-    that cfg's split holds out for validation. A file without the header's
-    train_engines is not checked."""
+    """The model saved at path, refused when it was trained on another
+    dataset than adapt_manifest.json records, or on an engine that cfg's
+    split holds out for validation. A file without the header's
+    dataset_digest or train_engines, or a directory without a manifest,
+    skips that check."""
     model, header = read_model(path)
+    trained_on, current = header.get("dataset_digest"), _manifest_digest(cfg)
+    if trained_on is not None and current is not None and trained_on != current:
+        raise ValueError(f"{path} was trained on dataset digest {trained_on}, not the "
+                         f"{current} adapt_manifest.json records; retrain it")
     engines = header.get("train_engines", [])
     if not (isinstance(engines, list) and all(type(engine) is int for engine in engines)):
         raise ValueError(f"{path} is malformed: train_engines {engines!r} is not a list of ids")
@@ -284,6 +295,7 @@ def cmd_train(cfg: RunConfig) -> int:
     # the OpenBLAS kernel the fit ran on: a model's bits can differ between kernels
     save_model(model, path, extra_header={"seed": cfg.seed, "config_digest": cfg.digest(),
                                           "blas_kernel": blas_kernel(),
+                                          "dataset_digest": _manifest_digest(cfg),
                                           "train_engines": list(bundle.split.train_engines)})
     write_csv(
         Path(cfg.out) / f"train_log_{cfg.model}.csv",

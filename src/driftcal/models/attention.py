@@ -8,6 +8,12 @@ explicit so gradients can be verified against finite differences.
 
 Batches run in micro-batches of MICRO_BATCH windows on several threads,
 each in its own workspace, at one BLAS thread; models/threads.py says how.
+
+The model trains and forecasts in float32 (DTYPE): its parameters are
+drawn in float64 and rounded once, windows are rounded a micro-batch at a
+time, and the model file stores float64 values that float32 holds
+exactly. The forward, backward and loss follow their inputs' dtype, so
+the gradient checks run them in float64.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from ..labeling import Windows
 from .base import EpochLog, ForecastModel, TrainConfig, validation_set
 from .nn import (
     NonFiniteError,
+    as_dtype,
     check_finite,
     gelu_forward,
     gelu_from_tanh,
@@ -39,6 +46,9 @@ from .nn import (
 )
 from .optim import fit_minibatch
 from .threads import n_threads, one_blas_thread, run_tasks
+
+
+DTYPE = np.float32
 
 
 def init_attention_params(
@@ -78,10 +88,14 @@ def n_encoder_layers(params: dict[str, np.ndarray]) -> int:
 # Windows per micro-batch. Training batches, and the windows of validation
 # and inference forwards, are cut into micro-batches this size; each runs
 # whole on one thread in that thread's workspace, so activations take
-# threads x MICRO_BATCH windows however large the batch. A default step
-# (64 windows, 2 threads on a 2-CPU host) took 83-87 ms at 16, 85-88 ms at
-# 32 and 95-97 ms at 8; in fresh workspaces it traced 33, 61 and 19 MiB.
-MICRO_BATCH = 16
+# threads x MICRO_BATCH windows however large the batch. A multiple of 24
+# windows starts every micro-batch on a multiple of 24 GEMM rows, the row
+# unroll of Haswell's sgemm, for any window length, so chunked float32
+# forecasts equal one forward on every kernel; at 16 they did not. A warm
+# default step (64 windows, 2 threads on a 2-CPU host) took a median 55 ms
+# at 24 and 50 ms at 16 in float32, 91 ms at 16 in float64 (interleaved in
+# one process); in fresh workspaces it traced 23, 16 and 33 MiB.
+MICRO_BATCH = 24
 
 
 # -- workspace ---------------------------------------------------------------
@@ -89,8 +103,9 @@ MICRO_BATCH = 16
 class Workspace:
     """Activation buffers that attention forwards and backwards reuse.
 
-    Each named buffer is allocated on first use, for ``capacity`` windows;
-    a batch of B <= capacity windows works in its leading B rows, which are
+    Each named buffer is allocated on first use, for ``capacity`` windows,
+    in ``dtype``, which each forward sets to its windows' dtype; a batch of
+    B <= capacity windows works in its leading B rows, which are
     C-contiguous. A forward's cache reads the workspace, so a workspace
     serves one batch at a time: its backward must run before the next
     forward into the same workspace. Each encoder layer keeps only what
@@ -99,12 +114,13 @@ class Workspace:
     value; the backward refills the norm outputs and merged heads by the
     forward's own ufuncs, and puts its scratch into forward buffers dead
     by then (the stream's gradient into h, dg into u, du into tanh_u, the
-    Q|K|V gradient into a view of u). A default-size 16-window workspace
-    holds 14.7 MiB.
+    Q|K|V gradient into a view of u). A default-size 24-window workspace
+    holds 11.0 MiB in float32 (a 16-window one 14.7 MiB in float64).
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, dtype=np.float64):
         self.capacity = capacity
+        self.dtype = np.dtype(dtype)
         self._buffers: dict[str, np.ndarray] = {}
 
     def allocated(self) -> bool:
@@ -116,8 +132,8 @@ class Workspace:
         if B > self.capacity:
             raise ValueError(f"batch of {B} windows exceeds the workspace's {self.capacity}")
         buf = self._buffers.get(name)
-        if buf is None or buf.shape[1:] != shape:
-            buf = self._buffers[name] = np.empty((self.capacity, *shape))
+        if buf is None or buf.shape[1:] != shape or buf.dtype != self.dtype:
+            buf = self._buffers[name] = np.empty((self.capacity, *shape), self.dtype)
         return buf[:B]
 
     def layer_norm(self, name: str, B: int, w: int, dm: int):
@@ -202,7 +218,7 @@ def mha_forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str, heads
     values, the merged heads and the output in buffers every layer shares.
     """
     B, w, dm = x.shape
-    ws = Workspace(B) if ws is None else ws
+    ws = Workspace(B, x.dtype) if ws is None else ws
     dh = dm // heads
     scale = 1.0 / math.sqrt(dh)
     qkv = _mm(x, params[prefix + "wqkv"], ws.get(prefix + "qkv", B, w, 3 * dm))
@@ -270,21 +286,23 @@ def attention_forward_batch(
     check: bool = True,
     workspace: Workspace | None = None,
 ):
-    """Raw (unclipped) forecasts for a batch of windows (B, w, d).
+    """Raw (unclipped) forecasts for a batch of windows (B, w, d), in the
+    dtype of X and the parameters.
 
-    Activations go into ``workspace``, or a fresh one for this batch; the
-    returned cache reads them, and holds the workspace for the backward.
-    A window that turns non-finite raises NonFiniteError naming the first
-    layer where any window did.
+    Activations go into ``workspace``, or a fresh one for this batch, in
+    X's dtype; the returned cache reads them, and holds the workspace for
+    the backward. A window that turns non-finite raises NonFiniteError
+    naming the first layer where any window did.
     """
     B, w, _ = X.shape
     ws = Workspace(B) if workspace is None else workspace
+    ws.dtype = X.dtype
     d_model = params["in_proj.w"].shape[1]
     z = ws.get("z", B, d_model)
     # h is the residual stream, updated in place: h += a is h + a, bit for bit
     h = _mm(X, params["in_proj.w"], ws.get("h", B, w, d_model))
     h += params["in_proj.b"]
-    h += positional_encoding(w, d_model)
+    h += positional_encoding(w, d_model, X.dtype)
     if check:
         check_finite(h, "in_proj")
     layer_caches = []
@@ -386,14 +404,16 @@ def attention_loss_and_grads(X, y, params, heads, pool="mean", beta: float = 1.0
                              workspaces: list[Workspace] | None = None):
     """Mean SmoothL1 over the batch plus gradients for every parameter.
 
-    Each micro-batch runs its forward and backward whole, in one of
-    ``workspaces`` (fresh ones when None); the loss is taken once over all
-    the forecasts, and the gradients are summed in micro-batch order, so
-    no bit depends on the thread count. A NonFiniteError names the first
-    layer, in pass order, where any micro-batch's forward failed.
+    Everything runs in the dtype of X and the parameters, the targets y
+    rounded to it. Each micro-batch runs its forward and backward whole,
+    in one of ``workspaces`` (fresh ones when None); the loss is taken once
+    over all the forecasts, and the gradients are summed in micro-batch
+    order, so no bit depends on the thread count. A NonFiniteError names
+    the first layer, in pass order, where any micro-batch's forward failed.
     """
     B = len(y)
-    yhat = np.empty(B)
+    y = np.asarray(y, X.dtype)
+    yhat = np.empty(B, X.dtype)
 
     def step(rows: slice, ws: Workspace):
         try:
@@ -428,7 +448,9 @@ def train_attention(
     reduction order are all derived from it, and the bits are the same at
     every thread count: the fit holds numpy's OpenBLAS at one thread.
     The training steps and the validation forwards share one set of
-    micro-batch workspaces.
+    micro-batch workspaces. Parameters and windows are rounded to DTYPE
+    (the windows a batch at a time, never the whole channel matrix), and
+    the returned parameters are DTYPE arrays.
     """
     yva = validation_set(train_windows, val_windows)
     w, d = train_windows.shape
@@ -439,9 +461,9 @@ def train_attention(
                                    workspaces)
         return float(np.mean(np.abs(np.maximum(val_pred, 0.0) - yva)))
 
-    params = init_attention_params(
+    params = as_dtype(init_attention_params(
         np.random.default_rng([cfg.seed, 1]), d, cfg.d_model, cfg.heads, cfg.layers
-    )
+    ), DTYPE)
     with one_blas_thread():
         best_params, logs = fit_minibatch(
             lambda Xb, yb, p: attention_loss_and_grads(
@@ -449,7 +471,7 @@ def train_attention(
             ),
             val_mae,
             params,
-            train_windows.take,
+            lambda idx: train_windows.take(idx).astype(DTYPE),
             train_windows.label,
             cfg,
             np.random.default_rng([cfg.seed, 2]),
@@ -473,28 +495,32 @@ def train_attention(
 
 def _forward_chunks(take, n: int, params: dict[str, np.ndarray], heads: int,
                     pool: str, workspaces: list[Workspace]) -> np.ndarray:
-    """Raw forecasts for n windows, equal bit for bit to one
-    attention_forward_batch call over all of them.
+    """Raw forecasts for n windows in the parameters' dtype, equal bit for
+    bit to one attention_forward_batch call over all of them in that dtype.
 
     ``take(rows)`` gathers a micro-batch of the windows (from a fit's
-    window set, or a forecast's); a window's pooled features depend on
-    that window alone. The read-out runs once over all of them: numpy
-    computes a one-row read-out (a last micro-batch of one window) as a dot
-    product, which rounds differently.
+    window set, or a forecast's), rounded here to the parameters' dtype; a
+    window's pooled features depend on that window alone. The read-out
+    runs once over all of them: numpy computes a one-row read-out (a last
+    micro-batch of one window) as a dot product, which rounds differently.
     """
-    z = np.empty((n, params["in_proj.w"].shape[1]))
+    dtype = params["in_proj.w"].dtype
+    z = np.empty((n, params["in_proj.w"].shape[1]), dtype)
 
     def encode(rows: slice, ws: Workspace) -> None:
-        z[rows] = attention_forward_batch(take(rows), params, heads, pool, check=False,
-                                          workspace=ws)[1]["z"]
+        z[rows] = attention_forward_batch(take(rows).astype(dtype, copy=False), params, heads,
+                                          pool, check=False, workspace=ws)[1]["z"]
 
     collections.deque(_micro_batches(n, encode, workspaces), maxlen=0)
     return _head(z, params)
 
 
 def attention_raw(model: ForecastModel, take, n: int) -> np.ndarray:
-    """Raw predictions for the n standardized windows that ``take(rows)``
-    gathers, a micro-batch at a time, at one BLAS thread."""
+    """Raw predictions, as float64, for the n standardized windows that
+    ``take(rows)`` gathers, a micro-batch at a time: a DTYPE forward of the
+    model's parameters rounded to DTYPE (exact for a model train_attention
+    trained), at one BLAS thread."""
     with one_blas_thread():
-        return _forward_chunks(take, n, model.params, model.meta["heads"],
-                               model.meta.get("pool", "mean"), micro_workspaces(n))
+        return _forward_chunks(take, n, as_dtype(model.params, DTYPE), model.meta["heads"],
+                               model.meta.get("pool", "mean"),
+                               micro_workspaces(n)).astype(np.float64)

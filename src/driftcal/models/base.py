@@ -76,7 +76,8 @@ class ForecastModel:
     """A trained forecaster plus the standardizer it was trained with.
 
     ``params`` maps parameter names to float arrays (float32 as the
-    quantile fit returns them, float64 otherwise and as loaded); ``meta``
+    quantile and attention fits return them, float64 otherwise and as
+    loaded); ``meta``
     carries the kind-specific architecture settings needed to run the
     forward pass.
     """

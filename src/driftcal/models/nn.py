@@ -1,9 +1,9 @@
 """Numeric building blocks for the hand-rolled forecasters.
 
 Every primitive comes as a forward/backward pair so analytic gradients can
-be checked against central finite differences. The attention kernels work
-in float64; the pinball loss and its gradient follow their inputs' dtype,
-float32 for the quantile forecaster, float64 in the gradient checks.
+be checked against central finite differences. The kernels and losses
+follow their inputs' dtype: float32 when the attention and quantile
+forecasters train and forecast, float64 in the gradient checks.
 """
 
 from __future__ import annotations
@@ -39,6 +39,19 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _empty_like(x) -> np.ndarray:
+    """An uninitialized array of x's shape in x's float dtype (float64
+    for integers)."""
+    x = np.asarray(x)
+    return np.empty(x.shape, np.result_type(x, np.float32))
+
+
+def as_dtype(params: dict[str, np.ndarray], dtype) -> dict[str, np.ndarray]:
+    """The parameters rounded to ``dtype`` (the arrays themselves where
+    they already are)."""
+    return {name: p.astype(dtype, copy=False) for name, p in params.items()}
+
+
 def leading_view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The leading elements of the C-contiguous ``buf`` as an array of
     ``shape``: one buffer serving values of several shapes."""
@@ -48,10 +61,11 @@ def leading_view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- positional encoding -----------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
-def positional_encoding(length: int, d_model: int) -> np.ndarray:
-    """(length, d_model) table of sinusoidal codes for positions 0..length-1.
+def positional_encoding(length: int, d_model: int, dtype=np.float64) -> np.ndarray:
+    """(length, d_model) table of sinusoidal codes for positions 0..length-1,
+    computed in float64 and rounded once to ``dtype``.
 
-    Built once per shape and shared, so it is read-only.
+    Built once per shape and dtype and shared, so it is read-only.
     """
     pe = np.empty((length, d_model), dtype=np.float64)
     positions = np.arange(length, dtype=np.float64)[:, None]
@@ -59,6 +73,7 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
     angles = positions / (10000.0 ** (2.0 * k / d_model))
     pe[:, 0::2] = np.sin(angles[:, 0::2])
     pe[:, 1::2] = np.cos(angles[:, 1::2])
+    pe = pe.astype(dtype, copy=False)
     pe.flags.writeable = False
     return pe
 
@@ -72,7 +87,7 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
 
 def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """exp(x - max) / sum(exp(x - max)) along ``axis``; ``out`` may be x itself."""
-    out = np.empty(np.shape(x)) if out is None else out
+    out = _empty_like(x) if out is None else out
     shift = np.maximum.reduce(x, axis=axis, keepdims=True)
     np.subtract(x, shift, out=out)
     np.exp(out, out=out)
@@ -84,7 +99,7 @@ def softmax_backward(
     dp: np.ndarray, p: np.ndarray, axis: int = -1, out: np.ndarray | None = None
 ) -> np.ndarray:
     """p * (dp - sum(dp * p)) along ``axis``; ``out`` must not be dp or p."""
-    out = np.empty(np.shape(p)) if out is None else out
+    out = _empty_like(p) if out is None else out
     np.multiply(dp, p, out=out)
     total = np.add.reduce(out, axis=axis, keepdims=True)
     np.subtract(dp, total, out=out)
@@ -107,7 +122,7 @@ def layer_norm(
     buffers, of x's shape twice and of x's shape with a last axis of 1.
     """
     if out is None:
-        out = (np.empty(x.shape), np.empty(x.shape), np.empty(x.shape[:-1] + (1,)))
+        out = (_empty_like(x), _empty_like(x), _empty_like(x[..., :1]))
     y, xhat, inv = out
     n = x.shape[-1]
     mean = np.add.reduce(x, axis=-1, keepdims=True)
@@ -140,8 +155,8 @@ def layer_norm_backward(
     neither may be dy. Summed over the leading axes, dy * xhat is the gain
     gradient and dy the bias gradient; the caller sums them."""
     xhat, inv, gain = cache
-    dx = np.empty(dy.shape) if out is None else out
-    tmp = np.empty(dy.shape) if scratch is None else scratch
+    dx = _empty_like(dy) if out is None else out
+    tmp = _empty_like(dy) if scratch is None else scratch
     n = dy.shape[-1]
     dxhat = np.multiply(dy, gain, out=dx)
     m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
@@ -159,15 +174,18 @@ def layer_norm_backward(
 
 # -- activations -------------------------------------------------------------
 
-# float64 elements per GELU block: a block and its scratch stay in L2 cache
-# while every elementwise step runs over it.
+# elements per GELU block: a block and its scratch stay in L2 cache while
+# every elementwise step runs over it.
 _GELU_BLOCK = 32768
 
 
 def _gelu_blocks(x: np.ndarray, *extra: np.ndarray):
-    """Flat, C-ordered views of x and of each same-shape array in ``extra``,
-    one tuple per block of at most _GELU_BLOCK elements."""
-    flats = [np.ascontiguousarray(a, dtype=np.float64).reshape(-1) for a in (x, *extra)]
+    """Flat, C-ordered views of x (a copy when it is not C-contiguous) and
+    of each same-shape array in ``extra``, one tuple per block of at most
+    _GELU_BLOCK elements. Each of ``extra`` must be C-contiguous: a copy
+    would lose what the caller writes into it, so it raises ValueError."""
+    flats = [np.ascontiguousarray(x).reshape(-1),
+             *(np.reshape(a, -1, copy=False) for a in extra)]
     for start in range(0, flats[0].size, _GELU_BLOCK):
         yield tuple(f[start : start + _GELU_BLOCK] for f in flats)
 
@@ -191,8 +209,8 @@ def gelu_forward(
     fresh ones; every element goes through the same operations, in the same
     order, as the plain formula 0.5 * x * (1 + tanh(C0 * (x + C1 * x^3))).
     """
-    g, t = (np.empty(np.shape(x)), np.empty(np.shape(x))) if out is None else out
-    scratch = np.empty(min(g.size, _GELU_BLOCK))
+    g, t = (_empty_like(x), _empty_like(x)) if out is None else out
+    scratch = np.empty(min(g.size, _GELU_BLOCK), g.dtype)
     for xb, gb, tb in _gelu_blocks(x, g, t):
         gelu_from_tanh(xb, _gelu_tanh(xb, tb), gb, scratch)
     return g, t
@@ -202,7 +220,7 @@ def gelu_from_tanh(x: np.ndarray, tanh_u: np.ndarray, out: np.ndarray,
                    scratch: np.ndarray | None = None) -> np.ndarray:
     """0.5 * x * (1 + tanh_u), in that operation order, block by block into
     the C-contiguous ``out``: gelu_forward's g, bit for bit, from its t."""
-    scratch = np.empty(min(out.size, _GELU_BLOCK)) if scratch is None else scratch
+    scratch = np.empty(min(out.size, _GELU_BLOCK), out.dtype) if scratch is None else scratch
     for xb, tb, ob in _gelu_blocks(x, tanh_u, out):
         s = scratch[: xb.size]
         np.multiply(0.5, xb, out=ob)
@@ -218,9 +236,9 @@ def gelu_grad(x: np.ndarray, tanh_u: np.ndarray, out: np.ndarray | None = None) 
 
     0.5 * (1 + t) + 0.5 * x * (1 - t * t) * (C0 * (1 + 3 * C1 * x * x)).
     """
-    out = np.empty(np.shape(x)) if out is None else out
+    out = _empty_like(x) if out is None else out
     n = min(out.size, _GELU_BLOCK)
-    s1, s2 = np.empty(n), np.empty(n)
+    s1, s2 = np.empty(n, out.dtype), np.empty(n, out.dtype)
     for xb, ob, tb in _gelu_blocks(x, out, tanh_u):
         s1b, s2b = s1[: xb.size], s2[: xb.size]
         # s1 = 0.5 * (1 + t) and ob = 0.5 * x * (1 - t * t), reading t first
@@ -247,19 +265,27 @@ def tanh_grad(t: np.ndarray) -> np.ndarray:
 
 # -- losses ------------------------------------------------------------------
 
+def _float_array(e) -> np.ndarray:
+    """e as an array of its float dtype (float64 for Python numbers and integers)."""
+    e = np.asarray(e)
+    return e.astype(np.result_type(e, np.float32), copy=False)
+
+
 def smooth_l1(e, beta: float = 1.0):
-    """Huber-style loss: quadratic inside |e| < beta, linear outside."""
+    """Huber-style loss: quadratic inside |e| < beta, linear outside, in
+    e's float dtype."""
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    e = np.asarray(e, dtype=np.float64)
+    e = _float_array(e)
     out = np.where(np.abs(e) < beta, 0.5 * e**2 / beta, np.abs(e) - 0.5 * beta)
     return float(out) if out.ndim == 0 else out
 
 
 def smooth_l1_grad(e, beta: float = 1.0):
+    """d(smooth_l1)/de, in e's float dtype."""
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    e = np.asarray(e, dtype=np.float64)
+    e = _float_array(e)
     out = np.where(np.abs(e) < beta, e / beta, np.sign(e))
     return float(out) if out.ndim == 0 else out
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..labeling import Windows, window_chunks
 from .base import EpochLog, ForecastModel, TrainConfig, validation_set
-from .nn import check_finite, pinball_grad, pinball_loss, tanh_grad, xavier_uniform
+from .nn import as_dtype, check_finite, pinball_grad, pinball_loss, tanh_grad, xavier_uniform
 from .optim import fit_minibatch
 from .threads import one_blas_thread
 
@@ -102,8 +102,8 @@ def fit_quantile(
             for j, q in enumerate(QUANTILES)
         )
 
-    params = _rounded(
-        init_quantile_params(np.random.default_rng([cfg.seed, 3]), w * d, cfg.hidden_width))
+    params = as_dtype(
+        init_quantile_params(np.random.default_rng([cfg.seed, 3]), w * d, cfg.hidden_width), DTYPE)
     with one_blas_thread():
         best_params, logs = fit_minibatch(
             quantile_loss_and_grads,
@@ -122,10 +122,6 @@ def fit_quantile(
         meta={"quantiles": list(QUANTILES), "hidden_width": cfg.hidden_width},
     )
     return model, logs
-
-
-def _rounded(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: p.astype(DTYPE, copy=False) for name, p in params.items()}
 
 
 def _heads(take, n: int, params: dict[str, np.ndarray]) -> np.ndarray:
@@ -148,4 +144,4 @@ def quantile_raw(model: ForecastModel, take, n: int) -> np.ndarray:
     windows: a DTYPE forward of the model's parameters rounded to DTYPE
     (exact for a model fit_quantile trained), at one BLAS thread."""
     with one_blas_thread():
-        return np.sort(_heads(take, n, _rounded(model.params)), axis=1).astype(np.float64)
+        return np.sort(_heads(take, n, as_dtype(model.params, DTYPE)), axis=1).astype(np.float64)

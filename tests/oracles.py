@@ -12,8 +12,8 @@ windows, as the library did before it read windows in chunks; the
 quantile one in float32, as the library forecasts.
 
 Helpers that only tests use live here too: a trajectory summary, an
-intercept-only pinball fit and the quantile fit in float64, both of which
-run the library's training loop, parameter flattening for the
+intercept-only pinball fit and the quantile and attention fits in float64,
+all of which run the library's training loop, parameter flattening for the
 finite-difference checks, a window set built from given window arrays,
 and the traced peak of a call.
 
@@ -46,7 +46,11 @@ from driftcal.cmapss_io import (
 )
 from driftcal.labeling import Windows
 from driftcal.models import TrainConfig, predict_quantiles_batch, predict_ttd_batch
-from driftcal.models.attention import attention_forward_batch
+from driftcal.models.attention import (
+    attention_forward_batch,
+    attention_loss_and_grads,
+    init_attention_params,
+)
 from driftcal.models.quantile import (
     QUANTILES,
     init_quantile_params,
@@ -535,6 +539,28 @@ def fit_quantile_float64(train: Windows, val: Windows, cfg: TrainConfig):
         return fit_minibatch(quantile_loss_and_grads, val_pinball, params,
                              lambda idx: _flat(train.take(idx)), train.label, cfg,
                              np.random.default_rng([cfg.seed, 4]))
+
+
+def train_attention_float64(train: Windows, val: Windows, cfg: TrainConfig):
+    """(best params, epoch logs) of train_attention's training run in
+    float64: the same initial draws, batches, loss, gradients and AdamW
+    steps, with nothing rounded to float32, and the validation MAE from one
+    forward over all validation windows."""
+    w, d = train.shape
+    X_val = val.take(slice(None))
+
+    def val_mae(params):
+        pred, _ = attention_forward_batch(X_val, params, cfg.heads, cfg.pool, check=False)
+        return float(np.mean(np.abs(np.maximum(pred, 0.0) - val.label)))
+
+    def loss_and_grads(Xb, yb, params):
+        return attention_loss_and_grads(Xb, yb, params, cfg.heads, cfg.pool, cfg.smooth_l1_beta)
+
+    params = init_attention_params(np.random.default_rng([cfg.seed, 1]), d, cfg.d_model,
+                                   cfg.heads, cfg.layers)
+    with one_blas_thread():
+        return fit_minibatch(loss_and_grads, val_mae, params, train.take, train.label, cfg,
+                             np.random.default_rng([cfg.seed, 2]))
 
 
 def traced_peak(fn) -> int:

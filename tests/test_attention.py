@@ -8,10 +8,12 @@ from driftcal.models import (
     TrainingDivergedError,
     load_model,
     predict_ttd_batch,
+    predict_ttd_windows,
     save_model,
     train_attention,
 )
 from driftcal.models.attention import (
+    DTYPE,
     MICRO_BATCH,
     Workspace,
     _forward_chunks,
@@ -23,13 +25,16 @@ from driftcal.models.attention import (
     micro_workspaces,
 )
 from driftcal.models.base import ForecastModel
+from driftcal.models.nn import as_dtype
 from driftcal.models.threads import one_blas_thread
+from driftcal.pipeline import label_and_window, train_forecaster
 
 from oracles import (
     attention_forward,
     central_difference_gradients,
     flatten_params,
     max_relative_error,
+    train_attention_float64,
     traced_peak,
     unflatten_params,
     windows_of,
@@ -186,17 +191,36 @@ def _tiny_model(d=3, w=6, pool="mean"):
 
 
 @pytest.mark.parametrize("pool", ["mean", "last"])
-@pytest.mark.parametrize(  # last micro-batches of a partial, a whole, one and five windows
-    "n", [0, 1, 8 * MICRO_BATCH - 1, 8 * MICRO_BATCH, 8 * MICRO_BATCH + 1, 24 * MICRO_BATCH + 5]
+@pytest.mark.parametrize(  # last micro-batches of a partial, a whole, one and five windows,
+    # at MICRO_BATCH and (127 to 389) at the earlier 16-window micro-batch
+    "n", [0, 1, 127, 128, 129, 389, 8 * MICRO_BATCH - 1, 8 * MICRO_BATCH, 8 * MICRO_BATCH + 1,
+          24 * MICRO_BATCH + 5]
 )
 def test_chunked_inference_equals_one_forward(n, pool):
     model = _tiny_model(pool=pool)
     X = np.random.default_rng(n).normal(size=(n, 6, 3))
-    with one_blas_thread():  # as attention_raw runs
-        whole, _ = attention_forward_batch(X, model.params, TINY["heads"], pool, check=False)
+    with one_blas_thread():  # as attention_raw runs, in the model's dtype
+        whole, _ = attention_forward_batch(X.astype(DTYPE), as_dtype(model.params, DTYPE),
+                                           TINY["heads"], pool, check=False)
     chunked = attention_raw(model, X.__getitem__, n)
     assert chunked.shape == (n,)
     assert np.array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("n", [17, 33, 48, 64, 100, 129])
+def test_chunked_inference_at_the_default_window_equals_one_forward(n):
+    # 40-cycle windows and the default d_model: a micro-batch starts on a
+    # multiple of 24 GEMM rows, the row unroll of Haswell's sgemm, only
+    # because MICRO_BATCH is one; at 16 windows every n here failed under
+    # that kernel
+    params = init_attention_params(np.random.default_rng(n), 3, 64, 4, 1)
+    model = ForecastModel(kind="attention", params=params, window=40, n_channels=3,
+                          meta={"heads": 4, "pool": "mean"})
+    X = np.random.default_rng(n).normal(size=(n, 40, 3))
+    with one_blas_thread():
+        whole, _ = attention_forward_batch(X.astype(DTYPE), as_dtype(params, DTYPE), 4,
+                                           check=False)
+    assert np.array_equal(attention_raw(model, X.__getitem__, n), whole)
 
 
 def test_inference_memory_does_not_grow_with_window_count():
@@ -305,3 +329,30 @@ def test_chunked_forwards_through_one_workspace_equal_one_forward(pool):
             for take in (X.__getitem__, windows_of(X, np.zeros(n, dtype=int)).take):
                 chunked = _forward_chunks(take, n, params, TINY["heads"], pool, [ws])
                 assert np.array_equal(chunked, whole)
+
+
+def test_float32_fit_agrees_with_a_float64_fit(small_dataset, tmp_path):
+    """The product's float32 fit against the same run in float64 (the
+    oracle): every epoch's validation MAE, and the MAE of the best
+    parameters' forecasts, within a relative 1e-4 (the two differed by at
+    most 5e-7 over seeds 1, 2 and 42 at 10 epochs); a saved model's
+    parameters are exactly float32 values."""
+    bundle = label_and_window(small_dataset, seed=42)
+    cfg = TrainConfig(max_epochs=6, base_lr=3e-3, warmup_steps=10, patience=6, seed=42)
+    model, logs = train_forecaster("attention", bundle, cfg)
+    params64, logs64 = train_attention_float64(bundle.train_std, bundle.val_std, cfg)
+    assert len(logs) == len(logs64) == cfg.max_epochs
+    for log, log64 in zip(logs, logs64):
+        assert log.val_metric == pytest.approx(log64.val_metric, rel=1e-4)
+
+    y = bundle.val_raw.label
+    mae32 = np.mean(np.abs(predict_ttd_windows(model, bundle.val_raw) - y))
+    with one_blas_thread():
+        pred64, _ = attention_forward_batch(bundle.val_std.take(slice(None)), params64,
+                                            cfg.heads, check=False)
+    mae64 = np.mean(np.abs(np.maximum(pred64, 0.0) - y))
+    assert mae32 == pytest.approx(mae64, rel=1e-4)
+
+    save_model(model, tmp_path / "model.bin")
+    for name, p in load_model(tmp_path / "model.bin").params.items():
+        assert np.array_equal(p, p.astype(np.float32).astype(np.float64)), name

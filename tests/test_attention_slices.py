@@ -27,6 +27,8 @@ from driftcal.models.attention import (
     micro_workspaces,
 )
 
+from driftcal.models.nn import as_dtype
+
 from oracles import traced_peak, windows_of
 
 HEADS = 2
@@ -84,11 +86,13 @@ def _assert_same_step(a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(B=st.integers(1, 150), n_cpus=st.integers(2, 4), pool=st.sampled_from(["mean", "last"]),
-       w=st.sampled_from([1, 2, 6]), seed=st.integers(0, 2**32 - 1))
-def test_step_does_not_depend_on_the_thread_count(B, n_cpus, pool, w, seed):
+       w=st.sampled_from([1, 2, 6]), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.float64, attention.DTYPE]))
+def test_step_does_not_depend_on_the_thread_count(B, n_cpus, pool, w, seed, dtype):
     rng = np.random.default_rng(seed)
-    params = _params(seed % 1000)
-    X, y = rng.normal(size=(B, w, 3)), rng.normal(loc=5.0, scale=3.0, size=B)
+    params = as_dtype(_params(seed % 1000), dtype)
+    X = rng.normal(size=(B, w, 3)).astype(dtype)
+    y = rng.normal(loc=5.0, scale=3.0, size=B).astype(dtype)
     one = _step(1, X, y, params, pool)
     # fresh workspaces: the first round allocates them on this thread
     _assert_same_step(_step(n_cpus, X, y, params, pool), one)
@@ -212,21 +216,23 @@ def test_sliced_forward_prefers_an_earlier_layer_in_a_later_slice():
 
 def test_step_memory_is_bounded_by_the_micro_batch_workspaces():
     # two threads hold two micro-batch workspaces and their gradients,
-    # however many windows the batch has (the default model size)
+    # however many windows the batch has (the default model size): a batch
+    # of 16 micro-batches peaks as one of 4, each round of two whole ones
+    # building two gradient sets beside the running sum
     params = init_attention_params(np.random.default_rng(5), 24, 64, 4, 2)
     rng = np.random.default_rng(6)
     peaks = {}
-    for B in (64, 256):
+    for B in (4 * MICRO_BATCH, 16 * MICRO_BATCH):
         X, y = rng.normal(size=(B, 40, 24)), rng.normal(loc=20.0, scale=5.0, size=B)
         with _cpus(2):  # fresh workspaces, allocated in the step
             peaks[B] = traced_peak(lambda: attention_loss_and_grads(X, y, params, 4))
     grad_bytes = sum(p.nbytes for p in params.values())
-    assert peaks[256] < peaks[64] + grad_bytes
+    assert peaks[16 * MICRO_BATCH] < peaks[4 * MICRO_BATCH] + grad_bytes
     ws = Workspace(MICRO_BATCH)
     attention_loss_and_grads(X[:MICRO_BATCH], y[:MICRO_BATCH], params, 4, "mean", 1.0, [ws])
     ws_bytes = sum(buf.nbytes for buf in ws._buffers.values())
     # the sum, one finished and one growing set per thread, and a spare
-    assert peaks[64] < 2 * ws_bytes + 6 * grad_bytes
+    assert peaks[4 * MICRO_BATCH] < 2 * ws_bytes + 6 * grad_bytes
 
 
 def _diverged_attention_fit():

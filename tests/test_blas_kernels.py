@@ -26,6 +26,7 @@ INVARIANTS = [
     "tests/test_chunked_forecasts.py",
     "tests/test_attention_slices.py",
     "tests/test_attention.py::test_chunked_inference_equals_one_forward",
+    "tests/test_attention.py::test_chunked_inference_at_the_default_window_equals_one_forward",
     "tests/test_attention.py::test_chunked_forwards_through_one_workspace_equal_one_forward",
 ]
 

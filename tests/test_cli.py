@@ -601,6 +601,26 @@ def test_malformed_metadata_prints_one_error_line(workspace, tmp_path, capsys, a
     assert capsys.readouterr().err == f"error: {meta_path} is malformed: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
+@pytest.mark.parametrize(("edit", "message"), [
+    (lambda data: data[: len(data) // 2], "JSONDecodeError: .*"),
+    (lambda data: b"\xff" + data,
+     "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")],
+    ids=["truncated", "not_utf8"])
+def test_an_undecodable_metadata_file_prints_one_error_line(workspace, tmp_path, capsys, command,
+                                                            edit, message):
+    root, out, _ = workspace
+    copy = tmp_path / "undecodable"
+    shutil.copytree(out, copy)
+    meta_path = copy / "adapted_meta.json"
+    meta_path.write_bytes(edit(meta_path.read_bytes()))
+    capsys.readouterr()
+    assert main([command, "--model", "linear", "--config", str(root / "run.ini"),
+                 "--out", str(copy)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {re.escape(str(meta_path))} is malformed: {message}\n", err), err
+
+
 def _with_header(header: bytes):
     """An edit that replaces a model file's JSON header line."""
     def edit(data: bytes) -> bytes:
@@ -620,17 +640,23 @@ def _with_one_channel_standardizer(field: str):
     return edit
 
 
-def _with_train_engines(value):
-    """An edit that sets the header's train_engines to ``value``, or drops
-    the field for None."""
+def _with_header_field(name: str, value):
+    """An edit that sets a model header's field ``name`` to ``value``, or
+    drops the field for None."""
     def edit(data: bytes) -> bytes:
         magic, header, blob = data.split(b"\n", 2)
         fields = json.loads(header)
-        fields["train_engines"] = value
+        fields[name] = value
         if value is None:
-            del fields["train_engines"]
+            del fields[name]
         return b"\n".join([magic, json.dumps(fields).encode("utf-8"), blob])
     return edit
+
+
+def _with_train_engines(value):
+    """An edit that sets the header's train_engines to ``value``, or drops
+    the field for None."""
+    return _with_header_field("train_engines", value)
 
 
 @pytest.mark.parametrize(
@@ -848,3 +874,49 @@ def test_a_model_without_train_engines_loads_as_before(trained_at_seed_7, tmp_pa
     args = ["--seed", "8", "--config", str(root / "run.ini"), "--out", str(copy)]
     assert main(["evaluate", *args]) == 0
     assert main(["simulate", "--model", "linear", *args]) == 0
+
+
+@pytest.fixture(scope="module")
+def readapted(workspace, tmp_path_factory):
+    """A copy of the workspace adapted again with another reset probability
+    (so another dataset digest, over the same engines and split), keeping
+    the models trained on the first dataset; and its config file."""
+    root, out, _ = workspace
+    copy = tmp_path_factory.mktemp("readapted") / "out"
+    shutil.copytree(out, copy)
+    ini = root / "readapt.ini"
+    ini.write_text(CONFIG + "\n[adapt]\nnoise_reset_prob = 0.25\n", encoding="utf-8")
+    assert main(["adapt", "--config", str(ini), "--out", str(copy)]) == 0
+    return copy, ini
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_a_model_trained_on_another_dataset_is_refused(workspace, readapted, capsys, command):
+    _, out, _ = workspace
+    copy, ini = readapted
+    trained_on = json.loads((out / "adapt_manifest.json").read_text())["dataset_digest"]
+    current = json.loads((copy / "adapt_manifest.json").read_text())["dataset_digest"]
+    assert trained_on != current
+    path = copy / "model_linear.bin"
+    assert json.loads(path.read_bytes().split(b"\n")[1])["dataset_digest"] == trained_on
+    capsys.readouterr()
+    assert main([command, "--model", "linear", "--config", str(ini), "--out", str(copy)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path} was trained on dataset digest {trained_on}, not the {current} "
+        f"adapt_manifest.json records; retrain it\n")
+
+
+def test_a_model_without_a_dataset_digest_or_a_dir_without_a_manifest_loads_as_before(
+        readapted, tmp_path):
+    copy, ini = readapted
+    legacy_model, no_manifest = tmp_path / "legacy_model", tmp_path / "no_manifest"
+    for target in (legacy_model, no_manifest):
+        shutil.copytree(copy, target)
+    for kind in ("linear", "quantile"):
+        path = legacy_model / f"model_{kind}.bin"
+        path.write_bytes(_with_header_field("dataset_digest", None)(path.read_bytes()))
+    (no_manifest / "adapt_manifest.json").unlink()
+    for target in (legacy_model, no_manifest):
+        args = ["--config", str(ini), "--out", str(target)]
+        assert main(["evaluate", *args]) == 0
+        assert main(["simulate", "--model", "linear", *args]) == 0

@@ -27,7 +27,9 @@ micro-batches of 16 windows: their gradients are summed in micro-batch
 order, and a float sum taken in another order rounds differently. The
 pinned fit's epoch logs kept their bits. The quantile model, epoch-log and
 file-body pins and the quantile policy's event pins were retaken once when
-the quantile forecaster began to train and forecast in float32. The model
+the quantile forecaster began to train and forecast in float32, and the
+attention model, epoch-log, forecast and init-forecast pins once when the
+attention forecaster did, in micro-batches of 24 windows. The model
 pins cover float arithmetic, so they hold only for one BLAS build (numpy's
 bundled OpenBLAS) and one of its kernels (ON_KERNEL), but at every thread
 count (test_fits_do_not_depend_on_blas_threads).
@@ -81,7 +83,7 @@ from driftcal.scheduler import (
     median_segment_length,
     simulate,
 )
-from driftcal.synthetic import synthetic_trajectories
+from driftcal.synthetic import NOISE_FRAC, synthetic_trajectories
 from driftcal.util import fmt_float
 
 SEED = 3
@@ -94,18 +96,18 @@ PINS = {
     "quantile_model": "2a5d82ec038f7ddc87b7f434b21d7d67e2dd9ef2ebb45f0d0e5f987db7ba4b3f",
     "linear_model": "3a8861f57de9ecdcd37ca0007361ae9d0a91f1d2591f0b8584a9949e4266625c",
     "linear_predictions": "922765f307e1e3e519fea1ac3ea72fb00b6ce45e5e505f3bd4576d1cb6428dcb",
-    "attention_model": "e8255f51c11dd68234e04f20903936192b0dec9afdbad168762bd6eb32df96b2",
-    "attention_predictions": "16e5991417c13de2a7f5d2fa0f1a7694e6abbf409aaf6ffa98d1a0f56b16e0a1",
+    "attention_model": "38d81087fa8ffdef02ad19e49e9d554d482bb8b6bc92e8f5f9d92fecd5428813",
+    "attention_predictions": "0500ca14a98820292c2236522bbef60aaa4269d4b452835581bfa1444eaa5a85",
     "run_config_digest": "4c1bcbe352d3d7a8f6c6bf5d21f7f12f054361dcd09de7740a95bfb0bd98aa2e",
     "quantile_early_stop_model": "d0634133d87a3d925d6cb6af2f97ab9c5b5e49d9f6eb38cc3946bb62d0b442e0",
     "quantile_logs": "8c2d816d6dc34d5d994d878c7d1e3cbb34fb7ce25ef623aa1e08539d21bc75f4",
     "quantile_early_stop_logs": "03fd78e583e02a268500a8ea71bb2bc99068be38b81b419adbd387642334403e",
-    "attention_logs": "bb2e7ea87680e1d74aed35d1187815b600fcdb9b1d6d74c8a75e73df303b94d6",
+    "attention_logs": "664ff65d1113d94f56a9e4d2c2092827d18e1ad7cfb711b51ab2225a6a10beca",
     "off_default_dataset_digest":
         "e8d596451cbfd0de2c00c52787da17fa78bea1437fccb838ec70146a827f7e1d",
     "attention_init": "1615db5ce57bb63e077b19c518d6e46c62c7ed91c1aee9a5a0ec315974e31f2e",
     "attention_init_inference":
-        "56d5f07641c1a7bc3dfa7a3896eb8d528ba7f8fcc232a0e94d5d984423b37018",
+        "a8c47c7a7e09bbd7e4d39a998c3c869f7411da579b5ad2e303e91db92ebd8734",
 }
 
 # The kernel numpy's OpenBLAS ran when the pins were taken: the model pins
@@ -219,6 +221,12 @@ def test_default_run_config_digest():
 def test_serialized_trajectories_hash(fleet):
     text = serialize_trajectories(fleet)
     assert _sha(text.encode("utf-8")) == PINS["trajectories_txt"], ON_KERNEL
+
+
+def test_default_noise_frac_reproduces_the_serialized_trajectories():
+    fleet = synthetic_trajectories(n_engines=8, seed=SEED, length_range=(130, 360),
+                                   noise_frac=NOISE_FRAC)
+    assert _sha(serialize_trajectories(fleet).encode("utf-8")) == PINS["trajectories_txt"]
 
 
 def test_adapted_files_and_digest_hashes(dataset, tmp_path):
