@@ -90,11 +90,18 @@ def n_encoder_layers(params: dict[str, np.ndarray]) -> int:
 # whole on one thread in that thread's workspace, so activations take
 # threads x MICRO_BATCH windows however large the batch. A multiple of 24
 # windows starts every micro-batch on a multiple of 24 GEMM rows, the row
-# unroll of Haswell's sgemm, for any window length, so chunked float32
-# forecasts equal one forward on every kernel; at 16 they did not. A warm
-# default step (64 windows, 2 threads on a 2-CPU host) took a median 55 ms
-# at 24 and 50 ms at 16 in float32, 91 ms at 16 in float64 (interleaved in
-# one process); in fresh workspaces it traced 23, 16 and 33 MiB.
+# unroll of Haswell's sgemm, for any window length, so at the default
+# d_model (64) chunked float32 forecasts equal one forward under the
+# SkylakeX, Haswell, Sandybridge and Prescott kernels; at 16 they did not
+# under Haswell. That needs each product to take one kernel at every row
+# count. SkylakeX's sgemm takes a small-matrix kernel, which rounds
+# differently, for some products of at most 1e6 multiply-adds, so at
+# d_model 8, 24 and 40 (of those tried) a forecast can differ in its last
+# bits with the number of windows forecast with it (the known defect in
+# test_chunked_inference_at_d_model_8_equals_one_forward). A warm default
+# step (64 windows, 2 threads on a 2-CPU host) took a median 55 ms at 24
+# and 50 ms at 16 in float32, 91 ms at 16 in float64 (interleaved in one
+# process); in fresh workspaces it traced 23, 16 and 33 MiB.
 MICRO_BATCH = 24
 
 
@@ -118,9 +125,9 @@ class Workspace:
     holds 11.0 MiB in float32 (a 16-window one 14.7 MiB in float64).
     """
 
-    def __init__(self, capacity: int, dtype=np.float64):
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.dtype = np.dtype(dtype)
+        self.dtype = np.dtype(np.float64)
         self._buffers: dict[str, np.ndarray] = {}
 
     def allocated(self) -> bool:
@@ -218,7 +225,9 @@ def mha_forward(x: np.ndarray, params: dict[str, np.ndarray], prefix: str, heads
     values, the merged heads and the output in buffers every layer shares.
     """
     B, w, dm = x.shape
-    ws = Workspace(B, x.dtype) if ws is None else ws
+    if ws is None:
+        ws = Workspace(B)
+        ws.dtype = x.dtype
     dh = dm // heads
     scale = 1.0 / math.sqrt(dh)
     qkv = _mm(x, params[prefix + "wqkv"], ws.get(prefix + "qkv", B, w, 3 * dm))
@@ -496,7 +505,9 @@ def train_attention(
 def _forward_chunks(take, n: int, params: dict[str, np.ndarray], heads: int,
                     pool: str, workspaces: list[Workspace]) -> np.ndarray:
     """Raw forecasts for n windows in the parameters' dtype, equal bit for
-    bit to one attention_forward_batch call over all of them in that dtype.
+    bit to one attention_forward_batch call over all of them in that dtype
+    where every GEMM takes one BLAS kernel at every row count (MICRO_BATCH
+    says where it does not).
 
     ``take(rows)`` gathers a micro-batch of the windows (from a fit's
     window set, or a forecast's), rounded here to the parameters' dtype; a

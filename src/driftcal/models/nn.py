@@ -43,7 +43,7 @@ def _empty_like(x) -> np.ndarray:
     """An uninitialized array of x's shape in x's float dtype (float64
     for integers)."""
     x = np.asarray(x)
-    return np.empty(x.shape, np.result_type(x, np.float32))
+    return np.empty(x.shape, np.result_type(x.dtype, np.float32))
 
 
 def as_dtype(params: dict[str, np.ndarray], dtype) -> dict[str, np.ndarray]:
@@ -184,8 +184,9 @@ def _gelu_blocks(x: np.ndarray, *extra: np.ndarray):
     of each same-shape array in ``extra``, one tuple per block of at most
     _GELU_BLOCK elements. Each of ``extra`` must be C-contiguous: a copy
     would lose what the caller writes into it, so it raises ValueError."""
-    flats = [np.ascontiguousarray(x).reshape(-1),
-             *(np.reshape(a, -1, copy=False) for a in extra)]
+    if not all(a.flags.c_contiguous for a in extra):
+        raise ValueError("GELU outputs and tanh(u) must be C-contiguous")
+    flats = [np.ascontiguousarray(x).reshape(-1), *(a.reshape(-1) for a in extra)]
     for start in range(0, flats[0].size, _GELU_BLOCK):
         yield tuple(f[start : start + _GELU_BLOCK] for f in flats)
 
@@ -268,7 +269,7 @@ def tanh_grad(t: np.ndarray) -> np.ndarray:
 def _float_array(e) -> np.ndarray:
     """e as an array of its float dtype (float64 for Python numbers and integers)."""
     e = np.asarray(e)
-    return e.astype(np.result_type(e, np.float32), copy=False)
+    return e.astype(np.result_type(e.dtype, np.float32), copy=False)
 
 
 def smooth_l1(e, beta: float = 1.0):
@@ -305,5 +306,5 @@ def pinball_grad(y, yhat, q: float):
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
     diff = np.subtract(y, yhat)
-    out = np.where(diff >= 0, -q, 1.0 - q).astype(np.result_type(diff, np.float32))
+    out = np.where(diff >= 0, -q, 1.0 - q).astype(np.result_type(diff.dtype, np.float32))
     return float(out) if out.ndim == 0 else out

@@ -25,7 +25,6 @@ def synthetic_trajectories(
     n_engines: int = 20,
     seed: int = 0,
     length_range: tuple[int, int] = (200, 300),
-    noise_frac: float = NOISE_FRAC,
 ) -> list[SensorTrajectory]:
     """Generate ``n_engines`` run-to-failure style trajectories.
 
@@ -36,16 +35,12 @@ def synthetic_trajectories(
     across the fleet (with small per-engine jitter), which keeps donor
     stitching sane and lets models generalize across engines; curvature
     still makes time-to-crossing a nonlinear function of the observed level.
-    The drift sensors' noise has a standard deviation of ``noise_frac``
-    times their span: the lever on how reliable forecasts can be.
     """
     if n_engines < 1:
         raise ValueError("n_engines must be >= 1")
     lo, hi = length_range
     if lo < 20 or hi < lo:
         raise ValueError(f"invalid length_range {length_range}; need 20 <= lo <= hi")
-    if not noise_frac >= 0:
-        raise ValueError(f"noise_frac must be >= 0, got {noise_frac}")
 
     fleet_rng = derive_rng(seed, 0)
     base = fleet_rng.uniform(1.0, 3.0, size=N_SENSORS)
@@ -73,7 +68,7 @@ def synthetic_trajectories(
                 gamma = shape[sensor_id - 1] + rng.uniform(-0.1, 0.1)
                 t_ramp = RAMP_FRACTION * length * rng.uniform(0.9, 1.1)
                 ramp = np.minimum(1.0, t / t_ramp) ** gamma
-                channels[:, col] = b + s * ramp + rng.normal(0.0, noise_frac * abs(s), size=length)
+                channels[:, col] = b + s * ramp + rng.normal(0.0, NOISE_FRAC * abs(s), size=length)
             else:
                 channels[:, col] = b + rng.normal(0.0, 0.05, size=length)
 

@@ -36,7 +36,7 @@ from driftcal.adaptation import (
     write_adapted_dataset,
 )
 from driftcal.cmapss_io import N_CHANNELS, N_SENSORS, SensorTrajectory, sensor_column
-from driftcal.synthetic import DRIFT_SENSORS, NOISE_FRAC, synthetic_trajectories
+from driftcal.synthetic import synthetic_trajectories
 from driftcal.util import canonical_json
 
 from oracles import (
@@ -187,24 +187,6 @@ def test_ranking_rejects_bad_top_k():
 def test_synthetic_drift_sensors_rank_first(small_trajectories):
     ranking = rank_drift_sensors(small_trajectories)
     assert set(ranking.top(3)) == {2, 7, 15}
-
-
-def test_noise_frac_widens_the_drift_sensors_spread_about_their_ramp():
-    # the same draws scaled: a fleet with noise_frac=0 is the noise-free ramp,
-    # and only the drift sensors' columns depend on noise_frac
-    ramp, default, noisy = (synthetic_trajectories(4, seed=3, noise_frac=frac)
-                            for frac in (0.0, NOISE_FRAC, 0.10))
-    drift = [sensor_column(sensor_id) for sensor_id in DRIFT_SENSORS]
-    for base, *others in zip(ramp, default, noisy):
-        for traj in others:
-            assert np.array_equal(np.delete(traj.channels, drift, axis=1),
-                                  np.delete(base.channels, drift, axis=1))
-        for sensor_id in DRIFT_SENSORS:
-            spread = [np.std(traj.sensor(sensor_id) - base.sensor(sensor_id)) for traj in others]
-            assert spread[0] > 0.0
-            assert spread[1] / spread[0] == pytest.approx(0.10 / NOISE_FRAC, rel=1e-9)
-    with pytest.raises(ValueError, match="noise_frac must be >= 0, got -0.1"):
-        synthetic_trajectories(4, noise_frac=-0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ from driftcal.scheduler import (
     median_segment_length,
     simulate,
 )
-from driftcal.synthetic import NOISE_FRAC, synthetic_trajectories
+from driftcal.synthetic import synthetic_trajectories
 from driftcal.util import fmt_float
 
 SEED = 3
@@ -221,12 +221,6 @@ def test_default_run_config_digest():
 def test_serialized_trajectories_hash(fleet):
     text = serialize_trajectories(fleet)
     assert _sha(text.encode("utf-8")) == PINS["trajectories_txt"], ON_KERNEL
-
-
-def test_default_noise_frac_reproduces_the_serialized_trajectories():
-    fleet = synthetic_trajectories(n_engines=8, seed=SEED, length_range=(130, 360),
-                                   noise_frac=NOISE_FRAC)
-    assert _sha(serialize_trajectories(fleet).encode("utf-8")) == PINS["trajectories_txt"]
 
 
 def test_adapted_files_and_digest_hashes(dataset, tmp_path):
