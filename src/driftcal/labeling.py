@@ -14,16 +14,33 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .adaptation import AdaptedRun
 
 STD_FLOOR = 1e-8
-WINDOW_CHUNK = 1024  # windows gathered at a time when reading a whole set (7.9 MB of 40 x 24)
+WINDOW_CHUNK = 1024  # windows per block when reading a whole set (7.9 MB of 40 x 24)
 
 
-def window_chunks(n: int, chunk: int = WINDOW_CHUNK) -> list[slice]:
-    """Row slices of ``chunk`` windows covering n in order; a tail under
-    chunk // 2 joins the slice before. Per-slice products equal one
-    product over all n bit for bit while each takes the same OpenBLAS kernel,
-    never for a one-row slice (a dot product): the tail rule avoids those."""
-    starts = range(0, max(n - chunk // 2 + 1, 1), chunk)
-    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], n])]
+def _window_blocks(n: int, size: int = WINDOW_CHUNK) -> list[slice]:
+    """Row slices of ``size`` windows covering n in order, the last one ending at n."""
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def forecast_blocks(forecast, take, n: int, size: int, run=map) -> np.ndarray:
+    """The outputs of forecast(X) for the n windows that take(rows) gathers,
+    run on blocks X of exactly ``size`` windows: the _window_blocks slices,
+    the last one padded with zero windows, whose outputs are dropped.
+
+    Every product a forecast makes then has one shape whatever n is, so a
+    prefix of the windows gets a prefix of the forecasts, bit for bit.
+    ``run(work, slices)`` yields work(rows, ...) per slice in order; map by
+    default, and work passes any further arguments on to forecast. For
+    n = 0 a block of padding alone runs, so that the empty result has the
+    outputs' shape.
+    """
+    def work(rows: slice, *args):
+        X = take(rows)
+        if len(X) < size:
+            X = np.concatenate([X, np.zeros((size - len(X), *X.shape[1:]), X.dtype)])
+        return forecast(X, *args)
+
+    return np.concatenate(list(run(work, _window_blocks(n, size) or [slice(0, 0)])))[:n]
 
 
 def compute_ttd(run: AdaptedRun) -> np.ndarray:
@@ -178,25 +195,26 @@ def _carry_sum(total: np.ndarray | None, cells: np.ndarray) -> np.ndarray:
 
 def fit_standardizer(train: Windows) -> Standardizer:
     """Statistics over all window cells per channel: numpy's mean and std
-    over the (n * w, d) stack of the windows, computed chunk by chunk.
+    over the (n * w, d) stack of the windows, computed a _window_blocks
+    slice at a time.
 
     numpy sums the rows of a stack of more than one column in order, so
-    sums that carry their running total into the next chunk equal the
+    sums that carry their running total into the next block equal the
     whole-stack sums bit for bit. This relies on d >= 2 (the schema has 24
     channels): numpy sums a single column pairwise.
     """
     if not train:
         raise ValueError("cannot fit a standardizer on an empty window set")
-    chunks = window_chunks(len(train))
+    blocks = _window_blocks(len(train))
     n_cells, d = len(train) * train.w, train.shape[1]
     first = train.channels[train.start[0]]
     total, squares, varies = None, None, np.zeros(d, dtype=bool)
-    for rows in chunks:
+    for rows in blocks:
         cells = train.take(rows).reshape(-1, d)
         varies |= (cells != first).any(axis=0)
         total = _carry_sum(total, cells)
     mean = total / n_cells
-    for rows in chunks:
+    for rows in blocks:
         cells = train.take(rows).reshape(-1, d)
         cells -= mean
         squares = _carry_sum(squares, np.square(cells, out=cells))

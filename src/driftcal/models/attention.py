@@ -18,13 +18,12 @@ the gradient checks run them in float64.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 
 import numpy as np
 
-from ..labeling import Windows
+from ..labeling import Windows, forecast_blocks
 from .base import EpochLog, ForecastModel, TrainConfig, validation_set
 from .nn import (
     NonFiniteError,
@@ -85,23 +84,14 @@ def n_encoder_layers(params: dict[str, np.ndarray]) -> int:
     return max(layers) + 1 if layers else 0
 
 
-# Windows per micro-batch. Training batches, and the windows of validation
-# and inference forwards, are cut into micro-batches this size; each runs
-# whole on one thread in that thread's workspace, so activations take
-# threads x MICRO_BATCH windows however large the batch. A multiple of 24
-# windows starts every micro-batch on a multiple of 24 GEMM rows, the row
-# unroll of Haswell's sgemm, for any window length, so at the default
-# d_model (64) chunked float32 forecasts equal one forward under the
-# SkylakeX, Haswell, Sandybridge and Prescott kernels; at 16 they did not
-# under Haswell. That needs each product to take one kernel at every row
-# count. SkylakeX's sgemm takes a small-matrix kernel, which rounds
-# differently, for some products of at most 1e6 multiply-adds, so at
-# d_model 8, 24 and 40 (of those tried) a forecast can differ in its last
-# bits with the number of windows forecast with it (the known defect in
-# test_chunked_inference_at_d_model_8_equals_one_forward). A warm default
-# step (64 windows, 2 threads on a 2-CPU host) took a median 55 ms at 24
-# and 50 ms at 16 in float32, 91 ms at 16 in float64 (interleaved in one
-# process); in fresh workspaces it traced 23, 16 and 33 MiB.
+# Windows per micro-batch. Training batches are cut into micro-batches of
+# at most this size, and validation and inference forwards into blocks of
+# exactly this size (forecast_blocks); each runs whole on one thread in that
+# thread's workspace, so activations take threads x MICRO_BATCH windows
+# however large the batch. A warm default step (64 windows, 2 threads on a
+# 2-CPU host) took a median 55 ms at 24 and 50 ms at 16 in float32, 91 ms at
+# 16 in float64 (interleaved in one process); in fresh workspaces it traced
+# 23, 16 and 33 MiB.
 MICRO_BATCH = 24
 
 
@@ -150,27 +140,23 @@ class Workspace:
 
 
 def micro_workspaces(batch: int) -> list[Workspace]:
-    """Workspaces for batches of up to ``batch`` windows: one per thread
-    that runs their micro-batches, each for one micro-batch."""
-    batch = max(1, batch)
-    return [Workspace(min(batch, MICRO_BATCH))
-            for _ in range(min(n_threads(), math.ceil(batch / MICRO_BATCH)))]
+    """MICRO_BATCH-window workspaces for batches of up to ``batch`` windows:
+    one per thread that runs their micro-batches."""
+    return [Workspace(MICRO_BATCH)
+            for _ in range(min(n_threads(), math.ceil(max(1, batch) / MICRO_BATCH)))]
 
 
-def _micro_batches(n: int, work, workspaces: list[Workspace]):
-    """work(rows, ws) for each micro-batch ``rows`` of the windows 0..n-1,
-    yielded in micro-batch order.
+def _micro_batches(batches: list[slice], work, workspaces: list[Workspace]):
+    """work(rows, ws) for each micro-batch ``rows`` of ``batches``, yielded
+    in order.
 
-    A micro-batch holds as many windows as a workspace (MICRO_BATCH, or a
-    whole smaller batch). They run in rounds of one micro-batch per
-    workspace, side by side on as many threads (run_tasks). A round whose
-    workspaces are not all allocated runs on this thread, so that their
-    buffers come from this thread's malloc arena: a pool thread's arena
-    would keep their memory after the workspaces are gone (+16% peak RSS
-    on the default benchmark when pool threads allocated them).
+    They run in rounds of one micro-batch per workspace, side by side on as
+    many threads (run_tasks). A round whose workspaces are not all allocated
+    runs on this thread, so that their buffers come from this thread's
+    malloc arena: a pool thread's arena would keep their memory after the
+    workspaces are gone (+16% peak RSS on the default benchmark when pool
+    threads allocated them).
     """
-    size = workspaces[0].capacity
-    batches = [slice(start, min(start + size, n)) for start in range(0, n, size)]
     for first in range(0, len(batches), len(workspaces)):
         tasks = [functools.partial(work, rows, ws)
                  for rows, ws in zip(batches[first:], workspaces)]
@@ -276,11 +262,6 @@ def mha_backward(dout: np.ndarray, params: dict[str, np.ndarray], cache,
     return _mm(dqkv, params[prefix + "wqkv"].T, dmerged)  # dmerged is dead too
 
 
-def _head(z: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
-    """Linear read-out of the pooled (B, d_model) features."""
-    return z @ params["head.w"][:, 0] + params["head.b"][0]
-
-
 def _check_order(params: dict[str, np.ndarray]) -> list[str]:
     """The layers a checked forward tests for non-finite values, in pass order."""
     return ["in_proj", *(f"enc{i}.{part}" for i in range(n_encoder_layers(params))
@@ -341,7 +322,7 @@ def attention_forward_batch(
         np.mean(h, axis=1, out=z)
     else:
         z[...] = h[:, -1, :]
-    yhat = _head(z, params)
+    yhat = z @ params["head.w"][:, 0] + params["head.b"][0]  # the linear read-out
     if check:
         check_finite(yhat, "head")
     return yhat, {"X": X, "layers": layer_caches, "z": z, "pool": pool, "ws": ws}
@@ -434,7 +415,10 @@ def attention_loss_and_grads(X, y, params, heads, pool="mean", beta: float = 1.0
                                         params, cache)
 
     grads, failed = None, []
-    for outcome in _micro_batches(B, step, workspaces or micro_workspaces(B)):
+    workspaces = workspaces or micro_workspaces(B)
+    size = workspaces[0].capacity
+    batches = [slice(first, min(first + size, B)) for first in range(0, B, size)]
+    for outcome in _micro_batches(batches, step, workspaces):
         if isinstance(outcome, NonFiniteError):
             failed.append(outcome)
         elif grads is None:
@@ -504,31 +488,24 @@ def train_attention(
 
 def _forward_chunks(take, n: int, params: dict[str, np.ndarray], heads: int,
                     pool: str, workspaces: list[Workspace]) -> np.ndarray:
-    """Raw forecasts for n windows in the parameters' dtype, equal bit for
-    bit to one attention_forward_batch call over all of them in that dtype
-    where every GEMM takes one BLAS kernel at every row count (MICRO_BATCH
-    says where it does not).
-
-    ``take(rows)`` gathers a micro-batch of the windows (from a fit's
-    window set, or a forecast's), rounded here to the parameters' dtype; a
-    window's pooled features depend on that window alone. The read-out
-    runs once over all of them: numpy computes a one-row read-out (a last
-    micro-batch of one window) as a dot product, which rounds differently.
-    """
+    """Raw forecasts for the n windows ``take(rows)`` gathers (from a fit's
+    window set, or a forecast's), rounded here to the parameters' dtype and
+    forecast in it: one attention_forward_batch per MICRO_BATCH-window
+    block (forecast_blocks), a round of blocks side by side in
+    ``workspaces``."""
     dtype = params["in_proj.w"].dtype
-    z = np.empty((n, params["in_proj.w"].shape[1]), dtype)
 
-    def encode(rows: slice, ws: Workspace) -> None:
-        z[rows] = attention_forward_batch(take(rows).astype(dtype, copy=False), params, heads,
-                                          pool, check=False, workspace=ws)[1]["z"]
+    def forward(X: np.ndarray, ws: Workspace) -> np.ndarray:
+        return attention_forward_batch(X.astype(dtype, copy=False), params, heads, pool,
+                                       check=False, workspace=ws)[0]
 
-    collections.deque(_micro_batches(n, encode, workspaces), maxlen=0)
-    return _head(z, params)
+    return forecast_blocks(forward, take, n, MICRO_BATCH,
+                           lambda work, blocks: _micro_batches(blocks, work, workspaces))
 
 
 def attention_raw(model: ForecastModel, take, n: int) -> np.ndarray:
     """Raw predictions, as float64, for the n standardized windows that
-    ``take(rows)`` gathers, a micro-batch at a time: a DTYPE forward of the
+    ``take(rows)`` gathers, a block at a time: a DTYPE forward of the
     model's parameters rounded to DTYPE (exact for a model train_attention
     trained), at one BLAS thread."""
     with one_blas_thread():

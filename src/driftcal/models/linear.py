@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..labeling import WINDOW_CHUNK, Windows, window_chunks
+from ..labeling import WINDOW_CHUNK, Windows, forecast_blocks
 from .base import ForecastModel
 from .threads import one_blas_thread
 
@@ -57,10 +57,10 @@ def fit_linear(windows: Windows, ridge: float = 1e-6) -> ForecastModel:
 
 def linear_raw(model: ForecastModel, take, n: int) -> np.ndarray:
     """Raw (unclipped) predictions for the n standardized windows that
-    ``take(rows)`` gathers, one product per window_chunks slice, at one
-    BLAS thread: the product's bits depend on the thread count."""
-    coef, out = model.params["coef"], np.empty(n)
+    ``take(rows)`` gathers, one product per WINDOW_CHUNK-window block
+    (forecast_blocks), at one BLAS thread: the product's bits depend on the
+    thread count."""
+    coef = model.params["coef"]
     with one_blas_thread():
-        for rows in window_chunks(n):
-            out[rows] = take(rows).reshape(-1, len(coef)) @ coef
+        out = forecast_blocks(lambda X: X.reshape(len(X), -1) @ coef, take, n, WINDOW_CHUNK)
     return out + model.params["intercept"][0]

@@ -46,32 +46,32 @@ def kind_of(name: str) -> Kind:
     return KINDS[name]
 
 
-def _standardizing(model: ForecastModel, gather, shape: tuple[int, ...]):
-    """take(rows) for a raw forecast, after a check of the windows' shape:
-    the raw windows gather(rows) returns, standardized chunk by chunk."""
+def _forecast(model: ForecastModel, windows, raw) -> np.ndarray:
+    """raw(model, take, n), clipped at zero, for n raw windows: an array
+    (n, w, d), or a Windows set, gathered a block at a time. take(rows)
+    standardizes them, after a check of their shape."""
+    if isinstance(windows, Windows):
+        gather, shape = windows.take, (len(windows), *windows.shape)
+    else:
+        gather, shape = windows.__getitem__, windows.shape
     if len(shape) != 3 or shape[1:] != (model.window, model.n_channels):
         raise ShapeMismatchError(
             f"expected (B, {model.window}, {model.n_channels}) windows, got {shape}"
         )
-    return lambda rows: model.standardize(gather(rows))
+    return np.maximum(raw(model, lambda rows: model.standardize(gather(rows)), shape[0]), 0.0)
 
 
 def predict_ttd_batch(model: ForecastModel, windows: np.ndarray) -> np.ndarray:
     """Clipped point forecasts for raw windows of shape (B, w, d)."""
-    take = _standardizing(model, windows.__getitem__, windows.shape)
-    return np.maximum(kind_of(model.kind).raw_point(model, take, len(windows)), 0.0)
+    return _forecast(model, windows, kind_of(model.kind).raw_point)
 
 
 def predict_ttd_windows(model: ForecastModel, windows: Windows) -> np.ndarray:
     """Clipped point forecasts for every window of a raw window set, gathered
-    a chunk at a time: predict_ttd_batch on their stack, bit for bit."""
-    take = _standardizing(model, windows.take, (len(windows), *windows.shape))
-    return np.maximum(kind_of(model.kind).raw_point(model, take, len(windows)), 0.0)
+    a block at a time: predict_ttd_batch on their stack, bit for bit."""
+    return _forecast(model, windows, kind_of(model.kind).raw_point)
 
 
 def predict_quantiles_batch(model: ForecastModel, windows: np.ndarray) -> np.ndarray:
     """Rectified, zero-clipped quantile forecasts (B, n_levels), ascending."""
-    if model.kind != "quantile":
-        raise ValueError(f"model kind {model.kind!r} has no quantile heads")
-    take = _standardizing(model, windows.__getitem__, windows.shape)
-    return np.maximum(quantile_raw(model, take, len(windows)), 0.0)
+    return _forecast(model, windows, quantile_raw)

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..labeling import Windows, window_chunks
+from ..labeling import Windows, forecast_blocks
 from .base import EpochLog, ForecastModel, TrainConfig, validation_set
 from .nn import as_dtype, check_finite, pinball_grad, pinball_loss, tanh_grad, xavier_uniform
 from .optim import fit_minibatch
@@ -24,9 +24,7 @@ from .threads import one_blas_thread
 
 QUANTILES = (0.1, 0.5, 0.9)  # ascending
 DTYPE = np.float32
-# windows per hidden-layer product in _heads: a multiple of the 24-row unroll
-# of OpenBLAS's Haswell sgemm, whose rows otherwise round unlike one product's
-HEAD_CHUNK = 768
+HEAD_CHUNK = 768  # windows per forecast block in _heads
 
 
 def init_quantile_params(
@@ -42,14 +40,10 @@ def init_quantile_params(
     }
 
 
-def _hidden(Xf: np.ndarray, params: dict[str, np.ndarray]):
-    h1 = np.tanh(Xf @ params["l1.w"] + params["l1.b"])
-    return h1, np.tanh(h1 @ params["l2.w"] + params["l2.b"])
-
-
 def quantile_forward_batch(Xf: np.ndarray, params: dict[str, np.ndarray], check: bool = True):
     """Raw head outputs (B, n_quantiles) for flattened windows (B, p)."""
-    h1, h2 = _hidden(Xf, params)
+    h1 = np.tanh(Xf @ params["l1.w"] + params["l1.b"])
+    h2 = np.tanh(h1 @ params["l2.w"] + params["l2.b"])
     out = h2 @ params["head.w"] + params["head.b"]
     if check:
         check_finite(out, "quantile head")
@@ -126,22 +120,20 @@ def fit_quantile(
 
 def _heads(take, n: int, params: dict[str, np.ndarray]) -> np.ndarray:
     """Raw head outputs (n, n_quantiles) in DTYPE for the n windows
-    take(rows) gathers (cast to DTYPE), equal bit for bit to one
-    quantile_forward_batch in DTYPE: the hidden layers run per HEAD_CHUNK
-    slice of window_chunks, the 3-column head once over all rows, as the
-    head's rows over a slice need not round as over the whole product
-    (in float64, slices of up to 5,208 rows took OpenBLAS's small-matrix
-    kernel)."""
-    h2 = np.empty((n, params["l2.w"].shape[1]), dtype=DTYPE)
-    for rows in window_chunks(n, HEAD_CHUNK):
-        Xf = take(rows).reshape(-1, len(params["l1.w"])).astype(DTYPE, copy=False)
-        h2[rows] = _hidden(Xf, params)[1]
-    return h2 @ params["head.w"] + params["head.b"]
+    take(rows) gathers (cast to DTYPE): one quantile_forward_batch per
+    HEAD_CHUNK-window block (forecast_blocks)."""
+    return forecast_blocks(
+        lambda X: quantile_forward_batch(X.reshape(len(X), -1).astype(DTYPE, copy=False), params,
+                                         check=False)[0],
+        take, n, HEAD_CHUNK)
 
 
 def quantile_raw(model: ForecastModel, take, n: int) -> np.ndarray:
     """Rectified (sorted) head outputs, as float64, for n standardized
     windows: a DTYPE forward of the model's parameters rounded to DTYPE
-    (exact for a model fit_quantile trained), at one BLAS thread."""
+    (exact for a model fit_quantile trained), at one BLAS thread. A model
+    of another kind raises ValueError."""
+    if model.kind != "quantile":
+        raise ValueError(f"model kind {model.kind!r} has no quantile heads")
     with one_blas_thread():
         return np.sort(_heads(take, n, as_dtype(model.params, DTYPE)), axis=1).astype(np.float64)

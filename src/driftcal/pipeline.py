@@ -21,10 +21,10 @@ from .models import (
     ForecastModel,
     TrainConfig,
     kind_of,
-    predict_quantiles_batch,
-    predict_ttd_batch,
     predict_ttd_windows,
 )
+from .models.predict import _forecast
+from .models.quantile import quantile_raw
 from .scheduler import CycleScorer
 
 
@@ -100,20 +100,18 @@ def forecast_scorer(
 
     Scores exist at cycles >= w (a full window is needed). The point score
     is the clipped forecast; with use_quantile=True it is the rectified,
-    clipped lowest-level quantile (q10). A window
-    with a non-finite cell raises ValueError, as ``window_runs`` does.
+    clipped lowest-level quantile (q10). One forecast covers the dataset's
+    windows, gathered a block at a time, so a window scores the bits
+    evaluate_forecaster gives it. A window with a non-finite cell raises
+    ValueError, as ``window_runs`` does.
     """
     scores: dict[tuple[int, int], float] = {}
-    for run in dataset.runs:  # one forecast batch per run
-        windows = window_runs([run], w=model.window)
-        if not windows:  # the run is shorter than w
-            continue
-        if use_quantile:
-            values = predict_quantiles_batch(model, windows.take(slice(None)))[:, 0]
-        else:
-            values = predict_ttd_batch(model, windows.take(slice(None)))
+    windows = window_runs(dataset.runs, w=model.window) if dataset.runs else None
+    if windows:  # else no run is w cycles long
+        values = (_forecast(model, windows, quantile_raw)[:, 0] if use_quantile
+                  else predict_ttd_windows(model, windows))
         keys = zip(windows.engine_id.tolist(), windows.end_cycle.tolist())
-        scores.update(zip(keys, values.tolist()))
+        scores = dict(zip(keys, values.tolist()))
     return CycleScorer(scores=scores, start_cycle=model.window)
 
 

@@ -7,9 +7,10 @@ straightforward per-segment replay and by a global-clock replay,
 forecast scores by cutting each run's windows with sliding_window_view,
 and softmax, layer norm and GELU as whole-array expressions.
 
-Linear and quantile forecasts are computed as one product over all
-windows, as the library did before it read windows in chunks; the
-quantile one in float32, as the library forecasts.
+Linear, quantile and attention forecasts are computed block by block
+over the windows stacked with zero windows up to whole blocks of the
+library's block sizes, one product or forward per block; the quantile and
+attention ones in float32, as the library forecasts.
 
 Helpers that only tests use live here too: a trajectory summary, an
 intercept-only pinball fit and the quantile and attention fits in float64,
@@ -44,14 +45,16 @@ from driftcal.cmapss_io import (
     _scan_lines,
     sensor_column,
 )
-from driftcal.labeling import Windows
+from driftcal.labeling import WINDOW_CHUNK, Windows
 from driftcal.models import TrainConfig, predict_quantiles_batch, predict_ttd_batch
 from driftcal.models.attention import (
+    MICRO_BATCH,
     attention_forward_batch,
     attention_loss_and_grads,
     init_attention_params,
 )
 from driftcal.models.quantile import (
+    HEAD_CHUNK,
     QUANTILES,
     init_quantile_params,
     quantile_forward_batch,
@@ -184,23 +187,24 @@ def windows_of(features, labels) -> Windows:
 
 def oracle_forecast_scorer(model, dataset, use_quantile=False) -> CycleScorer:
     """Per-cycle forecast scores from each run's windows, cut as views with
-    sliding_window_view and forecast in one batch per run; a run shorter
-    than w gets no scores."""
+    sliding_window_view and forecast in one batch over all runs; a run
+    shorter than w gets no scores."""
     w = model.window
-    scores: dict[tuple[int, int], float] = {}
+    keys, views = [], []
     for run in dataset.runs:
         if run.length < w:
             continue
-        ends = np.arange(w, run.length + 1)
         # window i is channels[i : i + w], a view; it ends at cycle w + i
-        X = sliding_window_view(run.channels, (w, run.channels.shape[1]))[:, 0]
-        if use_quantile:
-            values = predict_quantiles_batch(model, X)[:, 0]
-        else:
-            values = predict_ttd_batch(model, X)
-        for e, v in zip(ends, values):
-            scores[(run.engine_id, int(e))] = float(v)
-    return CycleScorer(scores=scores, start_cycle=w)
+        views.append(sliding_window_view(run.channels, (w, run.channels.shape[1]))[:, 0])
+        keys += [(run.engine_id, int(e)) for e in range(w, run.length + 1)]
+    if not views:
+        return CycleScorer(scores={}, start_cycle=w)
+    X = np.concatenate(views)
+    if use_quantile:
+        values = predict_quantiles_batch(model, X)[:, 0]
+    else:
+        values = predict_ttd_batch(model, X)
+    return CycleScorer(scores=dict(zip(keys, values.tolist())), start_cycle=w)
 
 
 def oracle_segment_replay(dataset, scorer, margin, start_cycle=1):
@@ -504,21 +508,42 @@ def _flat(X) -> np.ndarray:
     return X.reshape(len(X), X.shape[1] * X.shape[2])
 
 
-def linear_raw_batch(model, X) -> np.ndarray:
+def padded_blocks(X, size: int) -> np.ndarray:
+    """(k, size, w, d) blocks of windows (B, w, d): X stacked with zero
+    windows up to whole blocks, at least one block."""
+    blocks = np.zeros((max(1, math.ceil(len(X) / size)) * size, *X.shape[1:]), X.dtype)
+    blocks[: len(X)] = X
+    return blocks.reshape(-1, size, *X.shape[1:])
+
+
+def linear_raw_blocks(model, X) -> np.ndarray:
     """Raw linear forecasts for standardized windows (B, w, d): one
-    matrix-vector product at one BLAS thread."""
+    matrix-vector product per padded WINDOW_CHUNK-window block, at one BLAS
+    thread."""
     with one_blas_thread():
-        return _flat(X) @ model.params["coef"] + model.params["intercept"][0]
+        out = [_flat(block) @ model.params["coef"] for block in padded_blocks(X, WINDOW_CHUNK)]
+    return np.concatenate(out)[: len(X)] + model.params["intercept"][0]
 
 
-def quantile_raw_batch(model, X) -> np.ndarray:
+def quantile_raw_blocks(model, X) -> np.ndarray:
     """Sorted quantile head outputs (B, n_levels) for standardized windows
-    (B, w, d): one float32 forward over all of them, with the parameters
-    rounded to float32, at one BLAS thread."""
+    (B, w, d): one float32 forward per padded HEAD_CHUNK-window block, with
+    the parameters rounded to float32, at one BLAS thread."""
     params = {name: p.astype(np.float32) for name, p in model.params.items()}
     with one_blas_thread():
-        out, _ = quantile_forward_batch(_flat(X).astype(np.float32), params, check=False)
-    return np.sort(out, axis=1)
+        out = [quantile_forward_batch(_flat(block).astype(np.float32), params, check=False)[0]
+               for block in padded_blocks(X, HEAD_CHUNK)]
+    return np.sort(np.concatenate(out)[: len(X)], axis=1)
+
+
+def attention_raw_blocks(X, params, heads, pool="mean") -> np.ndarray:
+    """Raw attention forecasts for standardized windows (B, w, d) in the
+    dtype of X and params: one forward per padded MICRO_BATCH-window block,
+    each in a fresh workspace, at one BLAS thread."""
+    with one_blas_thread():
+        out = [attention_forward_batch(block, params, heads, pool, check=False)[0]
+               for block in padded_blocks(X, MICRO_BATCH)]
+    return np.concatenate(out)[: len(X)]
 
 
 def fit_quantile_float64(train: Windows, val: Windows, cfg: TrainConfig):

@@ -31,6 +31,7 @@ from driftcal.pipeline import label_and_window, train_forecaster
 
 from oracles import (
     attention_forward,
+    attention_raw_blocks,
     central_difference_gradients,
     flatten_params,
     max_relative_error,
@@ -191,17 +192,17 @@ def _tiny_model(d=3, w=6, pool="mean"):
 
 
 @pytest.mark.parametrize("pool", ["mean", "last"])
-@pytest.mark.parametrize(  # last micro-batches of a partial, a whole, one and five windows,
+@pytest.mark.parametrize(  # last blocks of a partial, a whole, one and five windows,
     # at MICRO_BATCH and (127 to 389) at the earlier 16-window micro-batch
     "n", [0, 1, 127, 128, 129, 389, 8 * MICRO_BATCH - 1, 8 * MICRO_BATCH, 8 * MICRO_BATCH + 1,
           24 * MICRO_BATCH + 5]
 )
 def test_chunked_inference_equals_one_forward(n, pool):
+    # one forward per padded block, in the model's dtype, as attention_raw runs
     model = _tiny_model(pool=pool)
     X = np.random.default_rng(n).normal(size=(n, 6, 3))
-    with one_blas_thread():  # as attention_raw runs, in the model's dtype
-        whole, _ = attention_forward_batch(X.astype(DTYPE), as_dtype(model.params, DTYPE),
-                                           TINY["heads"], pool, check=False)
+    whole = attention_raw_blocks(X.astype(DTYPE), as_dtype(model.params, DTYPE), TINY["heads"],
+                                 pool)
     chunked = attention_raw(model, X.__getitem__, n)
     assert chunked.shape == (n,)
     assert np.array_equal(chunked, whole)
@@ -209,36 +210,27 @@ def test_chunked_inference_equals_one_forward(n, pool):
 
 @pytest.mark.parametrize("n", [17, 33, 48, 64, 100, 129])
 def test_chunked_inference_at_the_default_window_equals_one_forward(n):
-    # 40-cycle windows and the default d_model: a micro-batch starts on a
-    # multiple of 24 GEMM rows, the row unroll of Haswell's sgemm, only
-    # because MICRO_BATCH is one; at 16 windows every n here failed under
-    # that kernel
+    # 40-cycle windows and the default d_model, against one forward per
+    # padded block
     params = init_attention_params(np.random.default_rng(n), 3, 64, 4, 1)
     model = ForecastModel(kind="attention", params=params, window=40, n_channels=3,
                           meta={"heads": 4, "pool": "mean"})
     X = np.random.default_rng(n).normal(size=(n, 40, 3))
-    with one_blas_thread():
-        whole, _ = attention_forward_batch(X.astype(DTYPE), as_dtype(params, DTYPE), 4,
-                                           check=False)
+    whole = attention_raw_blocks(X.astype(DTYPE), as_dtype(params, DTYPE), 4)
     assert np.array_equal(attention_raw(model, X.__getitem__, n), whole)
 
 
-@pytest.mark.xfail(raises=AssertionError,
-                   reason="known defect: OpenBLAS's SkylakeX sgemm rounds the 8-column ffn.w2 "
-                          "product in its small-matrix kernel at a 24-window micro-batch's size "
-                          "and in its regular kernel at the one forward's")
 def test_chunked_inference_at_d_model_8_equals_one_forward():
-    # d_model 8 and 40-cycle windows: each micro-batch's ffn.w2 product (960
-    # rows, K = 32) stays under 1e6 multiply-adds, the one forward's (4,000
-    # rows) does not; it passes under the kernels without that path
+    # d_model 8 and 40-cycle windows, where SkylakeX's sgemm takes its
+    # small-matrix kernel for a block's ffn.w2 product (960 rows, K = 32):
+    # every block's products have one shape, so the forecasts equal one
+    # forward per padded block, as they do a forecast of any prefix
     n = 100
     params = init_attention_params(np.random.default_rng(n), 3, 8, 2, 1)
     model = ForecastModel(kind="attention", params=params, window=40, n_channels=3,
                           meta={"heads": 2, "pool": "mean"})
     X = np.random.default_rng(n).normal(size=(n, 40, 3))
-    with one_blas_thread():
-        whole, _ = attention_forward_batch(X.astype(DTYPE), as_dtype(params, DTYPE), 2,
-                                           check=False)
+    whole = attention_raw_blocks(X.astype(DTYPE), as_dtype(params, DTYPE), 2)
     assert np.array_equal(attention_raw(model, X.__getitem__, n), whole)
 
 
@@ -339,12 +331,12 @@ def test_workspace_rejects_a_batch_larger_than_its_capacity():
 def test_chunked_forwards_through_one_workspace_equal_one_forward(pool):
     params = _tiny_params(seed=9)
     rng = np.random.default_rng(10)
-    ws = Workspace(5)
-    for n in (17, 3, 15, 17):  # partial and whole last chunks, one workspace throughout
+    ws = Workspace(MICRO_BATCH)
+    for n in (53, 3, 48, 53):  # partial and whole last blocks, one workspace throughout
         X = rng.normal(size=(n, 6, 3))
-        # chunks of an array, as inference takes them, and of a window set, as a fit does
+        # blocks of an array, as inference takes them, and of a window set, as a fit does
+        whole = attention_raw_blocks(X, params, TINY["heads"], pool)
         with one_blas_thread():  # as inference and fits run
-            whole, _ = attention_forward_batch(X, params, TINY["heads"], pool, check=False)
             for take in (X.__getitem__, windows_of(X, np.zeros(n, dtype=int)).take):
                 chunked = _forward_chunks(take, n, params, TINY["heads"], pool, [ws])
                 assert np.array_equal(chunked, whole)

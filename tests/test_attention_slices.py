@@ -142,7 +142,7 @@ def test_warm_workspaces_read_no_stale_value(B, layers, n_cpus, pool, seed):
         loss, grads = attention_loss_and_grads(X, y, params, HEADS, pool, 1.0, workspaces)
         warm = _forward_chunks(X.__getitem__, B, params, HEADS, pool, workspaces), loss, grads
     _assert_same_step(warm, _step(n_cpus, X, y, params, pool))
-    _assert_same_step(warm, _step(1, X, y, params, pool, [Workspace(min(B, MICRO_BATCH))]))
+    _assert_same_step(warm, _step(1, X, y, params, pool, [Workspace(MICRO_BATCH)]))
     assert _directional_error(X, y, params, pool, grads) < 1e-5  # 1.4e-8 at most in 300 cases
 
 

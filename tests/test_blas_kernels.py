@@ -2,9 +2,10 @@
 
 numpy's bundled OpenBLAS picks a kernel for the CPU when it loads, and
 OPENBLAS_CORETYPE forces another; each kernel rounds products its own way.
-The pins in test_pinned_hashes.py hold on one kernel only, but every fit
-and forecast must be the same bits at every thread count, and chunked
-forecasts must equal one product, on all of them.
+The pins in test_pinned_hashes.py hold on one kernel only, but on all of
+them every fit and forecast must be the same bits at every thread count,
+block forecasts must equal one product or forward per padded block, and a
+prefix of the windows must get a prefix of the forecasts.
 """
 
 import os
@@ -20,13 +21,15 @@ from driftcal.models import threads
 # (pni is SSE3)
 KERNELS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx", "Prescott": "pni"}
 
-# the tests of thread-count independence and of chunked forecasts; no pins
+# the tests of thread-count independence and of block forecasts (the prefix
+# property among them, in test_chunked_forecasts.py); no pins
 INVARIANTS = [
     "tests/test_pinned_hashes.py::test_fits_do_not_depend_on_blas_threads",
     "tests/test_chunked_forecasts.py",
     "tests/test_attention_slices.py",
     "tests/test_attention.py::test_chunked_inference_equals_one_forward",
     "tests/test_attention.py::test_chunked_inference_at_the_default_window_equals_one_forward",
+    "tests/test_attention.py::test_chunked_inference_at_d_model_8_equals_one_forward",
     "tests/test_attention.py::test_chunked_forwards_through_one_workspace_equal_one_forward",
 ]
 

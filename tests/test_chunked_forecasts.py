@@ -1,8 +1,11 @@
-"""Forecasts and the quantile fit's validation pass read their windows
-window_chunks at a time: they equal one product over all windows bit for
-bit (the oracles in tests/oracles.py), at every BLAS thread count, and
-their memory does not grow with a stack of the window set."""
+"""Forecasts and the quantile fit's validation pass run in blocks of a
+fixed number of windows, the last one padded with zero windows
+(forecast_blocks): they equal the padded per-block products of the oracles
+in tests/oracles.py bit for bit, a prefix of the windows gets a prefix of
+the forecasts, no bit depends on the BLAS thread count, and their memory
+does not grow with a stack of the window set."""
 
+import functools
 import hashlib
 import json
 import os
@@ -12,22 +15,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftcal.labeling import WINDOW_CHUNK, Standardizer, Windows
 from driftcal.models import (TrainConfig, fit_quantile, predict_quantiles_batch,
                              predict_ttd_windows)
+from driftcal.models.attention import MICRO_BATCH, init_attention_params
 from driftcal.models.base import ForecastModel
 from driftcal.models.predict import kind_of
 from driftcal.models.quantile import HEAD_CHUNK, init_quantile_params, quantile_raw
 
-from oracles import linear_raw_batch, quantile_raw_batch, traced_peak
+from oracles import linear_raw_blocks, quantile_raw_blocks, traced_peak
 
 C, H = WINDOW_CHUNK, HEAD_CHUNK
 W, D, HIDDEN = 40, 24, 64  # the default window, channel count and quantile width
-# around the chunk edges of both chunk sizes: one call, a joined tail (the
-# shortest ones send a product to another BLAS kernel), and a tail of its
-# own; at 6 * C + 1 the quantile head over all windows is too large for
-# OpenBLAS's small-matrix kernel, which a head run per chunk would use
+# around the block edges of both block sizes: one padded block, whole
+# blocks, and a padded last block after whole ones, up to six linear blocks
 SIZES = [0, 1, 2, H - 1, H, H + 1, C - 1, C, C + 1, C + 2, C + 16, C + 17, H + H // 2 - 1,
          H + H // 2, H + H // 2 + 1, C + 511, C + 512, 2 * C + 1, 3 * H + 1, 3 * C + 1,
          6 * C + 1]
@@ -48,15 +52,50 @@ def standardized():
 
 @pytest.mark.parametrize("n", SIZES)
 def test_chunked_forecasts_equal_one_product_bit_for_bit(standardized, n):
+    # one product per padded block, as the oracles compute it
     X = standardized[:n]
     linear, quantile = _models().values()
     point = kind_of("linear").raw_point(linear, X.__getitem__, n)
     assert point.shape == (n,)
-    assert np.array_equal(point, linear_raw_batch(linear, X))
+    assert np.array_equal(point, linear_raw_blocks(linear, X))
     heads = quantile_raw(quantile, X.__getitem__, n)
     assert heads.shape == (n, 3)
-    assert np.array_equal(heads, quantile_raw_batch(quantile, X))
+    assert np.array_equal(heads, quantile_raw_blocks(quantile, X))
     assert np.array_equal(kind_of("quantile").raw_point(quantile, X.__getitem__, n), heads[:, 1])
+
+
+# per kind, its block size and the number of windows the prefixes are cut from
+PREFIX = {"linear": (C, 2 * C + 3), "quantile": (H, 2 * H + 3),
+          "attention": (MICRO_BATCH, 4 * MICRO_BATCH + 5)}
+
+
+@functools.cache
+def _prefix_case(kind: str, d_model: int):
+    """(raw forecast, model, standardized windows, the forecasts of all of
+    them) for a kind at random parameters; the quantile forecast is every
+    head. d_model 8 sends some attention products to OpenBLAS's
+    small-matrix kernels."""
+    rng = np.random.default_rng(d_model)
+    params = {"linear": lambda: {"coef": rng.normal(size=W * D), "intercept": np.array([3.0])},
+              "quantile": lambda: init_quantile_params(rng, W * D, HIDDEN),
+              "attention": lambda: init_attention_params(rng, D, d_model, 4, 2)}[kind]()
+    model = ForecastModel(kind=kind, params=params, window=W, n_channels=D,
+                          meta={"heads": 4, "pool": "mean"})
+    raw = quantile_raw if kind == "quantile" else kind_of(kind).raw_point
+    X = rng.normal(size=(PREFIX[kind][1], W, D))
+    return raw, model, X, raw(model, X.__getitem__, len(X))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("kind", list(PREFIX))
+def test_a_prefix_of_the_windows_gets_a_prefix_of_the_forecasts(kind, data):
+    size, n_max = PREFIX[kind]
+    straddling = [k * size + j for k in (1, 2) for j in (-1, 0, 1) if k * size + j <= n_max]
+    n = data.draw(st.one_of(st.integers(0, n_max), st.sampled_from([0, 1, *straddling])))
+    d_model = data.draw(st.sampled_from([8, 64])) if kind == "attention" else 0
+    raw, model, X, whole = _prefix_case(kind, d_model)
+    assert np.array_equal(raw(model, X.__getitem__, n), whole[:n])
 
 
 def _sha(values: np.ndarray) -> str:

@@ -29,8 +29,10 @@ pinned fit's epoch logs kept their bits. The quantile model, epoch-log and
 file-body pins and the quantile policy's event pins were retaken once when
 the quantile forecaster began to train and forecast in float32, and the
 attention model, epoch-log, forecast and init-forecast pins once when the
-attention forecaster did, in micro-batches of 24 windows. The model
-pins cover float arithmetic, so they hold only for one BLAS build (numpy's
+attention forecaster did, in micro-batches of 24 windows. No pin moved
+when every forecast began to run on fixed blocks of windows, the last one
+padded with zero windows, and the forecast scorers to forecast a dataset
+in one call. The model pins cover float arithmetic, so they hold only for one BLAS build (numpy's
 bundled OpenBLAS) and one of its kernels (ON_KERNEL), but at every thread
 count (test_fits_do_not_depend_on_blas_threads).
 """

@@ -7,16 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from driftcal.adaptation import Segment
+from driftcal.adaptation import AdaptationConfig, Segment, adapt_dataset
 from driftcal.labeling import Standardizer
 from driftcal.models import (ForecastModel, TrainConfig, fit_linear, fit_quantile,
-                             predict_ttd_batch, save_model, train_attention)
+                             predict_quantiles_batch, predict_ttd_batch, save_model,
+                             train_attention)
 from driftcal.pipeline import (
     evaluate_forecaster,
     forecast_scorer,
     label_and_window,
     train_forecaster,
+    validation_subset,
 )
+from driftcal.synthetic import synthetic_trajectories
 
 from oracles import oracle_forecast_scorer, windows_of
 
@@ -60,16 +63,51 @@ def test_forecast_scorer_matches_sliding_window_oracle(models, fleet_with_short_
 
 
 @pytest.mark.parametrize("kind", ["linear", "quantile", "attention"])
-def test_evaluate_equals_one_forecast_over_the_gathered_windows(models, small_dataset,
-                                                                monkeypatch, kind):
+def test_evaluate_equals_one_forecast_over_the_gathered_windows(models, small_dataset, kind):
     val = label_and_window(small_dataset, w=W, seed=4).val_raw
     expected = predict_ttd_batch(models[kind], val.take(slice(None)))
-    # chunk edges in 166 windows; chunks and tails of 32 or more rows keep
-    # every product on the BLAS kernel one product over all of them uses
-    monkeypatch.setattr("driftcal.labeling.WINDOW_CHUNK", 64)
     report, y, yhat = evaluate_forecaster(models[kind], val)
     assert yhat.tobytes() == expected.tobytes()
     assert y.tolist() == val.label.tolist() and report.n == len(val)
+
+
+@pytest.fixture(scope="module")
+def default_fleet():
+    """The CLI's default synthetic fleet at seed 7, its bundle and validation runs."""
+    dataset = adapt_dataset(synthetic_trajectories(n_engines=20, seed=7,
+                                                   length_range=(200, 300)),
+                            AdaptationConfig(), seed=7)
+    bundle = label_and_window(dataset, seed=7)
+    return bundle, validation_subset(dataset, bundle.split)
+
+
+@pytest.mark.parametrize("kind", ["linear", "quantile", "attention"])
+def test_evaluate_and_score_forecast_every_validation_window_alike(default_fleet, kind):
+    # evaluate's metrics and the replayed policies read the same bits; the
+    # quantile model's q10 heads too, which only the quantile policy reads
+    bundle, val = default_fleet
+    cfg = TrainConfig(max_epochs=1, patience=1, seed=7)
+    model = train_forecaster(kind, bundle, cfg)[0]
+    keys = list(zip(bundle.val_raw.engine_id.tolist(), bundle.val_raw.end_cycle.tolist()))
+    _, _, yhat = evaluate_forecaster(model, bundle.val_raw)
+    scores = forecast_scorer(model, val).scores
+    assert list(scores) == keys
+    assert np.array(list(scores.values())).tobytes() == yhat.tobytes()
+    if kind == "quantile":
+        q10 = predict_quantiles_batch(model, bundle.val_raw.take(slice(None)))[:, 0]
+        scores = forecast_scorer(model, val, use_quantile=True).scores
+        assert np.array(list(scores.values())).tobytes() == q10.tobytes()
+
+
+@pytest.mark.parametrize("n_runs", [1, 3])  # fewer rows in all than one window, and more
+def test_a_fleet_of_runs_shorter_than_the_window_scores_nothing(models, small_dataset, n_runs):
+    short = replace(small_dataset, runs=[replace(run, channels=run.channels[: W - 1],
+                                                 segments=(Segment(1, W - 1, None),),
+                                                 reset_events=())
+                                         for run in small_dataset.runs[:n_runs]])
+    for use_quantile in (False, True):
+        scorer = forecast_scorer(models["quantile"], short, use_quantile=use_quantile)
+        assert scorer.scores == {} and scorer.start_cycle == W
 
 
 def test_unknown_kind_raises_one_value_error_before_reading_the_bundle():
